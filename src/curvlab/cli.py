@@ -42,7 +42,7 @@ from .profile import (
     to_warped,
 )
 from .report_store import make_record, save
-from .verify import run_battery, write_report_csv, write_report_text
+from .verify import DEFAULT_CHECK_TOLERANCE, run_battery, write_report_csv, write_report_text
 
 __all__ = ["main", "RunConfig", "build_parser"]
 
@@ -199,7 +199,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
     tol_rel = pick(args.tol, "tol", None, float)
     if tol_rel is not None:
-        cfg.tolerances = Tolerance(rel=tol_rel, abs=tol_rel * 1e-2)
+        # Scale the pinned default pair, so --tol 1e-8 reproduces the defaults.
+        base = DEFAULT_CHECK_TOLERANCE
+        cfg.tolerances = Tolerance(rel=tol_rel, abs=(tol_rel / base.rel) * base.abs)
     if not cfg.model:
         raise UsageError("--model is required (see `curvlab models`)")
     cfg.validate()

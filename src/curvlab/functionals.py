@@ -37,6 +37,8 @@ from .potential import (
     SolutionKind,
     level,
     level_integrals,
+    t_of_level,
+    u_value,
     volume_to_coordinate,
 )
 
@@ -214,8 +216,11 @@ def coarea_volume(sol: PotentialSolution, t: float) -> float:
     This is the cross-check route for volume_sublevel; the boundaryless
     integrand vanishes like 4 pi s^2 toward s = 0, so the integral is cut at
     s = 1e-4 t with an O((s/t)^3) bounded remainder, far below the 1e-8
-    comparison tolerance.
+    comparison tolerance.  The integrand has kinks at the levels of the
+    profile breakpoints, so the quadrature is split there.
     """
+    p = sol.profile
+    kinks = [t_of_level(sol, u_value(sol, x)) for x in p.breakpoints if x > p.x_min]
     if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
         cap = sol.capacity
 
@@ -223,12 +228,12 @@ def coarea_volume(sol: PotentialSolution, t: float) -> float:
             inv = level_integrals(sol, s).int_inv_grad
             return cap / (s * s) * (1.0 + cap / (2.0 * s)) ** -2 * inv
 
-        return integrate(integrand, 0.5 * cap, t, _COAREA_TOL).value
+        return integrate(integrand, 0.5 * cap, t, _COAREA_TOL, points=kinks).value
 
     def integrand(s: float) -> float:
         return level_integrals(sol, s).int_inv_grad / (s * s)
 
-    return integrate(integrand, 1e-4 * t, t, _COAREA_TOL).value
+    return integrate(integrand, 1e-4 * t, t, _COAREA_TOL, points=kinks).value
 
 
 def growth_integrand_cumulative(sol: PotentialSolution, samples: Sequence[LevelSetSample]) -> list[float]:
@@ -277,7 +282,8 @@ def growth_integrand_cumulative(sol: PotentialSolution, samples: Sequence[LevelS
 
 @dataclass
 class FunctionalSeries:
-    """Parallel arrays of every functional over a t-grid (nan where undefined)."""
+    """Parallel arrays of every functional over a t-grid (nan where undefined),
+    with the level-set samples they were computed from."""
 
     kind: SolutionKind
     capacity: float
@@ -299,6 +305,7 @@ class FunctionalSeries:
     Fprime_analytic: np.ndarray
     Gprime_analytic: np.ndarray
     volume: np.ndarray
+    samples: list[LevelSetSample]
 
     def __len__(self) -> int:
         return len(self.t_grid)
@@ -402,6 +409,7 @@ def build_series(
         Fprime_analytic=np.array(fp_col),
         Gprime_analytic=np.array(gp_col),
         volume=np.array(volumes),
+        samples=samples,
     )
 
 

@@ -56,7 +56,7 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
-_MAX_PANELS = 4096
+_MAX_PANELS = 4096  # refinement budget beyond the initial partition
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def _adaptive(f, lo: float, hi: float, tol: Tolerance, points: Sequence[float]):
             return QuadratureResult(value, err, evaluations)
         _, _, a, b, v, e, depth = heapq.heappop(panels)
         mid = 0.5 * (a + b)
-        if depth >= tol.max_refinements or len(panels) >= _MAX_PANELS or not a < mid < b:
+        if depth >= tol.max_refinements or len(panels) >= len(edges) + _MAX_PANELS or not a < mid < b:
             raise NonConvergent(
                 f"quadrature did not converge on [{a!r}, {b!r}] "
                 f"(depth {depth}, {evaluations} evaluations, error {err!r})"

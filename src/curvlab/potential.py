@@ -7,17 +7,22 @@ with a single normalisation constant:
     chosen so u -> 1 at infinity;
   * boundaryless:   u(x) = 1 - Int_x^oo f^-2 ds  (u = 1 - 4 pi G_o, c = 1).
 
-u is evaluated from the tail integral T(x) = Int_x^oo f^-2 ds, computed by
-per-level quadrature against canonical power-of-two anchors.  Each anchor
-value is an independent semi-infinite integral, and the anchor used for a
-given x depends on x alone, so query results are bitwise independent of
-evaluation order and safe to compute concurrently.
+u is evaluated from the tail integral T(x) = Int_x^oo f^-2 ds.  The
+canonical anchors x_ref * 2^k carry independent semi-infinite adaptive
+integrals T(x_ref * 2^k).  On each dyadic interval between two anchors the
+integrand ds_dx/f^2 is tabulated once as a piecewise Chebyshev interpolant
+whose antiderivative is exact, so T(x) is the anchor value minus one
+Clenshaw sum: O(1) per query, with no per-query quadrature inside the level
+solve or the integrands built on u.  Anchor values and tables depend on k
+alone, so query results are bitwise independent of evaluation order and
+safe to compute concurrently.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -47,6 +52,19 @@ __all__ = [
 _FOUR_PI = 4.0 * math.pi
 _TAIL_TOL = Tolerance(rel=5e-13, abs=0.0, max_refinements=60)
 _VOLUME_TOL = Tolerance(rel=1e-11, abs=1e-13, max_refinements=60)
+
+# Tail tables: _CHEB_N first-kind Chebyshev nodes per panel; a panel is
+# accepted once the two trailing coefficients of its integrated series,
+# times its half-width, are below _TABLE_REL times the anchor value of its
+# interval.
+_CHEB_N = 25
+_CHEB_NODES = tuple(math.cos(math.pi * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N))
+_CHEB_COS = tuple(
+    tuple(math.cos(math.pi * m * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N)) for m in range(_CHEB_N)
+)
+_TABLE_REL = 1e-16
+_TABLE_MAX_DEPTH = 60
+_TABLE_MAX_PANELS = 4096  # bisection budget beyond the breakpoint split
 
 
 class SolutionKind(str, Enum):
@@ -86,11 +104,17 @@ class LevelSetSample:
 
 
 class _TailCache:
-    """T(x) = Int_x^oo ds/f^2 with canonical anchors at x_ref * 2^k.
+    """T(x) = Int_x^oo ds/f^2 from canonical anchors x_ref * 2^k and per-interval tables.
 
-    Every anchor value is an independent semi-infinite integral and the
-    anchor serving a query depends on the query coordinate alone, so T(x)
-    is bitwise independent of evaluation order.
+    Every anchor value is an independent semi-infinite adaptive integral.
+    The table of interval k covers [x_ref * 2^k, x_ref * 2^(k+1)]: its
+    panels split at the profile breakpoints, interpolate ds_dx/f^2 in
+    Chebyshev polynomials and are bisected until the trailing coefficients
+    of the integrated series, times the panel half-width, fall below
+    _TABLE_REL times the anchor value.  Each panel stores its integrated
+    coefficients and the integral of the panels before it.  Anchors and
+    tables are built on first use, depend on k alone and are stored
+    first-writer-wins, so T(x) is bitwise independent of evaluation order.
     """
 
     def __init__(self, profile: MetricProfile):
@@ -101,6 +125,7 @@ class _TailCache:
         self._ref = profile.x_min if anchored_at_boundary else 1.0
         self._k_floor = 0 if anchored_at_boundary else None
         self._anchors: dict[int, float] = {}
+        self._tables: dict[int, tuple] = {}
         self._total: float | None = None
         self._lock = threading.Lock()
 
@@ -147,6 +172,61 @@ class _TailCache:
             k = max(k, self._k_floor)
         return k
 
+    def _chebyshev(self, lo: float, hi: float) -> list[float]:
+        """Chebyshev coefficients of the integrand interpolated on [lo, hi]."""
+        centre = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fs = [self._integrand(centre + half * z) for z in _CHEB_NODES]
+        coeffs = [math.fsum(f * c for f, c in zip(fs, row)) * 2.0 / _CHEB_N for row in _CHEB_COS]
+        coeffs[0] *= 0.5
+        return coeffs
+
+    def _build_table(self, k: int) -> tuple:
+        lo, hi = self.anchor_x(k), self.anchor_x(k + 1)
+        t_anchor = self.anchor_value(k)
+        target = _TABLE_REL * t_anchor
+        edges = [lo] + [p for p in sorted(set(self._p.breakpoints)) if lo < p < hi] + [hi]
+        todo = [(a, b, 0) for a, b in reversed(list(zip(edges, edges[1:])))]
+        starts: list[float] = []
+        halves: list[float] = []
+        series: list[tuple[float, ...]] = []
+        cumulative: list[float] = []
+        acc = 0.0
+        while todo:  # depth first, left to right: panels come out in order
+            a, b, depth = todo.pop()
+            c = self._chebyshev(a, b) + [0.0, 0.0]
+            # Integrate term by term; the constant makes the antiderivative
+            # vanish at the left edge (T_j(-1) = (-1)^j).
+            ints = [0.0, c[0] - 0.5 * c[2]]
+            ints += [(c[j - 1] - c[j + 1]) / (2.0 * j) for j in range(2, _CHEB_N + 1)]
+            ints[0] = sum(v if j % 2 else -v for j, v in enumerate(ints))
+            half = 0.5 * (b - a)
+            if (abs(ints[-1]) + abs(ints[-2])) * half <= target:
+                starts.append(a)
+                halves.append(half)
+                series.append(tuple(ints))
+                cumulative.append(acc)
+                acc += half * sum(ints)
+                continue
+            mid = 0.5 * (a + b)
+            too_many = len(starts) + len(todo) >= len(edges) + _TABLE_MAX_PANELS
+            if depth >= _TABLE_MAX_DEPTH or too_many or not a < mid < b:
+                raise NonConvergent(
+                    f"tail table did not resolve ds_dx/f^2 on [{a!r}, {b!r}] (depth {depth})"
+                )
+            todo.append((mid, b, depth + 1))
+            todo.append((a, mid, depth + 1))
+        return (t_anchor, starts, halves, series, cumulative)
+
+    def _table(self, k: int) -> tuple:
+        with self._lock:
+            cached = self._tables.get(k)
+        if cached is not None:
+            return cached
+        table = self._build_table(k)
+        with self._lock:
+            return self._tables.setdefault(k, table)
+
     def value(self, x: float) -> float:
         if self._x_floor is not None and x <= self._x_floor:
             if x < self._x_floor * (1.0 - 1e-12) - 1e-300:
@@ -155,12 +235,21 @@ class _TailCache:
         if x <= 0.0:
             raise OutOfRange(f"tail integral needs x > 0, got {x!r}")
         k = self.index_for(x)
-        xa = self.anchor_x(k)
-        t_anchor = self.anchor_value(k)
-        if x == xa:
-            return t_anchor
-        piece = integrate(self._integrand, xa, x, _TAIL_TOL, points=self._p.breakpoints).value
-        return t_anchor - piece
+        if x == self.anchor_x(k):
+            return self.anchor_value(k)
+        t_anchor, starts, halves, series, cumulative = self._table(k)
+        i = bisect_right(starts, x) - 1
+        if i < 0:
+            i = 0  # log2 rounding can put x a hair below the first edge
+        half = halves[i]
+        z = (x - starts[i]) / half - 1.0
+        # Clenshaw sum of the integrated Chebyshev series at z.
+        ints = series[i]
+        z2 = 2.0 * z
+        b1 = b2 = 0.0
+        for j in range(len(ints) - 1, 0, -1):
+            b1, b2 = z2 * b1 - b2 + ints[j], b1
+        return t_anchor - (cumulative[i] + half * (z * b1 - b2 + ints[0]))
 
 
 @dataclass
@@ -296,16 +385,18 @@ def _coordinate_of_tail(sol: PotentialSolution, target: float) -> float:
     x = lo + (t_lo - target) / (t_lo - t_hi) * (hi - lo)
     stop = 1e-14 * target
     for _ in range(80):
-        t_x = tail.value(x)
-        resid = t_x - target
+        resid = tail.value(x) - target
+        fx = p.f(x)
+        x_new = x + resid * fx * fx / p.ds_dx(x)
         if abs(resid) <= stop:
+            # Inside the stop band: take one more step and keep the closer point.
+            if lo <= x_new <= hi and abs(tail.value(x_new) - target) < abs(resid):
+                return x_new
             return x
         if resid > 0.0:
             lo = x
         else:
             hi = x
-        fx = p.f(x)
-        x_new = x + resid * fx * fx / p.ds_dx(x)
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= 4e-16 * abs(x):
@@ -317,7 +408,12 @@ def _coordinate_of_tail(sol: PotentialSolution, target: float) -> float:
 def level(sol: PotentialSolution, t: float) -> LevelParam:
     """Locate the level set labelled by t; round-trips t -> s -> t to rel 1e-10."""
     u_target = level_value(sol, t)
-    target_tail = (1.0 - u_target) / sol.c_norm
+    # T = (1 - u)/c in closed form (c = C with a boundary, 1 without):
+    # forming 1 - u from u would cancel digits at large t.
+    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
+        target_tail = 2.0 / (2.0 * t + sol.capacity)
+    else:
+        target_tail = 1.0 / t
     x = _coordinate_of_tail(sol, target_tail)
     return LevelParam(t=t, s=x, u=u_target)
 

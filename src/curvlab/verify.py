@@ -317,8 +317,7 @@ def _boundary_checks(
 
     # Integral lower bound on the growth (case A >= 0):
     # t A1' >= A1 - 4 pi + (1/2t) Int (R1 + B1)
-    samples = [level_integrals(sol, t) for t in ts]
-    cumulative = growth_integrand_cumulative(sol, samples)
+    cumulative = growth_integrand_cumulative(sol, series.samples)
     use_tilde = series.deficit_A < 0.0
     margins = []
     for i, t in enumerate(ts):

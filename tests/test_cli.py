@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -164,3 +165,29 @@ def test_tol_flag_rescales_checks():
     assert cp.returncode == 0, cp.stderr
     line = next(ln for ln in cp.stdout.splitlines() if ln.startswith("check a1_upper_bound "))
     assert line.rstrip().endswith("1e-06")
+
+
+def test_functionals_euclidean_closed_form():
+    # Flat space: s = t, u = 1 - 1/t, area = 4 pi t^2, volume = 4 pi t^3/3, Fhat = 0.
+    cp = run_cli("functionals", "--model", "euclidean", "--grid", "64")
+    assert cp.returncode == 0, cp.stderr
+    lines = _strip_timestamp(cp.stdout).strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, ln.split(",")))) for ln in lines[1:]]
+    assert len(rows) == 64
+    for row in rows:
+        t = row["t"]
+        assert abs(row["s"] - t) <= 1e-13 * t
+        assert abs(row["u"] - (1.0 - 1.0 / t)) <= 1e-13
+        assert abs(row["area"] - 4.0 * math.pi * t * t) <= 1e-13 * 4.0 * math.pi * t * t
+        assert abs(row["volume"] - 4.0 * math.pi * t ** 3 / 3.0) <= 1e-13 * 4.0 * math.pi * t ** 3 / 3.0
+        assert abs(row["Fhat"]) <= 1e-13
+
+
+def test_tol_flag_at_default_reproduces_default_report():
+    # --tol names the relative base tolerance; the absolute one scales with it,
+    # so the documented default value must give the default report.
+    default = run_cli("verify", "--model", "perturbed-schwarzschild", "--grid", "32")
+    flagged = run_cli("verify", "--model", "perturbed-schwarzschild", "--grid", "32", "--tol", "1e-8")
+    assert default.returncode == flagged.returncode == 0, flagged.stderr
+    assert _strip_timestamp(flagged.stdout) == _strip_timestamp(default.stdout)

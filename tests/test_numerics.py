@@ -52,6 +52,14 @@ def test_integrate_respects_breakpoints():
     assert abs(res.value - (0.3**2 / 2 + 0.7**2 / 2)) <= 1e-12
 
 
+def test_integrate_refines_past_a_dense_breakpoint_partition():
+    # Spline profiles split at every knot; the refinement budget counts
+    # beyond that initial partition, so thousands of knots still converge.
+    knots = [k / 5000.0 for k in range(1, 5000)]
+    res = integrate(math.sqrt, 0.0, 1.0, points=knots)
+    assert abs(res.value - 2.0 / 3.0) <= 1e-10
+
+
 def test_integrate_reversed_limits():
     res = integrate(lambda s: s, 2.0, 0.0)
     assert abs(res.value + 2.0) <= 1e-12

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from curvlab.errors import OutOfRange, WrongKind
-from curvlab.numerics import differentiate
+from curvlab.numerics import differentiate, integrate
 from curvlab.potential import (
+    _TAIL_TOL,
     SolutionKind,
     capacity,
     default_t_grid,
@@ -18,7 +19,16 @@ from curvlab.potential import (
     u_value,
     volume_to_coordinate,
 )
-from curvlab.profile import MetricProfile, ProfileKind
+from curvlab.profile import (
+    MetricProfile,
+    ProfileKind,
+    euclidean,
+    mollified_schwarzschild,
+    perturbed_schwarzschild,
+    profile_from_csv,
+    schwarzschild,
+    to_warped,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -165,3 +175,48 @@ def test_default_grid_shape(schw1_sol):
     assert len(grid) == 256
     assert grid[0] == pytest.approx(0.5 * schw1_sol.capacity, rel=1e-12)
     assert grid[-1] == pytest.approx(1000.0 * schw1_sol.capacity, rel=1e-12)
+
+
+def _write_csv(path, header, rows):
+    path.write_text(header + "\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows), encoding="utf-8")
+    return str(path)
+
+
+def _tail_profiles(tmp_path):
+    """Every built-in plus one r,w and one s,f CSV profile, with their kinks."""
+    builtins = [
+        euclidean(),
+        schwarzschild(1.3),
+        to_warped(mollified_schwarzschild(0.8, 1.4)),
+        perturbed_schwarzschild(),
+    ]
+    out = [(p, p.breakpoints) for p in builtins]
+    conf = mollified_schwarzschild(1.0, 1.0)
+    rs = np.linspace(0.0, 12.0, 25)
+    rw = profile_from_csv(
+        _write_csv(tmp_path / "rw.csv", "r,w", [(float(r), conf.w(float(r))) for r in rs]), True
+    )
+    ss = np.linspace(0.0, 40.0, 21)
+    sf = profile_from_csv(
+        _write_csv(
+            tmp_path / "sf.csv", "s,f", [(float(s), 2.0 + float(s) ** 2 / (2.0 + 0.4 * float(s))) for s in ss]
+        ),
+        False,
+    )
+    # Spline profiles are only C^2 at the knots: the reference splits there.
+    out.append((rw, tuple(float(r) for r in rs)))
+    out.append((sf, tuple(float(s) for s in ss)))
+    return out
+
+
+def test_tail_table_matches_adaptive_quadrature(tmp_path):
+    # The tabulated T(x) against an independent semi-infinite adaptive
+    # integral at the anchor tolerance, on 300 log-spaced coordinates.
+    for p, kinks in _tail_profiles(tmp_path):
+        sol = solve(p)
+        tail = sol._tail
+        lo = p.x_min * (1.0 + 1e-9) if p.x_min > 0.0 else 1e-3
+        for x in np.geomspace(lo, 1e4 * p.x_scale, 300):
+            x = float(x)
+            ref = integrate(tail._integrand, x, math.inf, _TAIL_TOL, points=kinks).value
+            assert abs(tail.value(x) - ref) <= 1e-12 * ref, (p.label, x)

@@ -268,3 +268,23 @@ class TestCsvIngestion:
         report = run_battery(sol)
         assert report.check("area_comparison").status is CheckStatus.EQUALITY
         assert not report.blocking()
+
+    def test_spline_evaluation_bitwise_equals_scipy(self, tmp_path):
+        # The CSV closures evaluate the spline pieces without scipy; they must
+        # reproduce scipy's scalar PPoly results bit for bit, including the
+        # extrapolation just below the first knot.
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(11)
+        ss = np.sort(rng.uniform(0.5, 30.0, 40))
+        fs = 1.0 + ss + 0.05 * np.sin(ss)
+        self._write(tmp_path / "warp.csv", "s,f", [(float(s), float(f)) for s, f in zip(ss, fs)])
+        p = profile_from_csv(str(tmp_path / "warp.csv"), assume_nonnegative_R=True)
+        spline = CubicSpline(ss, fs)
+        x_min = float(ss[0])
+        points = list(ss) + list(0.5 * (ss[1:] + ss[:-1])) + list(rng.uniform(x_min, ss[-1], 500))
+        points.append(x_min * (1.0 - 1e-12))
+        for fn, pp in ((p.f, spline), (p.df_ds, spline.derivative(1)), (p.d2f_ds2, spline.derivative(2))):
+            for x in points:
+                x = float(x)
+                assert fn(x) == float(pp(x)), x

@@ -177,3 +177,39 @@ class TestReportMechanics:
         assert {"area_comparison", "volume_comparison", "fhat_monotone", "fhat_nonpositive"} <= set(
             bl_names
         )
+
+
+def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
+    # The growth bound reuses the series' level-set samples instead of
+    # solving every grid level a second time.
+    import curvlab.functionals as functionals_mod
+    import curvlab.verify as verify_mod
+
+    calls: dict[float, int] = {}
+    real = functionals_mod.level_integrals
+
+    def counting(sol, t):
+        calls[t] = calls.get(t, 0) + 1
+        return real(sol, t)
+
+    monkeypatch.setattr(functionals_mod, "level_integrals", counting)
+    monkeypatch.setattr(verify_mod, "level_integrals", counting)
+    grid = default_t_grid(schw1_sol, 16)
+    run_battery(schw1_sol, grid)
+    # grid[0] = C/2 is also the boundary level of the deficit and gradient checks.
+    assert [calls[t] for t in grid[1:]] == [1] * (len(grid) - 1)
+
+
+def test_coarea_crosscheck_splits_at_breakpoint_level():
+    # Mollified model whose matching radius falls inside the coarea range:
+    # without a split at the level of r0 the cross-check failed at -1.25e-8.
+    from curvlab.functionals import coarea_volume, volume_sublevel
+    from curvlab.profile import mollified_schwarzschild, to_warped
+
+    sol = solve(to_warped(mollified_schwarzschild(0.742431247375666, 1.3176329982356385)))
+    t = 3.3687114071702857
+    radial = volume_sublevel(sol, t)
+    assert abs(coarea_volume(sol, t) - radial) <= 1e-11 * radial
+    report = run_battery(sol)
+    assert report.check("coarea_crosscheck").status is CheckStatus.PASS
+    assert not report.blocking()
