@@ -21,7 +21,7 @@ from .errors import (
     SchemaMismatch,
     WrongKind,
 )
-from .functionals import FunctionalSeries, build_series, write_series_csv
+from .functionals import FunctionalSeries, boundary_deficit, build_series, write_series_csv
 from .mass import MassReport, adm_surface, expansion_residuals, mass_from_volume, mass_report
 from .numerics import QuadratureResult, Tolerance, differentiate, find_root, integrate
 from .potential import (
@@ -51,7 +51,7 @@ from .profile import (
     to_warped,
 )
 from .report_store import RunRecord, diff, load, make_record, save
-from .verify import CheckResult, CheckStatus, VerificationReport, deficit, run_battery
+from .verify import CheckResult, CheckStatus, VerificationReport, run_battery
 
 __all__ = [
     "__version__",
@@ -94,12 +94,12 @@ __all__ = [
     "default_t_grid",
     "FunctionalSeries",
     "build_series",
+    "boundary_deficit",
     "write_series_csv",
     "CheckStatus",
     "CheckResult",
     "VerificationReport",
     "run_battery",
-    "deficit",
     "MassReport",
     "adm_surface",
     "mass_from_volume",

@@ -11,21 +11,20 @@ Subcommands wire profiles -> potential -> functionals -> verify/mass:
 Exit codes: 0 when every check passes or detects equality, 1 when any
 check fails or a hypothesis violation is annotated, 2 for usage/input
 errors.  Flags override values from a flat key=value config file
-(--config).  CURVLAB_THREADS caps grid-evaluation parallelism.
+(--config).
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import CurvlabError, ProfileDataError
+from .errors import CurvlabError
 from .functionals import build_series, write_series_csv
 from .mass import mass_report, write_mass_csv
 from .numerics import Tolerance
@@ -228,16 +227,6 @@ def _conformal_for_mass(cfg: RunConfig) -> ConformalProfile:
     raise UsageError("the mass subcommand needs a boundaryless conformal model: euclidean or mollified-schwarzschild")
 
 
-def _threads() -> int:
-    env = os.environ.get("CURVLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _stamp(out: io.TextIOBase) -> None:
     out.write(f"# generated_at={datetime.now(timezone.utc).isoformat()}\n")
 
@@ -273,7 +262,7 @@ def cmd_potential(cfg: RunConfig, out: io.TextIOBase) -> int:
 def cmd_functionals(cfg: RunConfig, out: io.TextIOBase) -> int:
     sol = solve(_build_profile(cfg))
     grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
-    series = build_series(sol, grid, threads=_threads())
+    series = build_series(sol, grid)
     if cfg.output_dir:
         path = _outdir(cfg) / "functionals.csv"
         with open(path, "w", encoding="utf-8") as fh:
@@ -289,7 +278,7 @@ def cmd_functionals(cfg: RunConfig, out: io.TextIOBase) -> int:
 def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
     sol = solve(_build_profile(cfg))
     grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
-    report = run_battery(sol, grid, tol=cfg.tolerances, threads=_threads())
+    report = run_battery(sol, grid, tol=cfg.tolerances)
     _stamp(out)
     buffer = io.StringIO()
     write_report_text(report, buffer)
@@ -355,9 +344,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mass":
             return cmd_mass(cfg, out)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ProfileDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CurvlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,10 +22,8 @@ Boundaryless case:  Fhat(t) = -4 pi / t + t * Int |grad u|^2 dsigma.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +42,8 @@ from .potential import (
 
 __all__ = [
     "FunctionalSeries",
+    "FunctionalRow",
+    "functional_row",
     "fhat",
     "g_func",
     "g_prime",
@@ -74,9 +74,56 @@ def _require(sol: PotentialSolution, kind: SolutionKind, what: str) -> None:
         raise WrongKind(f"{what} requires a {kind.value} solution, got {sol.kind.value}")
 
 
-def _q(ls: LevelSetSample) -> float:
-    # 4u/(1-u^2) |grad u| - H; at the boundary u = 0 kills the first factor.
-    return 4.0 * ls.u / (1.0 - ls.u * ls.u) * ls.grad - ls.mean_curvature
+class FunctionalRow(NamedTuple):
+    """Every functional of one level set; nan where the solution kind leaves it undefined."""
+
+    Fhat: float
+    G: float
+    Gprime: float
+    F: float
+    Fprime: float
+    A1: float
+    A1prime: float
+    a: float
+    B1: float
+
+
+def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
+    """Evaluate the functionals of the module docstring on one level set.
+
+    ``cap`` is the capacity of a boundary solution, or None for a boundaryless
+    one, where only Fhat is defined.
+    """
+    t = ls.t
+    nan = math.nan
+    if cap is None:
+        return FunctionalRow(-_FOUR_PI / t + t * ls.int_grad_sq, nan, nan, nan, nan, nan, nan, nan, nan)
+    i2 = ls.int_grad_sq
+    ih = ls.int_grad_H
+    p = 1.0 + cap / (2.0 * t)
+    m1 = 1.0 - cap / (2.0 * t)
+    m3 = 1.0 - 3.0 * cap / (2.0 * t)
+    # q = 4u/(1-u^2) |grad u| - H; at the boundary u = 0 kills the first factor.
+    q = 4.0 * ls.u / (1.0 - ls.u * ls.u) * ls.grad - ls.mean_curvature
+    gauss_bonnet = ls.area * (0.5 * ls.scalar_R_level)  # = 4 pi on a round sphere
+    a1_val = t * t / (cap * cap) * p ** 4 * i2
+    a1_prime_val = 2.0 * t / (cap * cap) * p ** 3 * m1 * i2 - p * p / cap * ih
+    return FunctionalRow(
+        Fhat=nan,
+        G=-math.pi * cap * cap / t + 0.25 * t * p ** 4 * i2,
+        Gprime=math.pi * cap * cap / (t * t) + 0.25 * p ** 3 * m3 * i2 - cap / (4.0 * t) * p * p * ih,
+        F=_FOUR_PI * t + t ** 3 / (cap * cap) * p ** 3 * m3 * i2 - t * t / cap * p * p * ih,
+        Fprime=_FOUR_PI - gauss_bonnet + ls.area * (0.5 * ls.scalar_R + 0.75 * q * q),
+        A1=a1_val,
+        A1prime=a1_prime_val,
+        a=t * a1_prime_val / a1_val,
+        B1=ls.area * 1.5 * q * q,
+    )
+
+
+def _row(sol: PotentialSolution, t: float, what: str) -> FunctionalRow:
+    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, what)
+    return functional_row(level_integrals(sol, t), sol.capacity)
 
 
 # -- boundaryless -----------------------------------------------------------
@@ -85,113 +132,50 @@ def _q(ls: LevelSetSample) -> float:
 def fhat(sol: PotentialSolution, t: float) -> float:
     """Fhat(t) = -4 pi/t + t Int_{u = 1 - 1/t} |grad u|^2 dsigma."""
     _require(sol, SolutionKind.GREEN_BOUNDARYLESS, "fhat")
-    ls = level_integrals(sol, t)
-    return -_FOUR_PI / t + t * ls.int_grad_sq
+    return functional_row(level_integrals(sol, t), None).Fhat
 
 
 # -- boundary case ----------------------------------------------------------
 
 
-def _g_from(ls: LevelSetSample, cap: float) -> float:
-    p = 1.0 + cap / (2.0 * ls.t)
-    return -math.pi * cap * cap / ls.t + 0.25 * ls.t * p ** 4 * ls.int_grad_sq
-
-
-def _g_prime_from(ls: LevelSetSample, cap: float) -> float:
-    t = ls.t
-    p = 1.0 + cap / (2.0 * t)
-    m3 = 1.0 - 3.0 * cap / (2.0 * t)
-    return (
-        math.pi * cap * cap / (t * t)
-        + 0.25 * p ** 3 * m3 * ls.int_grad_sq
-        - cap / (4.0 * t) * p * p * ls.int_grad_H
-    )
-
-
-def _f_from(ls: LevelSetSample, cap: float) -> float:
-    t = ls.t
-    p = 1.0 + cap / (2.0 * t)
-    m3 = 1.0 - 3.0 * cap / (2.0 * t)
-    return (
-        _FOUR_PI * t
-        + t ** 3 / (cap * cap) * p ** 3 * m3 * ls.int_grad_sq
-        - t * t / cap * p * p * ls.int_grad_H
-    )
-
-
-def _f_prime_from(ls: LevelSetSample) -> float:
-    q = _q(ls)
-    gauss_bonnet = ls.area * (0.5 * ls.scalar_R_level)  # = 4 pi on a round sphere
-    return _FOUR_PI - gauss_bonnet + ls.area * (0.5 * ls.scalar_R + 0.75 * q * q)
-
-
-def _a1_from(ls: LevelSetSample, cap: float) -> float:
-    t = ls.t
-    p = 1.0 + cap / (2.0 * t)
-    return t * t / (cap * cap) * p ** 4 * ls.int_grad_sq
-
-
-def _a1_prime_from(ls: LevelSetSample, cap: float) -> float:
-    t = ls.t
-    p = 1.0 + cap / (2.0 * t)
-    m1 = 1.0 - cap / (2.0 * t)
-    return 2.0 * t / (cap * cap) * p ** 3 * m1 * ls.int_grad_sq - p * p / cap * ls.int_grad_H
-
-
-def _b1_from(ls: LevelSetSample) -> float:
-    q = _q(ls)
-    return ls.area * 1.5 * q * q
-
-
 def g_func(sol: PotentialSolution, t: float) -> float:
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "G")
-    return _g_from(level_integrals(sol, t), sol.capacity)
+    return _row(sol, t, "G").G
 
 
 def g_prime(sol: PotentialSolution, t: float) -> float:
     """Analytic G'(t) from the first variation of the level integrals."""
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "G'")
-    return _g_prime_from(level_integrals(sol, t), sol.capacity)
+    return _row(sol, t, "G'").Gprime
 
 
 def f_func(sol: PotentialSolution, t: float) -> float:
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "F")
-    return _f_from(level_integrals(sol, t), sol.capacity)
+    return _row(sol, t, "F").F
 
 
 def f_prime_analytic(sol: PotentialSolution, t: float) -> float:
     """Analytic F'(t) in the symmetric reduction (traceless terms drop)."""
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "F'")
-    return _f_prime_from(level_integrals(sol, t))
+    return _row(sol, t, "F'").Fprime
 
 
 def a1(sol: PotentialSolution, t: float) -> float:
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "A1")
-    return _a1_from(level_integrals(sol, t), sol.capacity)
+    return _row(sol, t, "A1").A1
 
 
 def a1_prime(sol: PotentialSolution, t: float) -> float:
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "A1'")
-    return _a1_prime_from(level_integrals(sol, t), sol.capacity)
+    return _row(sol, t, "A1'").A1prime
 
 
 def a1_tilde(sol: PotentialSolution, t: float) -> float:
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "A1~")
-    deficit = boundary_deficit(sol)
-    return a1(sol, t) + deficit / (2.0 * t)
+    return _row(sol, t, "A1~").A1 + boundary_deficit(sol) / (2.0 * t)
 
 
 def a_growth(sol: PotentialSolution, t: float) -> float:
     """a(t) = t A1'/A1: polynomial growth rate of A1."""
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "a")
-    ls = level_integrals(sol, t)
-    return t * _a1_prime_from(ls, sol.capacity) / _a1_from(ls, sol.capacity)
+    return _row(sol, t, "a").a
 
 
 def b1(sol: PotentialSolution, t: float) -> float:
     """B1(t) = Int |B|^2/|grad u|^2 dsigma via the symmetric pointwise reduction."""
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "B1")
-    return _b1_from(level_integrals(sol, t))
+    return _row(sol, t, "B1").B1
 
 
 def boundary_deficit(sol: PotentialSolution) -> float:
@@ -311,73 +295,15 @@ class FunctionalSeries:
         return len(self.t_grid)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("CURVLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def build_series(
-    sol: PotentialSolution,
-    t_grid: Sequence[float],
-    threads: int | None = None,
-) -> FunctionalSeries:
-    """Evaluate every functional over the grid.
-
-    Grid points are independent pure computations; with threads > 1 they are
-    evaluated concurrently and the result is bitwise identical to the
-    sequential order.
-    """
+def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalSeries:
+    """Evaluate every functional over the grid."""
     ts = [float(t) for t in t_grid]
-    n_threads = _thread_count(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            samples = list(pool.map(lambda t: level_integrals(sol, t), ts))
-    else:
-        samples = [level_integrals(sol, t) for t in ts]
-
-    nan = math.nan
+    samples = [level_integrals(sol, t) for t in ts]
     boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
-    cap = sol.capacity if boundary else nan
-    deficit = boundary_deficit(sol) if boundary else nan
-
-    fhat_col = []
-    g_col = []
-    f_col = []
-    a1_col = []
-    a1t_col = []
-    a_col = []
-    b1_col = []
-    fp_col = []
-    gp_col = []
-    for ls in samples:
-        if boundary:
-            fhat_col.append(nan)
-            g_col.append(_g_from(ls, cap))
-            f_col.append(_f_from(ls, cap))
-            a1_val = _a1_from(ls, cap)
-            a1_col.append(a1_val)
-            a1t_col.append(a1_val + deficit / (2.0 * ls.t))
-            a_col.append(ls.t * _a1_prime_from(ls, cap) / a1_val)
-            b1_col.append(_b1_from(ls))
-            fp_col.append(_f_prime_from(ls))
-            gp_col.append(_g_prime_from(ls, cap))
-        else:
-            fhat_col.append(-_FOUR_PI / ls.t + ls.t * ls.int_grad_sq)
-            g_col.append(nan)
-            f_col.append(nan)
-            a1_col.append(nan)
-            a1t_col.append(nan)
-            a_col.append(nan)
-            b1_col.append(nan)
-            fp_col.append(nan)
-            gp_col.append(nan)
+    deficit = boundary_deficit(sol) if boundary else math.nan
+    rows = [functional_row(ls, sol.capacity) for ls in samples]
+    cols = FunctionalRow(*(np.array(col) for col in zip(*rows)))
+    t_col = np.array(ts)
 
     # Cumulative volume: one adaptive panel per grid interval, so the
     # accumulated error stays below rel * Vol.
@@ -390,24 +316,24 @@ def build_series(
 
     return FunctionalSeries(
         kind=sol.kind,
-        capacity=cap,
+        capacity=sol.capacity if boundary else math.nan,
         deficit_A=deficit,
-        t_grid=np.array(ts),
+        t_grid=t_col,
         s=np.array([ls.s for ls in samples]),
         u=np.array([ls.u for ls in samples]),
         area=np.array([ls.area for ls in samples]),
         grad=np.array([ls.grad for ls in samples]),
         mean_curvature=np.array([ls.mean_curvature for ls in samples]),
         scalar_R=np.array([ls.scalar_R for ls in samples]),
-        Fhat=np.array(fhat_col),
-        G=np.array(g_col),
-        F=np.array(f_col),
-        A1=np.array(a1_col),
-        A1tilde=np.array(a1t_col),
-        a_growth=np.array(a_col),
-        B1=np.array(b1_col),
-        Fprime_analytic=np.array(fp_col),
-        Gprime_analytic=np.array(gp_col),
+        Fhat=cols.Fhat,
+        G=cols.G,
+        F=cols.F,
+        A1=cols.A1,
+        A1tilde=cols.A1 + deficit / (2.0 * t_col),
+        a_growth=cols.a,
+        B1=cols.B1,
+        Fprime_analytic=cols.Fprime,
+        Gprime_analytic=cols.Gprime,
         volume=np.array(volumes),
         samples=samples,
     )

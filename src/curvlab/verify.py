@@ -22,15 +22,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Sequence
 
+import numpy as np
+
 from .errors import GridTooCoarse
 from .functionals import (
     FunctionalSeries,
     a_growth,
-    boundary_deficit,
     build_series,
     coarea_volume,
-    f_func,
-    g_func,
+    functional_row,
     growth_integrand_cumulative,
     volume_sublevel,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "run_battery",
-    "deficit",
     "schwarzschild_comparison_volume",
     "write_report_text",
     "write_report_csv",
@@ -183,17 +182,23 @@ def schwarzschild_comparison_volume(cap: float, t: float) -> float:
     return _FOUR_PI * (upper - 20.0 * a ** 3 * math.log(a))
 
 
-def deficit(sol: PotentialSolution) -> float:
-    """Boundary deficit A = 2C (pi - Int_{dM}|grad u|^2); >= 0 when R >= 0."""
-    return boundary_deficit(sol)
-
-
 def _fd_indices(n: int, count: int) -> list[int]:
     interior = list(range(2, n - 2))
     if len(interior) <= count:
         return interior
     stride = max(1, len(interior) // count)
     return interior[::stride][:count]
+
+
+def _coarea_crosscheck(sol: PotentialSolution, ts: Sequence[float], ct: _CheckTols) -> CheckResult:
+    """Radial against coarea sub-level volume at three sample levels."""
+    n = len(ts)
+    c_ts = [ts[i] for i in (n // 4, n // 2, (3 * n) // 4)]
+    margins = []
+    for t in c_ts:
+        vol_radial = volume_sublevel(sol, t)
+        margins.append(-abs(vol_radial - coarea_volume(sol, t)) / vol_radial)
+    return _judge("coarea_crosscheck", margins, c_ts, ct.coarea_rel, identity=True)
 
 
 def _boundary_checks(
@@ -277,15 +282,19 @@ def _boundary_checks(
     margins = [-abs(series.area[i] * series.grad[i] - flux_target) / flux_target for i in range(n)]
     checks.append(_judge("flux_constancy", margins, ts, ct.flux_rel, identity=True))
 
-    # Analytic derivatives vs central differences (subsampled interior points).
+    # Analytic derivatives vs central differences (subsampled interior points);
+    # G and F are differenced together, so each stencil level is solved once.
+    def g_and_f(tt: float) -> np.ndarray:
+        row = functional_row(level_integrals(sol, tt), cap)
+        return np.array([row.G, row.F])
+
     g_margins, g_ts, f_margins, f_ts = [], [], [], []
     for i in _fd_indices(n, _FD_SUBSAMPLE):
         t = ts[i]
         scale_h = 1e-4 * max(1.0, t)
         if t - 2.0 * scale_h <= 0.5 * cap:
             continue
-        gp_fd = differentiate(lambda tt: g_func(sol, tt), t, scale=scale_h)
-        fp_fd = differentiate(lambda tt: f_func(sol, tt), t, scale=scale_h)
+        gp_fd, fp_fd = differentiate(g_and_f, t, scale=scale_h)
         g_scale = max(abs(series.Gprime_analytic[i]), _FOUR_PI / t)
         f_scale = max(abs(series.Fprime_analytic[i]), _FOUR_PI)
         g_margins.append(-abs(series.Gprime_analytic[i] - gp_fd) / g_scale)
@@ -331,15 +340,7 @@ def _boundary_checks(
     note = "checked with A1~ (deficit < 0)" if use_tilde else ""
     checks.append(_judge("a1_growth_lower_bound", margins, ts, ct.growth_bound_abs, note=note))
 
-    # Coarea cross-check of the sub-level volume at three sample levels.
-    margins, c_ts = [], []
-    for i in (n // 4, n // 2, (3 * n) // 4):
-        t = ts[i]
-        vol_radial = volume_sublevel(sol, t)
-        vol_coarea = coarea_volume(sol, t)
-        margins.append(-abs(vol_radial - vol_coarea) / vol_radial)
-        c_ts.append(t)
-    checks.append(_judge("coarea_crosscheck", margins, c_ts, ct.coarea_rel, identity=True))
+    checks.append(_coarea_crosscheck(sol, ts, ct))
     return checks
 
 
@@ -372,14 +373,7 @@ def _boundaryless_checks(
     margins = [-abs(series.area[i] * series.grad[i] - _FOUR_PI) / _FOUR_PI for i in range(n)]
     checks.append(_judge("flux_constancy", margins, ts, ct.flux_rel, identity=True))
 
-    margins, c_ts = [], []
-    for i in (n // 4, n // 2, (3 * n) // 4):
-        t = ts[i]
-        vol_radial = volume_sublevel(sol, t)
-        vol_coarea = coarea_volume(sol, t)
-        margins.append(-abs(vol_radial - vol_coarea) / vol_radial)
-        c_ts.append(t)
-    checks.append(_judge("coarea_crosscheck", margins, c_ts, ct.coarea_rel, identity=True))
+    checks.append(_coarea_crosscheck(sol, ts, ct))
     return checks
 
 
@@ -387,7 +381,6 @@ def run_battery(
     sol: PotentialSolution,
     t_grid: Sequence[float] | None = None,
     tol: Tolerance | None = None,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Run every applicable check of the main theorem and its proof machinery.
 
@@ -423,7 +416,7 @@ def run_battery(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        series = build_series(sol, grid, threads=threads)
+        series = build_series(sol, grid)
         if boundary:
             checks = _boundary_checks(sol, series, minimal_boundary, skip_note, ct)
         else:

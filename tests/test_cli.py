@@ -9,11 +9,9 @@ import numpy as np
 _ROOT = pathlib.Path(__file__).parent.parent
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     cmd = [sys.executable, "-m", "curvlab", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=_ROOT)
 
@@ -148,14 +146,6 @@ def test_potential_table():
     assert "t,s,u,grad" in lines
     data = [ln for ln in lines if ln and not ln.startswith("#") and ln[0].isdigit()]
     assert len(data) == 8
-
-
-def test_threads_env_var_accepted():
-    cp = run_cli(
-        "verify", "--model", "schwarzschild", "--mass", "1", "--grid", "16",
-        env_extra={"CURVLAB_THREADS": "4"},
-    )
-    assert cp.returncode == 0, cp.stderr
 
 
 def test_tol_flag_rescales_checks():

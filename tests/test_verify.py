@@ -4,11 +4,11 @@ import math
 import pytest
 
 from curvlab.errors import GridTooCoarse, WrongKind
+from curvlab.functionals import boundary_deficit
 from curvlab.potential import default_t_grid, solve
 from curvlab.profile import MetricProfile, ProfileKind, schwarzschild
 from curvlab.verify import (
     CheckStatus,
-    deficit,
     run_battery,
     write_report_csv,
     write_report_text,
@@ -93,18 +93,18 @@ class TestPerturbed:
 
 class TestDeficit:
     def test_schwarzschild_zero(self, schw1_sol):
-        assert deficit(schw1_sol) == pytest.approx(0.0, abs=1e-9)
+        assert boundary_deficit(schw1_sol) == pytest.approx(0.0, abs=1e-9)
 
     def test_schwarzschild_mass_3(self):
         sol = solve(schwarzschild(3.0))
-        assert deficit(sol) == pytest.approx(0.0, abs=1e-9)
+        assert boundary_deficit(sol) == pytest.approx(0.0, abs=1e-9)
 
     def test_perturbed_nonnegative(self, perturbed_sol):
-        assert deficit(perturbed_sol) >= -1e-9
+        assert boundary_deficit(perturbed_sol) >= -1e-9
 
     def test_wrong_kind(self, euclid_sol):
         with pytest.raises(WrongKind):
-            deficit(euclid_sol)
+            boundary_deficit(euclid_sol)
 
 
 class TestHypothesisViolations:
@@ -181,7 +181,7 @@ class TestReportMechanics:
 
 def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     # The growth bound reuses the series' level-set samples instead of
-    # solving every grid level a second time.
+    # solving every grid level a second time, and no other level repeats.
     import curvlab.functionals as functionals_mod
     import curvlab.verify as verify_mod
 
@@ -198,6 +198,8 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     run_battery(schw1_sol, grid)
     # grid[0] = C/2 is also the boundary level of the deficit and gradient checks.
     assert [calls[t] for t in grid[1:]] == [1] * (len(grid) - 1)
+    # The G and F finite differences share their stencil levels.
+    assert [t for t, k in calls.items() if k > 1 and t != grid[0]] == []
 
 
 def test_coarea_crosscheck_splits_at_breakpoint_level():
