@@ -181,8 +181,11 @@ def b1(sol: PotentialSolution, t: float) -> float:
 def boundary_deficit(sol: PotentialSolution) -> float:
     """A = F(C/2) = 2C (pi - Int_{dM} |grad u|^2 dsigma)."""
     _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "the boundary deficit")
-    ls = level_integrals(sol, 0.5 * sol.capacity)
-    return 2.0 * sol.capacity * (math.pi - ls.int_grad_sq)
+    return _deficit(level_integrals(sol, 0.5 * sol.capacity), sol.capacity)
+
+
+def _deficit(boundary: LevelSetSample, cap: float) -> float:
+    return 2.0 * cap * (math.pi - boundary.int_grad_sq)
 
 
 # -- volumes ----------------------------------------------------------------
@@ -238,7 +241,7 @@ def growth_integrand_cumulative(sol: PotentialSolution, samples: Sequence[LevelS
         fs = p.df_ds(x)
         area = _FOUR_PI * f * f
         g = c / (f * f)
-        u = 1.0 - c * sol._tail.value(x)
+        u = u_value(sol, x)
         q = 4.0 * u / (1.0 - u * u) * g - 2.0 * fs / f
         r_val = 2.0 * (1.0 - fs * fs) / (f * f) - 4.0 * p.d2f_ds2(x) / f
         density = area * (r_val + 1.5 * q * q)
@@ -267,7 +270,8 @@ def growth_integrand_cumulative(sol: PotentialSolution, samples: Sequence[LevelS
 @dataclass
 class FunctionalSeries:
     """Parallel arrays of every functional over a t-grid (nan where undefined),
-    with the level-set samples they were computed from."""
+    with the level-set samples they were computed from and, for a boundary
+    solution, the sample of the boundary level t = C/2 (None without one)."""
 
     kind: SolutionKind
     capacity: float
@@ -290,6 +294,7 @@ class FunctionalSeries:
     Gprime_analytic: np.ndarray
     volume: np.ndarray
     samples: list[LevelSetSample]
+    boundary_sample: LevelSetSample | None
 
     def __len__(self) -> int:
         return len(self.t_grid)
@@ -300,7 +305,13 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
     ts = [float(t) for t in t_grid]
     samples = [level_integrals(sol, t) for t in ts]
     boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
-    deficit = boundary_deficit(sol) if boundary else math.nan
+    boundary_sample = None
+    deficit = math.nan
+    if boundary:
+        # A default grid starts at C/2; one with t_min_factor > 1 does not.
+        t_b = 0.5 * sol.capacity
+        boundary_sample = samples[0] if ts[0] == t_b else level_integrals(sol, t_b)
+        deficit = _deficit(boundary_sample, sol.capacity)
     rows = [functional_row(ls, sol.capacity) for ls in samples]
     cols = FunctionalRow(*(np.array(col) for col in zip(*rows)))
     t_col = np.array(ts)
@@ -336,6 +347,7 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         Gprime_analytic=cols.Gprime,
         volume=np.array(volumes),
         samples=samples,
+        boundary_sample=boundary_sample,
     )
 
 
@@ -361,5 +373,5 @@ def write_series_csv(series: FunctionalSeries, stream: IO[str]) -> None:
         series.Gprime_analytic,
         series.volume,
     )
-    for i in range(len(series)):
-        stream.write(",".join(repr(float(col[i])) for col in cols) + "\n")
+    for row in zip(*(col.tolist() for col in cols)):
+        stream.write(",".join(map(repr, row)) + "\n")

@@ -15,7 +15,12 @@ whose antiderivative is exact, so T(x) is the anchor value minus one
 Clenshaw sum: O(1) per query, with no per-query quadrature inside the level
 solve or the integrands built on u.  Anchor values and tables depend on k
 alone, so query results are bitwise independent of evaluation order and
-safe to compute concurrently.
+safe to compute concurrently; a cache hit is a plain dict read, and only a
+store takes the lock.
+
+A level solve brackets T(x) = target between two consecutive anchors.  T
+decays like 1/x on every profile end, so the bracket walk starts at
+floor(log2 T(x_ref) - log2 target) and usually reads two or three anchors.
 """
 
 from __future__ import annotations
@@ -111,10 +116,13 @@ class _TailCache:
     panels split at the profile breakpoints, interpolate ds_dx/f^2 in
     Chebyshev polynomials and are bisected until the trailing coefficients
     of the integrated series, times the panel half-width, fall below
-    _TABLE_REL times the anchor value.  Each panel stores its integrated
-    coefficients and the integral of the panels before it.  Anchors and
+    _TABLE_REL times the anchor value.  Each panel stores its left edge,
+    half-width, the integral of the panels before it, and its integrated
+    coefficients as (c0, (cN, ..., c1)) in Clenshaw order.  Anchors and
     tables are built on first use, depend on k alone and are stored
     first-writer-wins, so T(x) is bitwise independent of evaluation order.
+    Hits read the dicts without the lock (a dict read is atomic); a miss
+    computes outside the lock and stores under it with setdefault.
     """
 
     def __init__(self, profile: MetricProfile):
@@ -139,8 +147,7 @@ class _TailCache:
     def anchor_value(self, k: int) -> float:
         if self._k_floor is not None:
             k = max(k, self._k_floor)
-        with self._lock:
-            cached = self._anchors.get(k)
+        cached = self._anchors.get(k)
         if cached is not None:
             return cached
         value = integrate(
@@ -152,25 +159,52 @@ class _TailCache:
 
     def total(self) -> float:
         """T at the boundary coordinate (boundary profiles only)."""
-        if self._k_floor is not None:
-            return self.anchor_value(0)
-        with self._lock:
-            cached = self._total
+        cached = self._total
         if cached is not None:
             return cached
-        value = integrate(
-            self._integrand, self._x_floor, math.inf, _TAIL_TOL, points=self._p.breakpoints
-        ).value
+        if self._k_floor is not None:
+            value = self.anchor_value(0)
+        else:
+            value = integrate(
+                self._integrand, self._x_floor, math.inf, _TAIL_TOL, points=self._p.breakpoints
+            ).value
         with self._lock:
             if self._total is None:
                 self._total = value
             return self._total
 
-    def index_for(self, x: float) -> int:
-        k = math.floor(math.log2(x / self._ref))
-        if self._k_floor is not None:
-            k = max(k, self._k_floor)
-        return k
+    def bracket(self, target: float) -> tuple[float, float, float, float]:
+        """(lo, T(lo), hi, T(hi)) with T(lo) > target >= T(hi), for target below T(x_min).
+
+        lo and hi are the consecutive anchors around k = max{k : T(x_ref 2^k) >
+        target}, or the boundary coordinate and the first anchor.  T ~ 1/x puts
+        k near log2(T(x_ref)/target); the walk starts there, formed in log space
+        so that a tiny target cannot overflow, and moves down while the anchor
+        value is still at or below the target (clamping at the boundary), then
+        up until the next anchor value drops to it.  The anchors strictly
+        decrease, so the answer does not depend on the start.
+        """
+        t_ref = self.anchor_value(0)
+        k = 80
+        if target > 0.0:  # t = inf asks for T = 0, beyond every anchor
+            k = min(max(math.floor(math.log2(t_ref) - math.log2(target)), -70), 80)
+        t_k = t_ref if k == 0 else self.anchor_value(k)
+        t_up = None  # T one anchor above k, once the walk has read it
+        while t_k <= target:
+            if self._x_floor is not None and self.anchor_x(k - 1) <= self._x_floor:
+                return self._x_floor, self.total(), self.anchor_x(k), t_k
+            k -= 1
+            if k < -70:
+                raise NonConvergent("level lies too deep toward the pole")
+            t_up, t_k = t_k, self.anchor_value(k)
+        if t_up is None:
+            t_up = self.anchor_value(k + 1)
+            while t_up > target:
+                k += 1
+                if k > 80:
+                    raise NonConvergent("level lies beyond the resolvable range")
+                t_k, t_up = t_up, self.anchor_value(k + 1)
+        return self.anchor_x(k), t_k, self.anchor_x(k + 1), t_up
 
     def _chebyshev(self, lo: float, hi: float) -> list[float]:
         """Chebyshev coefficients of the integrand interpolated on [lo, hi]."""
@@ -188,9 +222,7 @@ class _TailCache:
         edges = [lo] + [p for p in sorted(set(self._p.breakpoints)) if lo < p < hi] + [hi]
         todo = [(a, b, 0) for a, b in reversed(list(zip(edges, edges[1:])))]
         starts: list[float] = []
-        halves: list[float] = []
-        series: list[tuple[float, ...]] = []
-        cumulative: list[float] = []
+        panels: list[tuple] = []
         acc = 0.0
         while todo:  # depth first, left to right: panels come out in order
             a, b, depth = todo.pop()
@@ -203,9 +235,7 @@ class _TailCache:
             half = 0.5 * (b - a)
             if (abs(ints[-1]) + abs(ints[-2])) * half <= target:
                 starts.append(a)
-                halves.append(half)
-                series.append(tuple(ints))
-                cumulative.append(acc)
+                panels.append((a, half, acc, ints[0], tuple(reversed(ints[1:]))))
                 acc += half * sum(ints)
                 continue
             mid = 0.5 * (a + b)
@@ -216,16 +246,7 @@ class _TailCache:
                 )
             todo.append((mid, b, depth + 1))
             todo.append((a, mid, depth + 1))
-        return (t_anchor, starts, halves, series, cumulative)
-
-    def _table(self, k: int) -> tuple:
-        with self._lock:
-            cached = self._tables.get(k)
-        if cached is not None:
-            return cached
-        table = self._build_table(k)
-        with self._lock:
-            return self._tables.setdefault(k, table)
+        return (t_anchor, starts, panels)
 
     def value(self, x: float) -> float:
         if self._x_floor is not None and x <= self._x_floor:
@@ -234,22 +255,28 @@ class _TailCache:
             return self.total()
         if x <= 0.0:
             raise OutOfRange(f"tail integral needs x > 0, got {x!r}")
-        k = self.index_for(x)
-        if x == self.anchor_x(k):
+        k = math.floor(math.log2(x / self._ref))
+        if self._k_floor is not None:
+            k = max(k, self._k_floor)
+        if x == self._ref * (2.0 ** k):
             return self.anchor_value(k)
-        t_anchor, starts, halves, series, cumulative = self._table(k)
+        table = self._tables.get(k)
+        if table is None:
+            table = self._build_table(k)
+            with self._lock:
+                table = self._tables.setdefault(k, table)
+        t_anchor, starts, panels = table
         i = bisect_right(starts, x) - 1
         if i < 0:
             i = 0  # log2 rounding can put x a hair below the first edge
-        half = halves[i]
-        z = (x - starts[i]) / half - 1.0
+        start, half, before, c0, rest = panels[i]
+        z = (x - start) / half - 1.0
         # Clenshaw sum of the integrated Chebyshev series at z.
-        ints = series[i]
         z2 = 2.0 * z
         b1 = b2 = 0.0
-        for j in range(len(ints) - 1, 0, -1):
-            b1, b2 = z2 * b1 - b2 + ints[j], b1
-        return t_anchor - (cumulative[i] + half * (z * b1 - b2 + ints[0]))
+        for c in rest:
+            b1, b2 = z2 * b1 - b2 + c, b1
+        return t_anchor - (before + half * (z * b1 - b2 + c0))
 
 
 @dataclass
@@ -354,29 +381,7 @@ def _coordinate_of_tail(sol: PotentialSolution, target: float) -> float:
 
     if boundary and target >= tail.total() * (1.0 - 4e-16):
         return p.x_min
-
-    # Bracket between canonical anchors: walk down while the anchor tail
-    # value is still below the target (clamping at the boundary), then up
-    # until the next anchor value drops below it.
-    k = 0
-    clamped_at_boundary = False
-    while tail.anchor_value(k) <= target:
-        if boundary and tail.anchor_x(k - 1) <= p.x_min:
-            clamped_at_boundary = True
-            break
-        k -= 1
-        if k < -70:
-            raise NonConvergent("level lies too deep toward the pole")
-    if clamped_at_boundary:
-        lo, t_lo = p.x_min, tail.total()
-        hi, t_hi = tail.anchor_x(k), tail.anchor_value(k)
-    else:
-        while tail.anchor_value(k + 1) > target:
-            k += 1
-            if k > 80:
-                raise NonConvergent("level lies beyond the resolvable range")
-        lo, t_lo = tail.anchor_x(k), tail.anchor_value(k)
-        hi, t_hi = tail.anchor_x(k + 1), tail.anchor_value(k + 1)
+    lo, t_lo, hi, t_hi = tail.bracket(target)
     if t_lo == target:
         return lo
     if t_hi == target:

@@ -213,7 +213,7 @@ def _boundary_checks(
     n = len(ts)
     checks: list[CheckResult] = []
 
-    boundary_sample = level_integrals(sol, 0.5 * cap)
+    boundary_sample = series.boundary_sample
     if minimal_boundary:
         # boundary gradient estimate, margin scaled by pi
         margin_a = (math.pi - boundary_sample.int_grad_sq) / math.pi

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 _ROOT = pathlib.Path(__file__).parent.parent
 
@@ -112,6 +113,21 @@ def test_functionals_golden_head():
     golden_path = pathlib.Path(__file__).parent / "data" / "euclid_functionals_head.csv"
     expected = golden_path.read_text().strip().splitlines()
     assert got[: len(expected)] == expected
+
+
+@pytest.mark.parametrize(
+    ("args", "name"),
+    [
+        (("--model", "perturbed-schwarzschild"), "perturbed_potential_grid64.txt"),
+        (("--model", "mollified-schwarzschild", "--mass", "1.3", "--r0", "0.7"), "mollified_potential_grid64.txt"),
+    ],
+)
+def test_potential_table_frozen(args, name):
+    # Every level solve lands on the same bits as when the file was written.
+    cp = run_cli("potential", *args, "--grid", "64")
+    assert cp.returncode == 0, cp.stderr
+    expected = (pathlib.Path(__file__).parent / "data" / name).read_text()
+    assert _strip_timestamp(cp.stdout) + "\n" == expected
 
 
 def test_functionals_to_directory(tmp_path):

@@ -223,22 +223,28 @@ class TestSeries:
         assert np.all(np.isnan(series.G))
         assert not np.any(np.isnan(series.Fhat))
         assert math.isnan(series.deficit_A)
+        assert series.boundary_sample is None
 
     def test_columns_bitwise_equal_scalar_functions(self, perturbed_sol, euclid_sol):
-        grid = default_t_grid(perturbed_sol, 24)
-        series = build_series(perturbed_sol, grid)
-        for col, fn in (
-            (series.G, g_func),
-            (series.Gprime_analytic, g_prime),
-            (series.F, f_func),
-            (series.Fprime_analytic, f_prime_analytic),
-            (series.A1, a1),
-            (series.A1tilde, a1_tilde),
-            (series.a_growth, a_growth),
-            (series.B1, b1),
-        ):
-            scalars = np.array([fn(perturbed_sol, t) for t in grid])
-            assert col.tobytes() == scalars.tobytes(), fn.__name__
+        # The default grid starts at C/2; with t_min_factor > 1 the series
+        # solves the boundary level on its own.
+        for t_min_factor in (1.0, 3.0):
+            grid = default_t_grid(perturbed_sol, 24, t_min_factor=t_min_factor)
+            series = build_series(perturbed_sol, grid)
+            assert series.boundary_sample.t == 0.5 * perturbed_sol.capacity
+            assert series.deficit_A == boundary_deficit(perturbed_sol)
+            for col, fn in (
+                (series.G, g_func),
+                (series.Gprime_analytic, g_prime),
+                (series.F, f_func),
+                (series.Fprime_analytic, f_prime_analytic),
+                (series.A1, a1),
+                (series.A1tilde, a1_tilde),
+                (series.a_growth, a_growth),
+                (series.B1, b1),
+            ):
+                scalars = np.array([fn(perturbed_sol, t) for t in grid])
+                assert col.tobytes() == scalars.tobytes(), fn.__name__
         grid = default_t_grid(euclid_sol, 24)
         series = build_series(euclid_sol, grid)
         assert series.Fhat.tobytes() == np.array([fhat(euclid_sol, t) for t in grid]).tobytes()

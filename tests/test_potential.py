@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.errors import OutOfRange, WrongKind
+from curvlab.errors import NonConvergent, OutOfRange, WrongKind
 from curvlab.numerics import differentiate, integrate
 from curvlab.potential import (
     _TAIL_TOL,
     SolutionKind,
+    _coordinate_of_tail,
+    _TailCache,
     capacity,
     default_t_grid,
     grad_value,
@@ -220,3 +222,51 @@ def test_tail_table_matches_adaptive_quadrature(tmp_path):
             x = float(x)
             ref = integrate(tail._integrand, x, math.inf, _TAIL_TOL, points=kinks).value
             assert abs(tail.value(x) - ref) <= 1e-12 * ref, (p.label, x)
+
+
+def test_bracket_is_the_last_anchor_above_the_target(tmp_path):
+    # The walk starts near log2(T(x_ref)/target); the bracket it returns is
+    # still max{k : T(x_ref 2^k) > target}, found here by brute force.
+    for p, _ in _tail_profiles(tmp_path):
+        sol = solve(p)
+        tail = sol._tail
+        boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
+        ks = range(-25, 26)
+        anchors = {k: tail.anchor_value(k) for k in ks}
+        lo = p.x_min * (1.0 + 1e-9) if p.x_min > 0.0 else 1e-3
+        targets = [tail.value(float(x)) for x in np.geomspace(lo, 1e6 * p.x_scale, 300)]
+        targets += [anchors[k] for k in ks[1:-1]]
+        if boundary:
+            # At T(x_min) the level is the boundary itself; no bracket is needed.
+            assert _coordinate_of_tail(sol, tail.total()) == p.x_min
+            targets = [t for t in targets if t < tail.total() * (1.0 - 4e-16)]
+        assert anchors[ks[0]] > max(targets) and anchors[ks[-1]] < min(targets), p.label
+        for target in targets:
+            k = max(k for k in ks if anchors[k] > target)
+            expected = (tail.anchor_x(k), anchors[k], tail.anchor_x(k + 1), anchors[k + 1])
+            assert tail.bracket(target) == expected, (p.label, target)
+
+
+def test_level_solve_reads_few_anchors(monkeypatch):
+    # Walking from k = 0 read about ten anchors per level on this grid.
+    calls = [0]
+    real = _TailCache.anchor_value
+
+    def counting(self, k):
+        calls[0] += 1
+        return real(self, k)
+
+    monkeypatch.setattr(_TailCache, "anchor_value", counting)
+    sol = solve(perturbed_schwarzschild())
+    grid = default_t_grid(sol, 256)
+    calls[0] = 0
+    for t in grid:
+        level(sol, t)
+    assert calls[0] / len(grid) <= 4.0
+
+
+@pytest.mark.parametrize("t", [1e30, 1e300])
+def test_level_beyond_the_last_anchor_raises(t):
+    sol = solve(perturbed_schwarzschild())
+    with pytest.raises(NonConvergent):
+        level(sol, t)
