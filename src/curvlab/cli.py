@@ -30,10 +30,8 @@ from .mass import mass_report, write_mass_csv
 from .numerics import Tolerance
 from .potential import default_t_grid, solve
 from .profile import (
-    ConformalProfile,
     MetricProfile,
     euclidean,
-    euclidean_conformal,
     mollified_schwarzschild,
     perturbed_schwarzschild,
     profile_from_csv,
@@ -219,14 +217,6 @@ def _build_profile(cfg: RunConfig) -> MetricProfile:
     return profile_from_csv(cfg.profile_path, cfg.assume_nonnegative_r)
 
 
-def _conformal_for_mass(cfg: RunConfig) -> ConformalProfile:
-    if cfg.model == "euclidean":
-        return euclidean_conformal()
-    if cfg.model == "mollified-schwarzschild":
-        return mollified_schwarzschild(cfg.mass, cfg.r0)
-    raise UsageError("the mass subcommand needs a boundaryless conformal model: euclidean or mollified-schwarzschild")
-
-
 def _stamp(out: io.TextIOBase) -> None:
     out.write(f"# generated_at={datetime.now(timezone.utc).isoformat()}\n")
 
@@ -301,9 +291,10 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
 
 
 def cmd_mass(cfg: RunConfig, out: io.TextIOBase) -> int:
-    conf = _conformal_for_mass(cfg)
+    if cfg.model not in ("euclidean", "mollified-schwarzschild"):
+        raise UsageError("the mass subcommand needs a boundaryless conformal model: euclidean or mollified-schwarzschild")
     sol = solve(_build_profile(cfg))
-    report = mass_report(conf, sol)
+    report = mass_report(sol.profile.conformal, sol)
     _stamp(out)
     out.write(f"profile={report.profile_label}\n")
     out.write(f"mass_tag={report.mass_tag!r}\n")

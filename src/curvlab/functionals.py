@@ -223,8 +223,9 @@ def coarea_volume(sol: PotentialSolution, t: float) -> float:
     return integrate(integrand, 1e-4 * t, t, _COAREA_TOL, points=kinks).value
 
 
-def growth_integrand_cumulative(sol: PotentialSolution, samples: Sequence[LevelSetSample]) -> list[float]:
-    """Cumulative Int_{C/2}^{t_k} (R1(s) + B1(s)) ds for each grid point.
+def growth_integrand_cumulative(sol: PotentialSolution, coords: Sequence[float]) -> list[float]:
+    """Cumulative Int_{C/2}^{t_k} (R1(s) + B1(s)) ds for each grid point,
+    given the radial coordinates of the grid levels.
 
     R1 = Int R dsigma and B1 as above.  The integral runs over the level
     parameter; substituting the radial coordinate gives
@@ -248,7 +249,7 @@ def growth_integrand_cumulative(sol: PotentialSolution, samples: Sequence[LevelS
         dt_dx = cap * (c * p.ds_dx(x) / (f * f)) / ((1.0 - u) * (1.0 - u))
         return density * dt_dx
 
-    xs = [p.x_min] + [ls.s for ls in samples]
+    xs = [p.x_min] + [float(x) for x in coords]
     out: list[float] = []
     acc = 0.0
     for lo, hi in zip(xs, xs[1:]):
@@ -269,9 +270,9 @@ def growth_integrand_cumulative(sol: PotentialSolution, samples: Sequence[LevelS
 
 @dataclass
 class FunctionalSeries:
-    """Parallel arrays of every functional over a t-grid (nan where undefined),
-    with the level-set samples they were computed from and, for a boundary
-    solution, the sample of the boundary level t = C/2 (None without one)."""
+    """Parallel arrays of every functional over a t-grid (nan where undefined)
+    and, for a boundary solution, the sample of the boundary level t = C/2
+    (None without one)."""
 
     kind: SolutionKind
     capacity: float
@@ -293,7 +294,6 @@ class FunctionalSeries:
     Fprime_analytic: np.ndarray
     Gprime_analytic: np.ndarray
     volume: np.ndarray
-    samples: list[LevelSetSample]
     boundary_sample: LevelSetSample | None
 
     def __len__(self) -> int:
@@ -346,7 +346,6 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         Fprime_analytic=cols.Fprime,
         Gprime_analytic=cols.Gprime,
         volume=np.array(volumes),
-        samples=samples,
         boundary_sample=boundary_sample,
     )
 

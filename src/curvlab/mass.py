@@ -54,7 +54,6 @@ class MassReport:
     m_surface: float
     m_volume: float
     samples: tuple[tuple[float, float], ...]
-    expansion_residuals: tuple[tuple[float, float], ...]
 
 
 def _min_radius(c: ConformalProfile) -> float:
@@ -141,31 +140,16 @@ def expansion_residuals(
     return out
 
 
-def mass_report(
-    c: ConformalProfile,
-    sol: PotentialSolution,
-    surface_radii: Sequence[float] | None = None,
-    t_samples: Sequence[float] | None = None,
-    residual_radii: Sequence[float] | None = None,
-) -> MassReport:
-    """Assemble both estimators and the expansion diagnostics."""
-    m_surf = adm_surface(c, surface_radii)
-    m_vol, samples = mass_from_volume(sol, t_samples)
-    if residual_radii is None:
-        lo = max(2.0 * _min_radius(c), 5.0)
-        residual_radii = [float(r) for r in np.geomspace(lo, 200.0 * lo, 9)]
-    residuals = (
-        tuple(expansion_residuals(sol, residual_radii))
-        if c.mass_tag is not None
-        else ()
-    )
+def mass_report(c: ConformalProfile, sol: PotentialSolution) -> MassReport:
+    """Assemble both estimators."""
+    m_surf = adm_surface(c)
+    m_vol, samples = mass_from_volume(sol)
     return MassReport(
         profile_label=c.label,
         mass_tag=c.mass_tag,
         m_surface=m_surf,
         m_volume=m_vol,
         samples=tuple(samples),
-        expansion_residuals=residuals,
     )
 
 

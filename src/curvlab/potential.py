@@ -177,22 +177,26 @@ class _TailCache:
         """(lo, T(lo), hi, T(hi)) with T(lo) > target >= T(hi), for target below T(x_min).
 
         lo and hi are the consecutive anchors around k = max{k : T(x_ref 2^k) >
-        target}, or the boundary coordinate and the first anchor.  T ~ 1/x puts
-        k near log2(T(x_ref)/target); the walk starts there, formed in log space
-        so that a tiny target cannot overflow, and moves down while the anchor
-        value is still at or below the target (clamping at the boundary), then
-        up until the next anchor value drops to it.  The anchors strictly
+        target}.  T ~ 1/x puts k near log2(T(x_ref)/target); the walk starts
+        there, formed in log space so that a tiny target cannot overflow, and
+        moves down while the anchor value is still at or below the target, then
+        up until the next anchor value drops to it.  Where T falls faster than
+        1/x the guess can overshoot to an anchor whose integral does not
+        converge; the walk then starts from k = 0.  The anchors strictly
         decrease, so the answer does not depend on the start.
         """
         t_ref = self.anchor_value(0)
         k = 80
         if target > 0.0:  # t = inf asks for T = 0, beyond every anchor
             k = min(max(math.floor(math.log2(t_ref) - math.log2(target)), -70), 80)
-        t_k = t_ref if k == 0 else self.anchor_value(k)
+        t_k = t_ref
+        if k != 0:
+            try:
+                t_k = self.anchor_value(k)
+            except NonConvergent:
+                k = 0
         t_up = None  # T one anchor above k, once the walk has read it
         while t_k <= target:
-            if self._x_floor is not None and self.anchor_x(k - 1) <= self._x_floor:
-                return self._x_floor, self.total(), self.anchor_x(k), t_k
             k -= 1
             if k < -70:
                 raise NonConvergent("level lies too deep toward the pole")
@@ -289,12 +293,6 @@ class PotentialSolution:
     capacity: float | None
     grad_vanishes_at_infinity: bool
     _tail: _TailCache = field(repr=False, compare=False, default=None)
-
-    @property
-    def t_min(self) -> float:
-        if self.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
-            return 0.5 * self.capacity
-        return 0.0
 
 
 def solve(p: MetricProfile) -> PotentialSolution:

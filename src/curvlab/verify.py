@@ -17,7 +17,6 @@ signals them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Sequence
@@ -32,7 +31,6 @@ from .functionals import (
     coarea_volume,
     functional_row,
     growth_integrand_cumulative,
-    volume_sublevel,
 )
 from .numerics import Tolerance, differentiate
 from .potential import (
@@ -40,6 +38,7 @@ from .potential import (
     SolutionKind,
     default_t_grid,
     level_integrals,
+    volume_to_coordinate,
 )
 from .profile import sample_scalar_curvature_sign, sphere_geometry
 
@@ -60,39 +59,6 @@ _FOUR_PI = 4.0 * math.pi
 DEFAULT_CHECK_TOLERANCE = Tolerance(rel=1e-8, abs=1e-9)
 TOL_FD_REL = 1e-5
 EQUALITY_FACTOR = 100.0
-
-
-@dataclass(frozen=True)
-class _CheckTols:
-    """Per-check tolerances derived from the base contract."""
-
-    theorem_rel: float   # gradient estimate, A1 bound, area, area-capacity
-    volume_rel: float    # volume comparison
-    sign_abs: float      # G <= 0, monotonicity, Fhat <= 0, deficit >= 0
-    f_gprime_rel: float
-    a1g_rel: float
-    flux_rel: float
-    cs_abs: float
-    riccati_abs: float
-    growth_bound_abs: float
-    coarea_rel: float
-
-    @classmethod
-    def from_base(cls, tol: Tolerance) -> "_CheckTols":
-        return cls(
-            theorem_rel=tol.rel,
-            volume_rel=10.0 * tol.rel,
-            sign_abs=tol.abs,
-            f_gprime_rel=0.1 * tol.rel,
-            a1g_rel=0.01 * tol.rel,
-            flux_rel=0.1 * tol.rel,
-            cs_abs=tol.abs,
-            riccati_abs=10.0 * tol.abs,
-            growth_bound_abs=10.0 * tol.abs,
-            coarea_rel=tol.rel,
-        )
-
-
 _FD_SUBSAMPLE = 16  # derivative-consistency points inside the battery
 _RICCATI_SCALE = 1e-3  # differentiation scale for a(t); larger than the
 # default to keep cancellation noise under the 1e-8 margin
@@ -158,10 +124,6 @@ def _judge(
     return CheckResult(name, status, worst, worst_t, tol, note)
 
 
-def _skipped(name: str, tol: float, note: str) -> CheckResult:
-    return CheckResult(name, CheckStatus.SKIPPED, math.nan, math.nan, tol, note)
-
-
 def schwarzschild_comparison_volume(cap: float, t: float) -> float:
     """Closed form of Int_{C/2}^t 4 pi s^2 (1 + C/2s)^6 ds (the volume bound).
 
@@ -182,6 +144,11 @@ def schwarzschild_comparison_volume(cap: float, t: float) -> float:
     return _FOUR_PI * (upper - 20.0 * a ** 3 * math.log(a))
 
 
+def _excess(value: float, bound: float) -> float:
+    """Margin of value >= bound, relative to the bound."""
+    return (value - bound) / bound
+
+
 def _fd_indices(n: int, count: int) -> list[int]:
     interior = list(range(2, n - 2))
     if len(interior) <= count:
@@ -190,78 +157,75 @@ def _fd_indices(n: int, count: int) -> list[int]:
     return interior[::stride][:count]
 
 
-def _coarea_crosscheck(sol: PotentialSolution, ts: Sequence[float], ct: _CheckTols) -> CheckResult:
-    """Radial against coarea sub-level volume at three sample levels."""
+def _sign_checks(
+    sol: PotentialSolution, name: str, values: Sequence[float], ts: list[float], tol: Tolerance
+) -> list[CheckResult]:
+    """``<name>_monotone`` and ``<name>_nonpositive``: the functional never
+    decreases along the grid and stays at or below zero."""
+    note = "" if sol.grad_vanishes_at_infinity else "hypothesis unverified: |grad u| -> 0 at infinity"
+    steps = [float(b - a) for a, b in zip(values, values[1:])]
+    return [
+        _judge(f"{name}_monotone", steps, ts[1:], tol.abs, note=note),
+        _judge(f"{name}_nonpositive", [float(-v) for v in values], ts, tol.abs, note=note),
+    ]
+
+
+def _flux_constancy(series: FunctionalSeries, ts: list[float], target: float, tol: Tolerance) -> CheckResult:
+    """Int |grad u| = area * |grad u| equals ``target`` (4 pi C or 4 pi) on every level."""
+    margins = [-abs(area * grad - target) / target for area, grad in zip(series.area, series.grad)]
+    return _judge("flux_constancy", margins, ts, 0.1 * tol.rel, identity=True)
+
+
+def _coarea_crosscheck(
+    sol: PotentialSolution, series: FunctionalSeries, ts: list[float], tol: Tolerance
+) -> CheckResult:
+    """Radial against coarea sub-level volume at three grid levels, whose
+    coordinates the series already holds."""
     n = len(ts)
-    c_ts = [ts[i] for i in (n // 4, n // 2, (3 * n) // 4)]
+    picks = (n // 4, n // 2, (3 * n) // 4)
     margins = []
-    for t in c_ts:
-        vol_radial = volume_sublevel(sol, t)
-        margins.append(-abs(vol_radial - coarea_volume(sol, t)) / vol_radial)
-    return _judge("coarea_crosscheck", margins, c_ts, ct.coarea_rel, identity=True)
+    for i in picks:
+        vol_radial = volume_to_coordinate(sol, float(series.s[i]))
+        margins.append(-abs(vol_radial - coarea_volume(sol, ts[i])) / vol_radial)
+    return _judge("coarea_crosscheck", margins, [ts[i] for i in picks], tol.rel, identity=True)
 
 
 def _boundary_checks(
-    sol: PotentialSolution,
-    series: FunctionalSeries,
-    minimal_boundary: bool,
-    skip_note: str,
-    ct: _CheckTols,
+    sol: PotentialSolution, series: FunctionalSeries, ts: list[float], tol: Tolerance, skip_note: str
 ) -> list[CheckResult]:
+    """The battery of a boundary solution.  A ``skip_note`` (the boundary is
+    not minimal) reports the comparison checks and the deficit as Skipped."""
     cap = sol.capacity
-    ts = [float(t) for t in series.t_grid]
     n = len(ts)
-    checks: list[CheckResult] = []
+    t_b = [0.5 * cap]
+    bs = series.boundary_sample
 
-    boundary_sample = series.boundary_sample
-    if minimal_boundary:
+    def comparison(name: str, margins: list[float], at: Sequence[float], check_tol: float) -> CheckResult:
+        if skip_note:
+            return CheckResult(name, CheckStatus.SKIPPED, math.nan, math.nan, check_tol, skip_note)
+        return _judge(name, margins, at, check_tol)
+
+    area_margins = [
+        _excess(a, _FOUR_PI * t * t * (1.0 + cap / (2.0 * t)) ** 4) for t, a in zip(ts, series.area)
+    ]
+    # Both sides of the volume comparison vanish identically at the boundary
+    # level, where the closed form is pure cancellation noise.
+    volume_margins = [
+        0.0 if t <= 0.5 * cap * (1.0 + 1e-12) else _excess(v, schwarzschild_comparison_volume(cap, t))
+        for t, v in zip(ts, series.volume)
+    ]
+    checks = [
         # boundary gradient estimate, margin scaled by pi
-        margin_a = (math.pi - boundary_sample.int_grad_sq) / math.pi
-        checks.append(_judge("boundary_gradient_estimate", [margin_a], [0.5 * cap], ct.theorem_rel))
+        comparison("boundary_gradient_estimate", [(math.pi - bs.int_grad_sq) / math.pi], t_b, tol.rel),
         # A1 <= 4 pi
-        margins_b = [(_FOUR_PI - a) / _FOUR_PI for a in series.A1]
-        checks.append(_judge("a1_upper_bound", margins_b, ts, ct.theorem_rel))
-        # area comparison
-        margins_c = []
-        for t, area in zip(ts, series.area):
-            bound = _FOUR_PI * t * t * (1.0 + cap / (2.0 * t)) ** 4
-            margins_c.append((area - bound) / bound)
-        checks.append(_judge("area_comparison", margins_c, ts, ct.theorem_rel))
-        # area-capacity inequality
-        area_b = boundary_sample.area
-        margin_d = (math.sqrt(area_b / (16.0 * math.pi)) - cap) / cap
-        checks.append(_judge("area_capacity_inequality", [margin_d], [0.5 * cap], ct.theorem_rel))
-        # volume comparison against the closed-form Schwarzschild volume
-        margins_e = []
-        for t, vol in zip(ts, series.volume):
-            if t <= 0.5 * cap * (1.0 + 1e-12):
-                # Both sides vanish identically at the boundary level; the
-                # closed form is pure cancellation noise there.
-                margins_e.append(0.0)
-                continue
-            bound = schwarzschild_comparison_volume(cap, t)
-            margins_e.append((vol - bound) / bound)
-        checks.append(_judge("volume_comparison", margins_e, ts, ct.volume_rel))
-    else:
-        for name, tol in (
-            ("boundary_gradient_estimate", ct.theorem_rel),
-            ("a1_upper_bound", ct.theorem_rel),
-            ("area_comparison", ct.theorem_rel),
-            ("area_capacity_inequality", ct.theorem_rel),
-            ("volume_comparison", ct.volume_rel),
-        ):
-            checks.append(_skipped(name, tol, skip_note))
-
-    mono_note = "" if sol.grad_vanishes_at_infinity else "hypothesis unverified: |grad u| -> 0 at infinity"
-    dgs = [float(b - a) for a, b in zip(series.G, series.G[1:])]
-    checks.append(_judge("g_monotone", dgs, ts[1:], ct.sign_abs, note=mono_note))
-    checks.append(_judge("g_nonpositive", [float(-g) for g in series.G], ts, ct.sign_abs, note=mono_note))
-    if minimal_boundary:
-        checks.append(
-            _judge("deficit_nonnegative", [series.deficit_A], [0.5 * cap], ct.sign_abs)
-        )
-    else:
-        checks.append(_skipped("deficit_nonnegative", ct.sign_abs, skip_note))
+        comparison("a1_upper_bound", [(_FOUR_PI - a) / _FOUR_PI for a in series.A1], ts, tol.rel),
+        comparison("area_comparison", area_margins, ts, tol.rel),
+        comparison("area_capacity_inequality", [_excess(math.sqrt(bs.area / (16.0 * math.pi)), cap)], t_b, tol.rel),
+        # against the closed-form Schwarzschild volume
+        comparison("volume_comparison", volume_margins, ts, 10.0 * tol.rel),
+        *_sign_checks(sol, "g", series.G, ts, tol),
+        comparison("deficit_nonnegative", [series.deficit_A], t_b, tol.abs),
+    ]
 
     # F = (4 t^3 / C^2) G', deviation scaled by the term magnitudes
     margins = []
@@ -269,18 +233,16 @@ def _boundary_checks(
         scale = _FOUR_PI * t + abs(series.F[i]) + abs(4.0 * t ** 3 / cap ** 2 * series.Gprime_analytic[i])
         dev = series.F[i] - 4.0 * t ** 3 / cap ** 2 * series.Gprime_analytic[i]
         margins.append(-abs(dev) / scale)
-    checks.append(_judge("identity_f_from_gprime", margins, ts, ct.f_gprime_rel, identity=True))
+    checks.append(_judge("identity_f_from_gprime", margins, ts, 0.1 * tol.rel, identity=True))
 
     # A1 = 4 pi + (4t/C^2) G
     margins = [
         -abs(series.A1[i] - (_FOUR_PI + 4.0 * ts[i] / cap ** 2 * series.G[i])) / _FOUR_PI
         for i in range(n)
     ]
-    checks.append(_judge("identity_a1_g", margins, ts, ct.a1g_rel, identity=True))
+    checks.append(_judge("identity_a1_g", margins, ts, 0.01 * tol.rel, identity=True))
 
-    flux_target = _FOUR_PI * cap
-    margins = [-abs(series.area[i] * series.grad[i] - flux_target) / flux_target for i in range(n)]
-    checks.append(_judge("flux_constancy", margins, ts, ct.flux_rel, identity=True))
+    checks.append(_flux_constancy(series, ts, _FOUR_PI * cap, tol))
 
     # Analytic derivatives vs central differences (subsampled interior points);
     # G and F are differenced together, so each stencil level is solved once.
@@ -288,7 +250,7 @@ def _boundary_checks(
         row = functional_row(level_integrals(sol, tt), cap)
         return np.array([row.G, row.F])
 
-    g_margins, g_ts, f_margins, f_ts = [], [], [], []
+    g_margins, f_margins, fd_ts = [], [], []
     for i in _fd_indices(n, _FD_SUBSAMPLE):
         t = ts[i]
         scale_h = 1e-4 * max(1.0, t)
@@ -298,18 +260,17 @@ def _boundary_checks(
         g_scale = max(abs(series.Gprime_analytic[i]), _FOUR_PI / t)
         f_scale = max(abs(series.Fprime_analytic[i]), _FOUR_PI)
         g_margins.append(-abs(series.Gprime_analytic[i] - gp_fd) / g_scale)
-        g_ts.append(t)
         f_margins.append(-abs(series.Fprime_analytic[i] - fp_fd) / f_scale)
-        f_ts.append(t)
-    checks.append(_judge("gprime_vs_fd", g_margins, g_ts, TOL_FD_REL, identity=True))
-    checks.append(_judge("fprime_vs_fd", f_margins, f_ts, TOL_FD_REL, identity=True))
+        fd_ts.append(t)
+    checks.append(_judge("gprime_vs_fd", g_margins, fd_ts, TOL_FD_REL, identity=True))
+    checks.append(_judge("fprime_vs_fd", f_margins, fd_ts, TOL_FD_REL, identity=True))
 
     # Cauchy-Schwarz bound on the growth rate: (t A1')^2 <= (2/3) A1 B1
     a1p = [(series.a_growth[i] * series.A1[i] / ts[i]) for i in range(n)]
     margins = [
         float(2.0 / 3.0 * series.A1[i] * series.B1[i] - (ts[i] * a1p[i]) ** 2) for i in range(n)
     ]
-    checks.append(_judge("cauchy_schwarz_growth", margins, ts, ct.cs_abs))
+    checks.append(_judge("cauchy_schwarz_growth", margins, ts, tol.abs))
 
     # Riccati inequality: a' >= (1/t)(1 - 4 pi/A1 - a^2/4), a' by central difference
     margins, r_ts = [], []
@@ -322,11 +283,11 @@ def _boundary_checks(
         rhs = (1.0 - _FOUR_PI / series.A1[i] - series.a_growth[i] ** 2 / 4.0) / t
         margins.append(float(ap - rhs))
         r_ts.append(t)
-    checks.append(_judge("riccati_growth", margins, r_ts, ct.riccati_abs))
+    checks.append(_judge("riccati_growth", margins, r_ts, 10.0 * tol.abs))
 
     # Integral lower bound on the growth (case A >= 0):
     # t A1' >= A1 - 4 pi + (1/2t) Int (R1 + B1)
-    cumulative = growth_integrand_cumulative(sol, series.samples)
+    cumulative = growth_integrand_cumulative(sol, series.s)
     use_tilde = series.deficit_A < 0.0
     margins = []
     for i, t in enumerate(ts):
@@ -338,43 +299,24 @@ def _boundary_checks(
             rhs = rhs + series.deficit_A / (2.0 * t)
         margins.append(lhs - rhs)
     note = "checked with A1~ (deficit < 0)" if use_tilde else ""
-    checks.append(_judge("a1_growth_lower_bound", margins, ts, ct.growth_bound_abs, note=note))
+    checks.append(_judge("a1_growth_lower_bound", margins, ts, 10.0 * tol.abs, note=note))
 
-    checks.append(_coarea_crosscheck(sol, ts, ct))
+    checks.append(_coarea_crosscheck(sol, series, ts, tol))
     return checks
 
 
 def _boundaryless_checks(
-    sol: PotentialSolution, series: FunctionalSeries, ct: _CheckTols
+    sol: PotentialSolution, series: FunctionalSeries, ts: list[float], tol: Tolerance
 ) -> list[CheckResult]:
-    ts = [float(t) for t in series.t_grid]
-    n = len(ts)
-    checks: list[CheckResult] = []
-
-    margins = []
-    for t, area in zip(ts, series.area):
-        bound = _FOUR_PI * t * t
-        margins.append((area - bound) / bound)
-    checks.append(_judge("area_comparison", margins, ts, 0.1 * ct.theorem_rel))
-
-    margins = []
-    for t, vol in zip(ts, series.volume):
-        bound = _FOUR_PI * t ** 3 / 3.0
-        margins.append((vol - bound) / bound)
-    checks.append(_judge("volume_comparison", margins, ts, 0.1 * ct.theorem_rel))
-
-    mono_note = "" if sol.grad_vanishes_at_infinity else "hypothesis unverified: |grad u| -> 0 at infinity"
-    dfh = [float(b - a) for a, b in zip(series.Fhat, series.Fhat[1:])]
-    checks.append(_judge("fhat_monotone", dfh, ts[1:], ct.sign_abs, note=mono_note))
-    checks.append(
-        _judge("fhat_nonpositive", [float(-v) for v in series.Fhat], ts, ct.sign_abs, note=mono_note)
-    )
-
-    margins = [-abs(series.area[i] * series.grad[i] - _FOUR_PI) / _FOUR_PI for i in range(n)]
-    checks.append(_judge("flux_constancy", margins, ts, ct.flux_rel, identity=True))
-
-    checks.append(_coarea_crosscheck(sol, ts, ct))
-    return checks
+    area_margins = [_excess(a, _FOUR_PI * t * t) for t, a in zip(ts, series.area)]
+    volume_margins = [_excess(v, _FOUR_PI * t ** 3 / 3.0) for t, v in zip(ts, series.volume)]
+    return [
+        _judge("area_comparison", area_margins, ts, 0.1 * tol.rel),
+        _judge("volume_comparison", volume_margins, ts, 0.1 * tol.rel),
+        *_sign_checks(sol, "fhat", series.Fhat, ts, tol),
+        _flux_constancy(series, ts, _FOUR_PI, tol),
+        _coarea_crosscheck(sol, series, ts, tol),
+    ]
 
 
 def run_battery(
@@ -386,11 +328,12 @@ def run_battery(
 
     ``tol`` sets the base check tolerance (rel for normalised comparison
     margins, abs for sign margins); the default is the acceptance contract.
+    Each check scales it by a fixed factor.
     """
-    grid = list(t_grid) if t_grid is not None else default_t_grid(sol)
-    if len(grid) < 8:
-        raise GridTooCoarse(f"verification grid needs at least 8 points, got {len(grid)}")
-    ct = _CheckTols.from_base(tol or DEFAULT_CHECK_TOLERANCE)
+    ts = [float(t) for t in (t_grid if t_grid is not None else default_t_grid(sol))]
+    if len(ts) < 8:
+        raise GridTooCoarse(f"verification grid needs at least 8 points, got {len(ts)}")
+    tol = tol or DEFAULT_CHECK_TOLERANCE
 
     p = sol.profile
     annotations: list[str] = []
@@ -404,23 +347,19 @@ def run_battery(
             annotations.append("profile declared R >= 0 but the sampled check found a violation")
 
     boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
-    minimal_boundary = True
     skip_note = ""
     if boundary:
         _, h_boundary = sphere_geometry(p, p.x_min)
         h_scaled = abs(h_boundary) * p.f(p.x_min) / 2.0
         if h_scaled > 1e-8:
-            minimal_boundary = False
             skip_note = f"boundary not minimal (H = {h_boundary!r})"
             annotations.append(f"hypothesis violated: {skip_note}")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        series = build_series(sol, grid)
-        if boundary:
-            checks = _boundary_checks(sol, series, minimal_boundary, skip_note, ct)
-        else:
-            checks = _boundaryless_checks(sol, series, ct)
+    series = build_series(sol, ts)
+    if boundary:
+        checks = _boundary_checks(sol, series, ts, tol, skip_note)
+    else:
+        checks = _boundaryless_checks(sol, series, ts, tol)
 
     return VerificationReport(
         profile_label=p.label,

@@ -164,7 +164,7 @@ def test_criterion_5_proposition_inequalities():
             rhs = (1.0 - FOUR_PI / a1(sol, t) - av * av / 4.0) / t
             assert ap >= rhs - 1e-8
 
-        cumulative = growth_integrand_cumulative(sol, samples)
+        cumulative = growth_integrand_cumulative(sol, [ls.s for ls in samples])
         for i, t in enumerate(grid):
             margin = t * a1_prime(sol, t) - (a1(sol, t) - FOUR_PI + cumulative[i] / (2.0 * t))
             assert margin >= -1e-8

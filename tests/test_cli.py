@@ -10,11 +10,11 @@ import pytest
 _ROOT = pathlib.Path(__file__).parent.parent
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, cwd: pathlib.Path = _ROOT) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     cmd = [sys.executable, "-m", "curvlab", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=_ROOT)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def _strip_timestamp(text: str) -> str:
@@ -126,6 +126,32 @@ def test_potential_table_frozen(args, name):
     # Every level solve lands on the same bits as when the file was written.
     cp = run_cli("potential", *args, "--grid", "64")
     assert cp.returncode == 0, cp.stderr
+    expected = (pathlib.Path(__file__).parent / "data" / name).read_text()
+    assert _strip_timestamp(cp.stdout) + "\n" == expected
+
+
+@pytest.mark.parametrize(
+    ("args", "name", "code"),
+    [
+        (("--model", "perturbed-schwarzschild"), "perturbed_verify.txt", 0),
+        (("--model", "euclidean"), "euclidean_verify.txt", 0),
+        # R < 0 and a non-minimal spline boundary: both annotations and the
+        # Skipped comparison checks.
+        (
+            ("--model", "custom", "--profile", "rneg.csv", "--assume-nonnegative-r", "false", "--grid", "32"),
+            "rneg_csv_verify_grid32.txt",
+            1,
+        ),
+    ],
+)
+def test_verify_report_frozen(tmp_path, args, name, code):
+    # Every margin, tolerance, note and annotation lands on the same bits as
+    # when the file was written.
+    ss = [60.0 * k / 9 for k in range(10)]
+    lines = ["s,f"] + [f"{s!r},{2.0 + s * s / (2.0 + 0.4 * s)!r}" for s in ss]
+    (tmp_path / "rneg.csv").write_text("\n".join(lines) + "\n")
+    cp = run_cli("verify", *args, cwd=tmp_path)
+    assert cp.returncode == code, cp.stderr
     expected = (pathlib.Path(__file__).parent / "data" / name).read_text()
     assert _strip_timestamp(cp.stdout) + "\n" == expected
 

@@ -163,7 +163,7 @@ class TestPropositionInequalities:
     def test_growth_integral_bound(self, perturbed_sol):
         grid = [float(t) for t in np.geomspace(0.5 * perturbed_sol.capacity, 800.0, 40)]
         samples = [level_integrals(perturbed_sol, t) for t in grid]
-        cumulative = growth_integrand_cumulative(perturbed_sol, samples)
+        cumulative = growth_integrand_cumulative(perturbed_sol, [ls.s for ls in samples])
         for i, t in enumerate(grid):
             lhs = t * a1_prime(perturbed_sol, t)
             rhs = a1(perturbed_sol, t) - FOUR_PI + cumulative[i] / (2.0 * t)

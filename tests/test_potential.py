@@ -185,7 +185,7 @@ def _write_csv(path, header, rows):
 
 
 def _tail_profiles(tmp_path):
-    """Every built-in plus one r,w and one s,f CSV profile, with their kinks."""
+    """Every built-in, one r,w and two s,f CSV profiles and a narrow bump, with their kinks."""
     builtins = [
         euclidean(),
         schwarzschild(1.3),
@@ -205,9 +205,27 @@ def _tail_profiles(tmp_path):
         ),
         False,
     )
+    # f = s^2 makes T fall like 1/x^3 near the boundary, so the 1/x guess
+    # of the bracket walk overshoots to anchors whose integrals never converge.
+    st = np.linspace(1.0, 12.0, 23)
+    steep = profile_from_csv(
+        _write_csv(tmp_path / "steep.csv", "s,f", [(float(s), float(s) ** 2) for s in st]), True
+    )
     # Spline profiles are only C^2 at the knots: the reference splits there.
     out.append((rw, tuple(float(r) for r in rs)))
     out.append((sf, tuple(float(s) for s in ss)))
+    out.append((steep, tuple(float(s) for s in st)))
+    # A narrow smooth bump with no declared breakpoint: the table bisects
+    # the panels of interval k = 1 to resolve it.
+    bump = MetricProfile(
+        label="bump",
+        kind=ProfileKind.BOUNDARYLESS,
+        x_min=0.0,
+        f=lambda s: s + 5.0 * math.exp(-(((s - 3.0) / 0.2) ** 2)),
+        df_ds=lambda s: 1.0 - 250.0 * (s - 3.0) * math.exp(-(((s - 3.0) / 0.2) ** 2)),
+        d2f_ds2=lambda s: (12500.0 * (s - 3.0) ** 2 - 250.0) * math.exp(-(((s - 3.0) / 0.2) ** 2)),
+    )
+    out.append((bump, ()))
     return out
 
 

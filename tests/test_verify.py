@@ -180,9 +180,10 @@ class TestReportMechanics:
 
 
 def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
-    # The growth bound reuses the series' level-set samples instead of
-    # solving every grid level a second time, and no level repeats.
+    # The growth bound and the coarea cross-check reuse the series' level
+    # coordinates instead of solving grid levels a second time.
     import curvlab.functionals as functionals_mod
+    import curvlab.potential as potential_mod
     import curvlab.verify as verify_mod
 
     calls: dict[float, int] = {}
@@ -192,8 +193,17 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
         calls[t] = calls.get(t, 0) + 1
         return real(sol, t)
 
+    solves: dict[float, int] = {}
+    real_level = potential_mod.level
+
+    def counting_level(sol, t):
+        solves[t] = solves.get(t, 0) + 1
+        return real_level(sol, t)
+
     monkeypatch.setattr(functionals_mod, "level_integrals", counting)
     monkeypatch.setattr(verify_mod, "level_integrals", counting)
+    monkeypatch.setattr(potential_mod, "level", counting_level)
+    monkeypatch.setattr(functionals_mod, "level", counting_level)
     grid = default_t_grid(schw1_sol, 16)
     run_battery(schw1_sol, grid)
     # grid[0] = C/2 is also the boundary level of the deficit and gradient
@@ -201,6 +211,7 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     assert [calls[t] for t in grid] == [1] * len(grid)
     # The G and F finite differences share their stencil levels.
     assert [t for t, k in calls.items() if k > 1] == []
+    assert [solves[t] for t in grid] == [1] * len(grid)
 
 
 def test_coarea_crosscheck_splits_at_breakpoint_level():
