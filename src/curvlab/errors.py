@@ -10,7 +10,7 @@ class NonConvergent(CurvlabError):
 
 
 class DomainEdge(CurvlabError):
-    """An evaluation point (or stencil) left the valid domain."""
+    """An evaluation point left the valid domain."""
 
 
 class NoBracket(CurvlabError):
@@ -39,7 +39,3 @@ class ReportStoreError(CurvlabError):
 
 class SchemaMismatch(ReportStoreError):
     """Two run records cannot be diffed because their check lists differ."""
-
-
-class ReducedOrderWarning(UserWarning):
-    """A derivative stencil was shrunk one-sidedly; the accuracy order dropped."""

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import WrongKind
 from .numerics import Tolerance, integrate
 from .potential import (
@@ -270,30 +268,30 @@ def growth_integrand_cumulative(sol: PotentialSolution, coords: Sequence[float])
 
 @dataclass
 class FunctionalSeries:
-    """Parallel arrays of every functional over a t-grid (nan where undefined)
-    and, for a boundary solution, the sample of the boundary level t = C/2
-    (None without one)."""
+    """Parallel columns of every functional over a t-grid (nan where
+    undefined) and, for a boundary solution, the sample of the boundary level
+    t = C/2 (None without one)."""
 
     kind: SolutionKind
     capacity: float
     deficit_A: float
-    t_grid: np.ndarray
-    s: np.ndarray
-    u: np.ndarray
-    area: np.ndarray
-    grad: np.ndarray
-    mean_curvature: np.ndarray
-    scalar_R: np.ndarray
-    Fhat: np.ndarray
-    G: np.ndarray
-    F: np.ndarray
-    A1: np.ndarray
-    A1tilde: np.ndarray
-    a_growth: np.ndarray
-    B1: np.ndarray
-    Fprime_analytic: np.ndarray
-    Gprime_analytic: np.ndarray
-    volume: np.ndarray
+    t_grid: tuple[float, ...]
+    s: tuple[float, ...]
+    u: tuple[float, ...]
+    area: tuple[float, ...]
+    grad: tuple[float, ...]
+    mean_curvature: tuple[float, ...]
+    scalar_R: tuple[float, ...]
+    Fhat: tuple[float, ...]
+    G: tuple[float, ...]
+    F: tuple[float, ...]
+    A1: tuple[float, ...]
+    A1tilde: tuple[float, ...]
+    a_growth: tuple[float, ...]
+    B1: tuple[float, ...]
+    Fprime_analytic: tuple[float, ...]
+    Gprime_analytic: tuple[float, ...]
+    volume: tuple[float, ...]
     boundary_sample: LevelSetSample | None
 
     def __len__(self) -> int:
@@ -313,8 +311,7 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         boundary_sample = samples[0] if ts[0] == t_b else level_integrals(sol, t_b)
         deficit = _deficit(boundary_sample, sol.capacity)
     rows = [functional_row(ls, sol.capacity) for ls in samples]
-    cols = FunctionalRow(*(np.array(col) for col in zip(*rows)))
-    t_col = np.array(ts)
+    cols = FunctionalRow(*zip(*rows))
 
     # Cumulative volume: one adaptive panel per grid interval, so the
     # accumulated error stays below rel * Vol.
@@ -329,23 +326,23 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         kind=sol.kind,
         capacity=sol.capacity if boundary else math.nan,
         deficit_A=deficit,
-        t_grid=t_col,
-        s=np.array([ls.s for ls in samples]),
-        u=np.array([ls.u for ls in samples]),
-        area=np.array([ls.area for ls in samples]),
-        grad=np.array([ls.grad for ls in samples]),
-        mean_curvature=np.array([ls.mean_curvature for ls in samples]),
-        scalar_R=np.array([ls.scalar_R for ls in samples]),
+        t_grid=tuple(ts),
+        s=tuple(ls.s for ls in samples),
+        u=tuple(ls.u for ls in samples),
+        area=tuple(ls.area for ls in samples),
+        grad=tuple(ls.grad for ls in samples),
+        mean_curvature=tuple(ls.mean_curvature for ls in samples),
+        scalar_R=tuple(ls.scalar_R for ls in samples),
         Fhat=cols.Fhat,
         G=cols.G,
         F=cols.F,
         A1=cols.A1,
-        A1tilde=cols.A1 + deficit / (2.0 * t_col),
+        A1tilde=tuple(a + deficit / (2.0 * t) for a, t in zip(cols.A1, ts)),
         a_growth=cols.a,
         B1=cols.B1,
         Fprime_analytic=cols.Fprime,
         Gprime_analytic=cols.Gprime,
-        volume=np.array(volumes),
+        volume=tuple(volumes),
         boundary_sample=boundary_sample,
     )
 
@@ -372,5 +369,5 @@ def write_series_csv(series: FunctionalSeries, stream: IO[str]) -> None:
         series.Gprime_analytic,
         series.volume,
     )
-    for row in zip(*(col.tolist() for col in cols)):
+    for row in zip(*cols):
         stream.write(",".join(map(repr, row)) + "\n")

@@ -14,8 +14,9 @@ Vol({u <= 1 - 1/t}) = (4/3) pi t^3 + 4 pi m t^2 + o(t^2) inverted as
     m_est(t) = [Vol({u <= 1 - 1/t}) - (4/3) pi t^3] / (4 pi t^2),
 
 then a least-squares fit of m + c/t over the largest decade of t (the
-built-in family's next correction is O(1/t)).  Positivity of every
-m_est(t) is the desk-scale positive mass inequality.
+built-in family's next correction is O(1/t)), solved from its 2x2 normal
+equations in x = 1/t with math.fsum sums.  Positivity of every m_est(t) is
+the desk-scale positive mass inequality.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-import numpy as np
-
 from .errors import OutOfRange, ProfileDataError, WrongKind
 from .functionals import volume_sublevel
-from .numerics import extrapolate_to_zero
+from .numerics import extrapolate_to_zero, geometric_grid
 from .potential import PotentialSolution, SolutionKind, grad_value, u_value
 from .profile import ConformalProfile
 
@@ -70,7 +69,7 @@ def adm_flux_at(c: ConformalProfile, r: float) -> float:
 
 def default_surface_radii(c: ConformalProfile, n: int = 8) -> list[float]:
     lo = max(4.0 * max(_min_radius(c), 1.0), 10.0)
-    return [float(r) for r in np.geomspace(lo, 1e3 * lo, n)]
+    return geometric_grid(lo, 1e3 * lo, n)
 
 
 def adm_surface(c: ConformalProfile, radii: Sequence[float] | None = None) -> float:
@@ -85,7 +84,7 @@ def adm_surface(c: ConformalProfile, radii: Sequence[float] | None = None) -> fl
 
 
 def default_volume_samples(n: int = 25) -> list[float]:
-    return [float(t) for t in np.geomspace(10.0, 1000.0, n)]
+    return geometric_grid(10.0, 1000.0, n)
 
 
 def mass_from_volume(
@@ -108,11 +107,18 @@ def mass_from_volume(
     fit = [(t, m) for t, m in samples if t >= 0.1 * t_max]
     if len(fit) < 3:
         fit = samples
-    a_mat = np.array([[1.0, 1.0 / t] for t, _ in fit])
-    rhs = np.array([m for _, m in fit])
-    coeffs, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    return float(coeffs[0]), samples
-
+    xs = [1.0 / t for t, _ in fit]
+    ms = [m for _, m in fit]
+    m_mean = math.fsum(ms) / len(ms)
+    if len(set(xs)) < 2:
+        # One distinct level: m and c cannot be told apart.
+        return m_mean, samples
+    # Normal equations of m + c x, centred at the means so the slope does
+    # not cancel digits.
+    x_mean = math.fsum(xs) / len(xs)
+    dxs = [x - x_mean for x in xs]
+    slope = math.fsum(d * (m - m_mean) for d, m in zip(dxs, ms)) / math.fsum(d * d for d in dxs)
+    return m_mean - slope * x_mean, samples
 
 def expansion_residuals(
     sol: PotentialSolution,

@@ -1,4 +1,5 @@
-"""Scalar numerical kernel: adaptive quadrature, differentiation, root finding.
+"""Scalar numerical kernel: adaptive quadrature, differentiation, root finding,
+geometric grids.
 
 Every routine takes an explicit :class:`Tolerance`, so callers own their
 accuracy budget.  Nothing here keeps state between calls; all functions are
@@ -9,11 +10,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DomainEdge, NoBracket, NonConvergent, ReducedOrderWarning
+from .errors import NoBracket, NonConvergent
 
 __all__ = [
     "Tolerance",
@@ -23,6 +23,7 @@ __all__ = [
     "differentiate",
     "find_root",
     "extrapolate_to_zero",
+    "geometric_grid",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -202,47 +203,18 @@ def integrate(
     return _adaptive(f, a, b, tol, points)
 
 
-def differentiate(
-    f: Callable[[float], float],
-    t: float,
-    scale: float | None = None,
-    lo: float = -math.inf,
-    hi: float = math.inf,
-) -> float:
+def differentiate(f: Callable[[float], float], t: float, scale: float | None = None) -> float:
     """Derivative of f at t: central difference with one Richardson step.
 
     Error is O(scale^4) for smooth f; the default stencil scale
     1e-4*max(1, |t|) balances truncation against cancellation in double
-    precision.  When the symmetric stencil would leave [lo, hi] the
-    routine falls back to a one-sided stencil and emits
-    :class:`ReducedOrderWarning`; with no room on either side it raises
-    :class:`DomainEdge`.
+    precision.  f is evaluated at t +- scale and t +- scale/2.
     """
     h = 1e-4 * max(1.0, abs(t)) if scale is None else float(scale)
     if h <= 0.0:
         raise ValueError("scale must be positive")
-    if t - h >= lo and t + h <= hi:
-        d_h = (f(t + h) - f(t - h)) / (2.0 * h)
-        d_h2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
-        return (4.0 * d_h2 - d_h) / 3.0
-    if t + 2.0 * h <= hi and t >= lo:
-        sign = 1.0
-    elif t - 2.0 * h >= lo and t <= hi:
-        sign = -1.0
-    else:
-        raise DomainEdge(f"no room for a derivative stencil at t={t!r}")
-    warnings.warn(
-        "derivative stencil exits the domain; using a one-sided stencil of reduced order",
-        ReducedOrderWarning,
-        stacklevel=2,
-    )
-    f0 = f(t)
-
-    def one_sided(step: float) -> float:
-        return sign * (-3.0 * f0 + 4.0 * f(t + sign * step) - f(t + 2.0 * sign * step)) / (2.0 * step)
-
-    d_h = one_sided(h)
-    d_h2 = one_sided(0.5 * h)
+    d_h = (f(t + h) - f(t - h)) / (2.0 * h)
+    d_h2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
     return (4.0 * d_h2 - d_h) / 3.0
 
 
@@ -325,3 +297,16 @@ def extrapolate_to_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
         for i in range(n - m):
             tableau[i] = (xs[i + m] * tableau[i] - xs[i] * tableau[i + 1]) / (xs[i + m] - xs[i])
     return tableau[0]
+
+
+def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi, equally spaced in log10, both ends exact.
+
+    Point i is 10 ** (i * step + log10(lo)), numpy.geomspace's formula,
+    evaluated in Python floats by the platform libm rather than by numpy's
+    CPU-dispatched loops.
+    """
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / max(n - 1, 1)
+    inner = [10.0 ** (i * step + log_lo) for i in range(1, n - 1)]
+    return ([float(lo)] + inner + [float(hi)])[:n]

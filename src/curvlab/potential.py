@@ -14,9 +14,7 @@ integrand ds_dx/f^2 is tabulated once as a piecewise Chebyshev interpolant
 whose antiderivative is exact, so T(x) is the anchor value minus one
 Clenshaw sum: O(1) per query, with no per-query quadrature inside the level
 solve or the integrands built on u.  Anchor values and tables depend on k
-alone, so query results are bitwise independent of evaluation order and
-safe to compute concurrently; a cache hit is a plain dict read, and only a
-store takes the lock.
+alone, so query results are bitwise independent of evaluation order.
 
 A level solve brackets T(x) = target between two consecutive anchors.  T
 decays like 1/x on every profile end, so the bracket walk starts at
@@ -26,15 +24,12 @@ floor(log2 T(x_ref) - log2 target) and usually reads two or three anchors.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .errors import NonConvergent, OutOfRange, WrongKind
-from .numerics import Tolerance, integrate
+from .numerics import Tolerance, geometric_grid, integrate
 from .profile import MetricProfile, ProfileKind, scalar_curvature
 
 __all__ = [
@@ -119,10 +114,8 @@ class _TailCache:
     _TABLE_REL times the anchor value.  Each panel stores its left edge,
     half-width, the integral of the panels before it, and its integrated
     coefficients as (c0, (cN, ..., c1)) in Clenshaw order.  Anchors and
-    tables are built on first use, depend on k alone and are stored
-    first-writer-wins, so T(x) is bitwise independent of evaluation order.
-    Hits read the dicts without the lock (a dict read is atomic); a miss
-    computes outside the lock and stores under it with setdefault.
+    tables are built on first use and depend on k alone, so T(x) is bitwise
+    independent of evaluation order.
     """
 
     def __init__(self, profile: MetricProfile):
@@ -135,7 +128,6 @@ class _TailCache:
         self._anchors: dict[int, float] = {}
         self._tables: dict[int, tuple] = {}
         self._total: float | None = None
-        self._lock = threading.Lock()
 
     def _integrand(self, x: float) -> float:
         fx = self._p.f(x)
@@ -153,25 +145,19 @@ class _TailCache:
         value = integrate(
             self._integrand, self.anchor_x(k), math.inf, _TAIL_TOL, points=self._p.breakpoints
         ).value
-        with self._lock:
-            # A concurrent duplicate computes the identical value; keep the first.
-            return self._anchors.setdefault(k, value)
+        self._anchors[k] = value
+        return value
 
     def total(self) -> float:
         """T at the boundary coordinate (boundary profiles only)."""
-        cached = self._total
-        if cached is not None:
-            return cached
-        if self._k_floor is not None:
-            value = self.anchor_value(0)
-        else:
-            value = integrate(
-                self._integrand, self._x_floor, math.inf, _TAIL_TOL, points=self._p.breakpoints
-            ).value
-        with self._lock:
-            if self._total is None:
-                self._total = value
-            return self._total
+        if self._total is None:
+            if self._k_floor is not None:
+                self._total = self.anchor_value(0)
+            else:
+                self._total = integrate(
+                    self._integrand, self._x_floor, math.inf, _TAIL_TOL, points=self._p.breakpoints
+                ).value
+        return self._total
 
     def bracket(self, target: float) -> tuple[float, float, float, float]:
         """(lo, T(lo), hi, T(hi)) with T(lo) > target >= T(hi), for target below T(x_min).
@@ -266,9 +252,7 @@ class _TailCache:
             return self.anchor_value(k)
         table = self._tables.get(k)
         if table is None:
-            table = self._build_table(k)
-            with self._lock:
-                table = self._tables.setdefault(k, table)
+            table = self._tables[k] = self._build_table(k)
         t_anchor, starts, panels = table
         i = bisect_right(starts, x) - 1
         if i < 0:
@@ -492,4 +476,4 @@ def default_t_grid(
     else:
         lo = 0.5 * t_min_factor
         hi = 1.0 * t_max_factor
-    return [float(t) for t in np.geomspace(lo, hi, n)]
+    return geometric_grid(lo, hi, n)

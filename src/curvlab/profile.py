@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainEdge, NonConvergent, ProfileDataError
-from .numerics import Tolerance, find_root, integrate
+from .numerics import Tolerance, find_root, geometric_grid, integrate
 
 __all__ = [
     "ProfileKind",
@@ -83,8 +81,8 @@ class ConformalProfile:
         if self.r_min < 0.0:
             raise ProfileDataError("r_min must be non-negative")
         lo = max(self.r_min, 1e-6)
-        for r in np.geomspace(lo, max(1e4, 1e3 * max(lo, 1.0)), 64):
-            if self.w(float(r)) <= 0.0:
+        for r in geometric_grid(lo, max(1e4, 1e3 * max(lo, 1.0)), 64):
+            if self.w(r) <= 0.0:
                 raise ProfileDataError(f"conformal factor must stay positive (w({r}) <= 0)")
         if self.harmonic_radius is not None:
             if self.mass_tag is None:
@@ -199,16 +197,16 @@ def sample_scalar_curvature_sign(
     lo = max(p.x_min, 1e-4 * p.x_scale)
     if p.kind is ProfileKind.BOUNDARYLESS:
         lo = max(lo, p.x_min + 1e-4 * p.x_scale)  # the pole itself is 0/0
-    xs = list(np.geomspace(lo, hi, n))
+    xs = geometric_grid(lo, hi, n)
     if p.kind is ProfileKind.WITH_BOUNDARY and p.x_min < lo:
         xs.insert(0, p.x_min)
-    worst_x = float(xs[0])
+    worst_x = xs[0]
     worst_r = math.inf
     for x in xs:
-        r_val = scalar_curvature(p, float(x))
+        r_val = scalar_curvature(p, x)
         if r_val < worst_r:
             worst_r = r_val
-            worst_x = float(x)
+            worst_x = x
     return worst_r >= threshold, worst_x, worst_r
 
 
@@ -474,17 +472,15 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
                 raise ProfileDataError(f"{path}:{ln}: {exc}") from exc
     if len(col0) < 8:
         raise ProfileDataError("need at least 8 samples to build a spline profile")
-    xs = np.asarray(col0)
-    ys = np.asarray(col1)
-    if not np.all(np.diff(xs) > 0.0):
+    if not all(b > a for a, b in zip(col0, col0[1:])):
         raise ProfileDataError("first CSV column must be strictly increasing")
 
-    spline = CubicSpline(xs, ys)
+    spline = CubicSpline(col0, col1)
     # The spline is only C^2 across its knots: quadratures split there.
-    knots = tuple(float(x) for x in xs)
+    knots = tuple(col0)
     s0, s1, s2 = (_piecewise_polynomial(pp) for pp in (spline, spline.derivative(1), spline.derivative(2)))
-    x_last = float(xs[-1])
-    y_last = float(ys[-1])
+    x_last = col0[-1]
+    y_last = col1[-1]
     yp_last = s1(x_last)
 
     if header == "r,w":
@@ -506,7 +502,7 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
             w=w,
             dw=dw,
             d2w=d2w,
-            r_min=float(xs[0]),
+            r_min=col0[0],
             breakpoints=knots,
             assume_nonnegative_R=assume_nonnegative_R,
         )
@@ -524,10 +520,10 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
     def fpp(s: float) -> float:
         return s2(s) if s <= x_last else 0.0
 
-    x_min = float(xs[0])
-    pole = x_min == 0.0 and abs(float(ys[0])) <= 1e-10 * max(1.0, float(np.max(np.abs(ys))))
+    x_min = col0[0]
+    pole = x_min == 0.0 and abs(col1[0]) <= 1e-10 * max(1.0, max(abs(y) for y in col1))
     kind = ProfileKind.BOUNDARYLESS if pole else ProfileKind.WITH_BOUNDARY
-    if kind is ProfileKind.WITH_BOUNDARY and float(ys[0]) <= 0.0:
+    if kind is ProfileKind.WITH_BOUNDARY and col1[0] <= 0.0:
         raise ProfileDataError("warp factor must be positive at the boundary")
     return MetricProfile(
         label=f"custom:{path}",

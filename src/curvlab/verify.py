@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import IO, Sequence
-
-import numpy as np
 
 from .errors import GridTooCoarse
 from .functionals import (
+    FunctionalRow,
     FunctionalSeries,
     a_growth,
     build_series,
@@ -112,9 +112,8 @@ def _judge(
     identity: bool = False,
     note: str = "",
 ) -> CheckResult:
-    margins = [float(m) for m in margins]
     worst = min(margins)
-    worst_t = float(ts[margins.index(worst)])
+    worst_t = ts[margins.index(worst)]
     if worst < -tol:
         status = CheckStatus.FAIL
     elif not identity and max(abs(m) for m in margins) <= EQUALITY_FACTOR * tol:
@@ -163,10 +162,10 @@ def _sign_checks(
     """``<name>_monotone`` and ``<name>_nonpositive``: the functional never
     decreases along the grid and stays at or below zero."""
     note = "" if sol.grad_vanishes_at_infinity else "hypothesis unverified: |grad u| -> 0 at infinity"
-    steps = [float(b - a) for a, b in zip(values, values[1:])]
+    steps = [b - a for a, b in zip(values, values[1:])]
     return [
         _judge(f"{name}_monotone", steps, ts[1:], tol.abs, note=note),
-        _judge(f"{name}_nonpositive", [float(-v) for v in values], ts, tol.abs, note=note),
+        _judge(f"{name}_nonpositive", [-v for v in values], ts, tol.abs, note=note),
     ]
 
 
@@ -185,7 +184,7 @@ def _coarea_crosscheck(
     picks = (n // 4, n // 2, (3 * n) // 4)
     margins = []
     for i in picks:
-        vol_radial = volume_to_coordinate(sol, float(series.s[i]))
+        vol_radial = volume_to_coordinate(sol, series.s[i])
         margins.append(-abs(vol_radial - coarea_volume(sol, ts[i])) / vol_radial)
     return _judge("coarea_crosscheck", margins, [ts[i] for i in picks], tol.rel, identity=True)
 
@@ -245,10 +244,10 @@ def _boundary_checks(
     checks.append(_flux_constancy(series, ts, _FOUR_PI * cap, tol))
 
     # Analytic derivatives vs central differences (subsampled interior points);
-    # G and F are differenced together, so each stencil level is solved once.
-    def g_and_f(tt: float) -> np.ndarray:
-        row = functional_row(level_integrals(sol, tt), cap)
-        return np.array([row.G, row.F])
+    # G and F share their stencil rows, so each stencil level is solved once.
+    @cache
+    def row_at(tt: float) -> FunctionalRow:
+        return functional_row(level_integrals(sol, tt), cap)
 
     g_margins, f_margins, fd_ts = [], [], []
     for i in _fd_indices(n, _FD_SUBSAMPLE):
@@ -256,7 +255,8 @@ def _boundary_checks(
         scale_h = 1e-4 * max(1.0, t)
         if t - 2.0 * scale_h <= 0.5 * cap:
             continue
-        gp_fd, fp_fd = differentiate(g_and_f, t, scale=scale_h)
+        gp_fd = differentiate(lambda tt: row_at(tt).G, t, scale=scale_h)
+        fp_fd = differentiate(lambda tt: row_at(tt).F, t, scale=scale_h)
         g_scale = max(abs(series.Gprime_analytic[i]), _FOUR_PI / t)
         f_scale = max(abs(series.Fprime_analytic[i]), _FOUR_PI)
         g_margins.append(-abs(series.Gprime_analytic[i] - gp_fd) / g_scale)
@@ -267,9 +267,7 @@ def _boundary_checks(
 
     # Cauchy-Schwarz bound on the growth rate: (t A1')^2 <= (2/3) A1 B1
     a1p = [(series.a_growth[i] * series.A1[i] / ts[i]) for i in range(n)]
-    margins = [
-        float(2.0 / 3.0 * series.A1[i] * series.B1[i] - (ts[i] * a1p[i]) ** 2) for i in range(n)
-    ]
+    margins = [2.0 / 3.0 * series.A1[i] * series.B1[i] - (ts[i] * a1p[i]) ** 2 for i in range(n)]
     checks.append(_judge("cauchy_schwarz_growth", margins, ts, tol.abs))
 
     # Riccati inequality: a' >= (1/t)(1 - 4 pi/A1 - a^2/4), a' by central difference
@@ -281,7 +279,7 @@ def _boundary_checks(
             continue
         ap = differentiate(lambda tt: a_growth(sol, tt), t, scale=h)
         rhs = (1.0 - _FOUR_PI / series.A1[i] - series.a_growth[i] ** 2 / 4.0) / t
-        margins.append(float(ap - rhs))
+        margins.append(ap - rhs)
         r_ts.append(t)
     checks.append(_judge("riccati_growth", margins, r_ts, 10.0 * tol.abs))
 

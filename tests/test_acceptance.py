@@ -59,7 +59,7 @@ def test_criterion_1_schwarzschild_equality_suite():
         boundary = level_integrals(sol, 0.5 * cap)
         assert abs(boundary.int_grad_sq - math.pi) <= 1e-8  # gradient estimate
 
-        dev_b = np.max(np.abs(series.A1 - FOUR_PI))
+        dev_b = np.max(np.abs(np.asarray(series.A1) - FOUR_PI))
         assert dev_b <= 1e-8 * FOUR_PI  # A1 bound
 
         for t, area in zip(series.t_grid, series.area):  # area comparison
@@ -83,7 +83,7 @@ def test_criterion_2_euclidean_suite():
     series = build_series(sol, default_t_grid(sol))
     assert np.max(np.abs(series.Fhat)) <= 1e-10
     for t, area, vol, flux in zip(
-        series.t_grid, series.area, series.volume, series.area * series.grad
+        series.t_grid, series.area, series.volume, np.asarray(series.area) * np.asarray(series.grad)
     ):
         assert abs(area - FOUR_PI * t * t) <= 1e-9 * area
         assert abs(vol - FOUR_PI * t**3 / 3.0) <= 1e-9 * vol
@@ -137,7 +137,7 @@ def test_criterion_4_derivative_identities():
             assert abs(series.F[i] - rhs) <= 1e-9 * scale
 
         # A1 = 4 pi + (4t/C^2) G to rel 1e-10
-        dev = np.abs(series.A1 - (FOUR_PI + 4.0 * series.t_grid / cap**2 * series.G))
+        dev = np.abs(np.asarray(series.A1) - (FOUR_PI + 4.0 * np.asarray(series.t_grid) / cap**2 * np.asarray(series.G)))
         assert np.max(dev) <= 1e-10 * FOUR_PI
     _ok("4 derivative_identity_suite (G', F' fd rel 1e-5; F=4t^3G'/C^2 1e-9; A1/G 1e-10)")
 

@@ -106,6 +106,28 @@ def test_missing_model_exits_2():
     assert cp.returncode == 2
 
 
+def test_builtin_models_do_not_import_numpy():
+    # The built-in path runs on the standard library; only --model custom
+    # reaches scipy (and through it numpy).
+    script = (
+        "import sys\n"
+        "from curvlab import cli\n"
+        "for argv in (\n"
+        "    ['verify', '--model', 'schwarzschild', '--mass', '1', '--grid', '16'],\n"
+        "    ['functionals', '--model', 'euclidean', '--grid', '8'],\n"
+        "    ['potential', '--model', 'perturbed-schwarzschild', '--grid', '8'],\n"
+        "    ['mass', '--model', 'mollified-schwarzschild', '--mass', '1', '--r0', '1'],\n"
+        "):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "[]"
+
+
 def test_functionals_golden_head():
     cp = run_cli("functionals", "--model", "euclidean", "--grid", "8")
     assert cp.returncode == 0, cp.stderr

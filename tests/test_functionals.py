@@ -244,7 +244,7 @@ class TestSeries:
                 (series.B1, b1),
             ):
                 scalars = np.array([fn(perturbed_sol, t) for t in grid])
-                assert col.tobytes() == scalars.tobytes(), fn.__name__
+                assert np.asarray(col).tobytes() == scalars.tobytes(), fn.__name__
         grid = default_t_grid(euclid_sol, 24)
         series = build_series(euclid_sol, grid)
-        assert series.Fhat.tobytes() == np.array([fhat(euclid_sol, t) for t in grid]).tobytes()
+        assert np.asarray(series.Fhat).tobytes() == np.array([fhat(euclid_sol, t) for t in grid]).tobytes()

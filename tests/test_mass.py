@@ -53,6 +53,18 @@ class TestMassFromVolume:
         _, samples = mass_from_volume(moll11_sol, t_samples=[100.0])
         assert samples[0][1] == pytest.approx(golden["mass.moll11_mest_t100"], rel=1e-6)
 
+    @pytest.mark.parametrize("t_samples", [[100.0], [100.0, 100.0]])
+    def test_single_level_returns_its_estimate(self, moll11_sol, t_samples):
+        # One distinct level cannot separate m from the c/t correction.
+        m_vol, samples = mass_from_volume(moll11_sol, t_samples=t_samples)
+        assert m_vol == samples[0][1]
+
+    def test_repeated_level_is_not_a_fit(self, moll11_sol):
+        # Three copies leave a rounding-size determinant in the uncentred
+        # normal equations; the estimate must still be the level's own.
+        m_vol, samples = mass_from_volume(moll11_sol, t_samples=[100.0] * 3)
+        assert m_vol == pytest.approx(samples[0][1], rel=1e-15)
+
     def test_scaling_covariance(self):
         sols = {m: solve(to_warped(mollified_schwarzschild(m, 1.0))) for m in (1.0, 2.0)}
         m1, _ = mass_from_volume(sols[1.0])

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from curvlab.errors import DomainEdge, NoBracket, NonConvergent, ReducedOrderWarning
+from curvlab.errors import NoBracket, NonConvergent
 from curvlab.numerics import (
     DEFAULT_TOLERANCE,
     QuadratureResult,
@@ -10,6 +10,7 @@ from curvlab.numerics import (
     differentiate,
     extrapolate_to_zero,
     find_root,
+    geometric_grid,
     integrate,
 )
 
@@ -80,15 +81,13 @@ def test_differentiate_schwarzschild_g_vanishes(schw1_sol):
     assert differentiate(lambda t: g_func(schw1_sol, t), 1.0) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_differentiate_one_sided_warns():
-    with pytest.warns(ReducedOrderWarning):
-        d = differentiate(lambda t: t * t, 0.0, scale=1e-4, lo=0.0)
-    assert d == pytest.approx(0.0, abs=1e-6)
-
-
-def test_differentiate_no_room_raises():
-    with pytest.raises(DomainEdge):
-        differentiate(lambda t: t, 0.0, scale=1.0, lo=-0.5, hi=0.5)
+def test_geometric_grid_ends_exact_and_ratio_constant():
+    grid = geometric_grid(0.3, 700.0, 33)
+    assert len(grid) == 33
+    assert grid[0] == 0.3 and grid[-1] == 700.0
+    ratio = (700.0 / 0.3) ** (1.0 / 32)
+    assert all(b / a == pytest.approx(ratio, rel=1e-13) for a, b in zip(grid, grid[1:]))
+    assert geometric_grid(2.0, 5.0, 1) == [2.0]
 
 
 def test_find_root_euclid_level():
