@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, NamedTuple, Sequence
 
 from .errors import WrongKind
@@ -55,6 +56,7 @@ __all__ = [
     "boundary_deficit",
     "volume_sublevel",
     "coarea_volume",
+    "coarea_volumes",
     "growth_integrand_cumulative",
     "build_series",
     "write_series_csv",
@@ -194,31 +196,40 @@ def volume_sublevel(sol: PotentialSolution, t: float) -> float:
     return volume_to_coordinate(sol, level(sol, t).s)
 
 
-def coarea_volume(sol: PotentialSolution, t: float) -> float:
-    """Sub-level volume through the coarea representation: one quadrature in
-    the level parameter, each node an independent level query.
+def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
+    """Sub-level volumes at the levels ts through the coarea representation:
+    one quadrature in the level parameter per segment [lower, t1], [t1, t2],
+    ..., accumulated, each node an independent level query.
 
-    This is the cross-check route for volume_sublevel; the boundaryless
-    integrand vanishes like 4 pi s^2 toward s = 0, so the integral is cut at
-    s = 1e-4 t with an O((s/t)^3) bounded remainder, far below the 1e-8
-    comparison tolerance.  The integrand has kinks at the levels of the
-    profile breakpoints, so the quadrature is split there.
+    This is the cross-check route for volume_sublevel.  The lower end is the
+    boundary level C/2; the boundaryless integrand vanishes like 4 pi s^2
+    toward s = 0, so there it is cut at s = 1e-4 t1 with an O((s/t)^3)
+    remainder, largest at t1 and far below the 1e-8 comparison tolerance.
+    Each segment is split at the levels of the profile breakpoints (kinks).
     """
     p = sol.profile
     kinks = [t_of_level(sol, u_value(sol, x)) for x in p.breakpoints if x > p.x_min]
     if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
         cap = sol.capacity
+        lower = 0.5 * cap
 
         def integrand(s: float) -> float:
             inv = level_integrals(sol, s).int_inv_grad
             return cap / (s * s) * (1.0 + cap / (2.0 * s)) ** -2 * inv
 
-        return integrate(integrand, 0.5 * cap, t, _COAREA_TOL, points=kinks).value
+    else:
+        lower = 1e-4 * ts[0]
 
-    def integrand(s: float) -> float:
-        return level_integrals(sol, s).int_inv_grad / (s * s)
+        def integrand(s: float) -> float:
+            return level_integrals(sol, s).int_inv_grad / (s * s)
 
-    return integrate(integrand, 1e-4 * t, t, _COAREA_TOL, points=kinks).value
+    segments = zip([lower, *ts], ts)
+    return list(accumulate(integrate(integrand, lo, hi, _COAREA_TOL, points=kinks).value for lo, hi in segments))
+
+
+def coarea_volume(sol: PotentialSolution, t: float) -> float:
+    """Sub-level volume at one level through the coarea representation (see coarea_volumes)."""
+    return coarea_volumes(sol, [t])[0]
 
 
 def growth_integrand_cumulative(sol: PotentialSolution, coords: Sequence[float]) -> list[float]:
@@ -313,15 +324,6 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
     rows = [functional_row(ls, sol.capacity) for ls in samples]
     cols = FunctionalRow(*zip(*rows))
 
-    # Cumulative volume: one adaptive panel per grid interval, so the
-    # accumulated error stays below rel * Vol.
-    volumes = []
-    acc = volume_to_coordinate(sol, samples[0].s)
-    volumes.append(acc)
-    for prev, cur in zip(samples, samples[1:]):
-        acc += volume_to_coordinate(sol, cur.s, x_from=prev.s)
-        volumes.append(acc)
-
     return FunctionalSeries(
         kind=sol.kind,
         capacity=sol.capacity if boundary else math.nan,
@@ -342,7 +344,7 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         B1=cols.B1,
         Fprime_analytic=cols.Fprime,
         Gprime_analytic=cols.Gprime,
-        volume=tuple(volumes),
+        volume=tuple(volume_to_coordinate(sol, ls.s) for ls in samples),
         boundary_sample=boundary_sample,
     )
 

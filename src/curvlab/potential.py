@@ -16,6 +16,9 @@ Clenshaw sum: O(1) per query, with no per-query quadrature inside the level
 solve or the integrands built on u.  Anchor values and tables depend on k
 alone, so query results are bitwise independent of evaluation order.
 
+The sub-level volume V(x) = Int_{x_min}^x 4 pi f^2 ds is read from tables
+of 4 pi f^2 ds_dx on the same intervals, built and summed by the same code.
+
 A level solve brackets T(x) = target between two consecutive anchors.  T
 decays like 1/x on every profile end, so the bracket walk starts at
 floor(log2 T(x_ref) - log2 target) and usually reads two or three anchors.
@@ -24,6 +27,7 @@ floor(log2 T(x_ref) - log2 target) and usually reads two or three anchors.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,10 +57,10 @@ _FOUR_PI = 4.0 * math.pi
 _TAIL_TOL = Tolerance(rel=5e-13, abs=0.0, max_refinements=60)
 _VOLUME_TOL = Tolerance(rel=1e-11, abs=1e-13, max_refinements=60)
 
-# Tail tables: _CHEB_N first-kind Chebyshev nodes per panel; a panel is
+# Dyadic tables: _CHEB_N first-kind Chebyshev nodes per panel; a panel is
 # accepted once the two trailing coefficients of its integrated series,
-# times its half-width, are below _TABLE_REL times the anchor value of its
-# interval.
+# times its half-width, are below _TABLE_REL times the scale its table
+# measures it against (_DyadicTables._scale).
 _CHEB_N = 25
 _CHEB_NODES = tuple(math.cos(math.pi * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N))
 _CHEB_COS = tuple(
@@ -103,38 +107,122 @@ class LevelSetSample:
     int_inv_grad: float
 
 
-class _TailCache:
-    """T(x) = Int_x^oo ds/f^2 from canonical anchors x_ref * 2^k and per-interval tables.
+class _DyadicTables:
+    """Chebyshev tables of an integrand on the dyadic intervals [x_ref 2^k, x_ref 2^(k+1)].
 
-    Every anchor value is an independent semi-infinite adaptive integral.
-    The table of interval k covers [x_ref * 2^k, x_ref * 2^(k+1)]: its
-    panels split at the profile breakpoints, interpolate ds_dx/f^2 in
-    Chebyshev polynomials and are bisected until the trailing coefficients
-    of the integrated series, times the panel half-width, fall below
-    _TABLE_REL times the anchor value.  Each panel stores its left edge,
-    half-width, the integral of the panels before it, and its integrated
-    coefficients as (c0, (cN, ..., c1)) in Clenshaw order.  Anchors and
-    tables are built on first use and depend on k alone, so T(x) is bitwise
-    independent of evaluation order.
+    x_ref is the coordinate of the boundary on a boundary profile with
+    x_min > 0, where k starts at 0, and 1 otherwise.  The table of interval
+    k splits at the profile breakpoints, interpolates the integrand in
+    Chebyshev polynomials and bisects each panel until the trailing
+    coefficients of its integrated series, times the panel half-width, fall
+    below _TABLE_REL times ``_scale(anchor, through)``: ``anchor`` is the
+    anchor value at the left end of the interval and ``through`` the
+    integral from there to the right end of the panel.  Each panel stores
+    its left edge, half-width, the integral of the panels before it, and
+    its integrated coefficients as (c0, (cN, ..., c1)) in Clenshaw order.
+    Anchors and tables are built on first use and depend on k alone.
+    Subclasses supply ``_integrand``, ``anchor_value`` and ``_scale``.
     """
 
     def __init__(self, profile: MetricProfile):
         self._p = profile
-        boundary = profile.kind is ProfileKind.WITH_BOUNDARY
-        self._x_floor = profile.x_min if boundary else None
-        anchored_at_boundary = boundary and profile.x_min > 0.0
+        anchored_at_boundary = profile.kind is ProfileKind.WITH_BOUNDARY and profile.x_min > 0.0
         self._ref = profile.x_min if anchored_at_boundary else 1.0
         self._k_floor = 0 if anchored_at_boundary else None
         self._anchors: dict[int, float] = {}
         self._tables: dict[int, tuple] = {}
+
+    def anchor_x(self, k: int) -> float:
+        return self._ref * (2.0 ** k)
+
+    def _chebyshev(self, lo: float, hi: float) -> list[float]:
+        """Chebyshev coefficients of the integrand interpolated on [lo, hi]."""
+        centre = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fs = [self._integrand(centre + half * z) for z in _CHEB_NODES]
+        coeffs = [math.fsum(map(operator.mul, fs, row)) * 2.0 / _CHEB_N for row in _CHEB_COS]
+        coeffs[0] *= 0.5
+        return coeffs
+
+    def _table(self, k: int) -> tuple:
+        """(anchor value, panel starts, panels, integral over the interval) of interval k."""
+        table = self._tables.get(k)
+        if table is None:
+            table = self._tables[k] = self._build_table(k)
+        return table
+
+    def _build_table(self, k: int) -> tuple:
+        lo, hi = self.anchor_x(k), self.anchor_x(k + 1)
+        anchor = self.anchor_value(k)
+        edges = [lo] + [p for p in sorted(set(self._p.breakpoints)) if lo < p < hi] + [hi]
+        todo = [(a, b, 0) for a, b in reversed(list(zip(edges, edges[1:])))]
+        starts: list[float] = []
+        panels: list[tuple] = []
+        acc = 0.0
+        while todo:  # depth first, left to right: panels come out in order
+            a, b, depth = todo.pop()
+            c = self._chebyshev(a, b) + [0.0, 0.0]
+            # Integrate term by term; the constant makes the antiderivative
+            # vanish at the left edge (T_j(-1) = (-1)^j).
+            ints = [0.0, c[0] - 0.5 * c[2]]
+            ints += [(c[j - 1] - c[j + 1]) / (2.0 * j) for j in range(2, _CHEB_N + 1)]
+            ints[0] = sum(v if j % 2 else -v for j, v in enumerate(ints))
+            half = 0.5 * (b - a)
+            piece = half * sum(ints)
+            if (abs(ints[-1]) + abs(ints[-2])) * half <= _TABLE_REL * self._scale(anchor, acc + piece):
+                starts.append(a)
+                panels.append((a, half, acc, ints[0], tuple(reversed(ints[1:]))))
+                acc += piece
+                continue
+            mid = 0.5 * (a + b)
+            too_many = len(starts) + len(todo) >= len(edges) + _TABLE_MAX_PANELS
+            if depth >= _TABLE_MAX_DEPTH or too_many or not a < mid < b:
+                raise NonConvergent(f"table did not resolve the integrand on [{a!r}, {b!r}] (depth {depth})")
+            todo.append((mid, b, depth + 1))
+            todo.append((a, mid, depth + 1))
+        return (anchor, starts, panels, acc)
+
+    def _read(self, x: float) -> tuple[float, float]:
+        """(anchor value at the left end of the interval holding x > 0, integral from there to x)."""
+        k = math.floor(math.log2(x / self._ref))
+        if self._k_floor is not None:
+            k = max(k, self._k_floor)
+        if x == self.anchor_x(k):
+            return self.anchor_value(k), 0.0
+        anchor, starts, panels, _ = self._table(k)
+        i = bisect_right(starts, x) - 1
+        if i < 0:
+            i = 0  # log2 rounding can put x a hair below the first edge
+        start, half, before, c0, rest = panels[i]
+        z = (x - start) / half - 1.0
+        # Clenshaw sum of the integrated Chebyshev series at z.
+        z2 = 2.0 * z
+        b1 = b2 = 0.0
+        for c in rest:
+            b1, b2 = z2 * b1 - b2 + c, b1
+        return anchor, before + half * (z * b1 - b2 + c0)
+
+
+class _TailCache(_DyadicTables):
+    """T(x) = Int_x^oo ds/f^2 from canonical anchors x_ref * 2^k and per-interval tables.
+
+    Every anchor value is an independent semi-infinite adaptive integral,
+    and T(x) is the anchor below x minus the table integral up to x.  The
+    table of interval k measures its panels against the anchor value T(x_ref
+    2^k), so T(x) is bitwise independent of evaluation order.
+    """
+
+    def __init__(self, profile: MetricProfile):
+        super().__init__(profile)
+        self._x_floor = profile.x_min if profile.kind is ProfileKind.WITH_BOUNDARY else None
         self._total: float | None = None
 
     def _integrand(self, x: float) -> float:
         fx = self._p.f(x)
         return self._p.ds_dx(x) / (fx * fx)
 
-    def anchor_x(self, k: int) -> float:
-        return self._ref * (2.0 ** k)
+    def _scale(self, anchor: float, through: float) -> float:
+        return anchor
 
     def anchor_value(self, k: int) -> float:
         if self._k_floor is not None:
@@ -196,48 +284,6 @@ class _TailCache:
                 t_k, t_up = t_up, self.anchor_value(k + 1)
         return self.anchor_x(k), t_k, self.anchor_x(k + 1), t_up
 
-    def _chebyshev(self, lo: float, hi: float) -> list[float]:
-        """Chebyshev coefficients of the integrand interpolated on [lo, hi]."""
-        centre = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        fs = [self._integrand(centre + half * z) for z in _CHEB_NODES]
-        coeffs = [math.fsum(f * c for f, c in zip(fs, row)) * 2.0 / _CHEB_N for row in _CHEB_COS]
-        coeffs[0] *= 0.5
-        return coeffs
-
-    def _build_table(self, k: int) -> tuple:
-        lo, hi = self.anchor_x(k), self.anchor_x(k + 1)
-        t_anchor = self.anchor_value(k)
-        target = _TABLE_REL * t_anchor
-        edges = [lo] + [p for p in sorted(set(self._p.breakpoints)) if lo < p < hi] + [hi]
-        todo = [(a, b, 0) for a, b in reversed(list(zip(edges, edges[1:])))]
-        starts: list[float] = []
-        panels: list[tuple] = []
-        acc = 0.0
-        while todo:  # depth first, left to right: panels come out in order
-            a, b, depth = todo.pop()
-            c = self._chebyshev(a, b) + [0.0, 0.0]
-            # Integrate term by term; the constant makes the antiderivative
-            # vanish at the left edge (T_j(-1) = (-1)^j).
-            ints = [0.0, c[0] - 0.5 * c[2]]
-            ints += [(c[j - 1] - c[j + 1]) / (2.0 * j) for j in range(2, _CHEB_N + 1)]
-            ints[0] = sum(v if j % 2 else -v for j, v in enumerate(ints))
-            half = 0.5 * (b - a)
-            if (abs(ints[-1]) + abs(ints[-2])) * half <= target:
-                starts.append(a)
-                panels.append((a, half, acc, ints[0], tuple(reversed(ints[1:]))))
-                acc += half * sum(ints)
-                continue
-            mid = 0.5 * (a + b)
-            too_many = len(starts) + len(todo) >= len(edges) + _TABLE_MAX_PANELS
-            if depth >= _TABLE_MAX_DEPTH or too_many or not a < mid < b:
-                raise NonConvergent(
-                    f"tail table did not resolve ds_dx/f^2 on [{a!r}, {b!r}] (depth {depth})"
-                )
-            todo.append((mid, b, depth + 1))
-            todo.append((a, mid, depth + 1))
-        return (t_anchor, starts, panels)
-
     def value(self, x: float) -> float:
         if self._x_floor is not None and x <= self._x_floor:
             if x < self._x_floor * (1.0 - 1e-12) - 1e-300:
@@ -245,26 +291,50 @@ class _TailCache:
             return self.total()
         if x <= 0.0:
             raise OutOfRange(f"tail integral needs x > 0, got {x!r}")
-        k = math.floor(math.log2(x / self._ref))
-        if self._k_floor is not None:
-            k = max(k, self._k_floor)
-        if x == self._ref * (2.0 ** k):
-            return self.anchor_value(k)
-        table = self._tables.get(k)
-        if table is None:
-            table = self._tables[k] = self._build_table(k)
-        t_anchor, starts, panels = table
-        i = bisect_right(starts, x) - 1
-        if i < 0:
-            i = 0  # log2 rounding can put x a hair below the first edge
-        start, half, before, c0, rest = panels[i]
-        z = (x - start) / half - 1.0
-        # Clenshaw sum of the integrated Chebyshev series at z.
-        z2 = 2.0 * z
-        b1 = b2 = 0.0
-        for c in rest:
-            b1, b2 = z2 * b1 - b2 + c, b1
-        return t_anchor - (before + half * (z * b1 - b2 + c0))
+        anchor, integral = self._read(x)
+        return anchor - integral
+
+
+class _VolumeCache(_DyadicTables):
+    """V(x) = Int_{x_min}^x 4 pi f^2 ds on the dyadic intervals of the tail tables.
+
+    V(x_min) = 0.  An anchor V(x_ref 2^k) with k <= 0 is one adaptive
+    integral from x_min; above x_ref the anchors telescope, V(x_ref 2^(k+1))
+    = V(x_ref 2^k) + the total of table k, so no anchor integral spans more
+    than [x_min, x_ref].  The integrand is positive and V vanishes at x_min,
+    so a panel is measured against V at its own right end, not against the
+    anchor.  Anchors and tables depend on k alone.
+    """
+
+    def _integrand(self, x: float) -> float:
+        fx = self._p.f(x)
+        return _FOUR_PI * fx * fx * self._p.ds_dx(x)
+
+    def _scale(self, anchor: float, through: float) -> float:
+        return anchor + through
+
+    def anchor_value(self, k: int) -> float:
+        cached = self._anchors.get(k)
+        if cached is not None:
+            return cached
+        p = self._p
+        if k > 0:
+            value = self.anchor_value(k - 1) + self._table(k - 1)[3]
+        elif self.anchor_x(k) == p.x_min:  # x_ref is the boundary
+            value = 0.0
+        else:
+            value = integrate(self._integrand, p.x_min, self.anchor_x(k), _VOLUME_TOL, points=p.breakpoints).value
+        self._anchors[k] = value
+        return value
+
+    def value(self, x: float) -> float:
+        x_min = self._p.x_min
+        if x <= x_min:
+            if x < x_min * (1.0 - 1e-12) - 1e-300:
+                raise OutOfRange(f"volume upper coordinate {x!r} below x_min={x_min!r}")
+            return 0.0
+        anchor, integral = self._read(x)
+        return anchor + integral
 
 
 @dataclass
@@ -277,6 +347,7 @@ class PotentialSolution:
     capacity: float | None
     grad_vanishes_at_infinity: bool
     _tail: _TailCache = field(repr=False, compare=False, default=None)
+    _volume: _VolumeCache = field(repr=False, compare=False, default=None)
 
 
 def solve(p: MetricProfile) -> PotentialSolution:
@@ -306,6 +377,7 @@ def solve(p: MetricProfile) -> PotentialSolution:
         capacity=cap,
         grad_vanishes_at_infinity=vanishes,
         _tail=tail,
+        _volume=_VolumeCache(p),
     )
 
 
@@ -449,18 +521,9 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
     )
 
 
-def volume_to_coordinate(sol: PotentialSolution, x: float, x_from: float | None = None) -> float:
-    """Radial volume integral Int 4 pi f^2 ds over [x_from (default x_min), x]."""
-    p = sol.profile
-    lo = p.x_min if x_from is None else x_from
-    if x < lo:
-        raise OutOfRange(f"volume upper coordinate {x!r} below {lo!r}")
-
-    def integrand(y: float) -> float:
-        fy = p.f(y)
-        return _FOUR_PI * fy * fy * p.ds_dx(y)
-
-    return integrate(integrand, lo, x, _VOLUME_TOL, points=p.breakpoints).value
+def volume_to_coordinate(sol: PotentialSolution, x: float) -> float:
+    """Radial volume integral Int 4 pi f^2 ds over [x_min, x], from the volume tables."""
+    return sol._volume.value(x)
 
 
 def default_t_grid(

@@ -15,6 +15,7 @@ from curvlab.functionals import (
     boundary_deficit,
     build_series,
     coarea_volume,
+    coarea_volumes,
     f_func,
     f_prime_analytic,
     fhat,
@@ -25,7 +26,8 @@ from curvlab.functionals import (
     write_series_csv,
 )
 from curvlab.numerics import differentiate
-from curvlab.potential import default_t_grid, grad_value, level_integrals, u_value
+from curvlab.potential import _VolumeCache, default_t_grid, grad_value, level_integrals, solve, u_value
+from curvlab.profile import perturbed_schwarzschild
 from curvlab.verify import schwarzschild_comparison_volume
 
 FOUR_PI = 4.0 * math.pi
@@ -203,6 +205,13 @@ class TestVolumes:
             coarea = coarea_volume(sol, t)
             assert abs(radial - coarea) <= 1e-8 * radial
 
+    def test_coarea_sweep_matches_each_level(self, schw1_sol, euclid_sol, moll11_sol):
+        # One sweep over consecutive segments against a fresh quadrature per level.
+        for sol, ts in ((schw1_sol, (2.0, 3.0, 7.0)), (euclid_sol, (0.8, 5.0, 40.0)), (moll11_sol, (1.5, 5.0, 30.0))):
+            for swept, t in zip(coarea_volumes(sol, ts), ts):
+                single = coarea_volume(sol, t)
+                assert abs(swept - single) <= 1e-11 * single, (sol.profile.label, t)
+
 
 class TestSeries:
     def test_header_and_shape(self, schw1_sol):
@@ -224,6 +233,22 @@ class TestSeries:
         assert not np.any(np.isnan(series.Fhat))
         assert math.isnan(series.deficit_A)
         assert series.boundary_sample is None
+
+    def test_volume_column_reads_the_table(self, monkeypatch):
+        # One adaptive quadrature per grid gap evaluated the volume integrand
+        # about 66,500 times on this grid; the tables need a few hundred.
+        calls = [0]
+        real = _VolumeCache._integrand
+
+        def counting(self, x):
+            calls[0] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(_VolumeCache, "_integrand", counting)
+        sol = solve(perturbed_schwarzschild())
+        series = build_series(sol, default_t_grid(sol, 4096))
+        assert calls[0] <= 2000
+        assert list(series.volume) == sorted(series.volume)
 
     def test_columns_bitwise_equal_scalar_functions(self, perturbed_sol, euclid_sol):
         # The default grid starts at C/2; with t_min_factor > 1 the series

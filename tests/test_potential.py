@@ -1,10 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from curvlab.errors import NonConvergent, OutOfRange, WrongKind
-from curvlab.numerics import differentiate, integrate
+from curvlab.numerics import Tolerance, differentiate, integrate
 from curvlab.potential import (
     _TAIL_TOL,
     SolutionKind,
@@ -216,7 +217,9 @@ def _tail_profiles(tmp_path):
     out.append((sf, tuple(float(s) for s in ss)))
     out.append((steep, tuple(float(s) for s in st)))
     # A narrow smooth bump with no declared breakpoint: the table bisects
-    # the panels of interval k = 1 to resolve it.
+    # the panels of interval k = 1 to resolve it.  The reference splits at
+    # its centre and five widths either side, or an integral from 0 to far
+    # out steps over it.
     bump = MetricProfile(
         label="bump",
         kind=ProfileKind.BOUNDARYLESS,
@@ -225,7 +228,7 @@ def _tail_profiles(tmp_path):
         df_ds=lambda s: 1.0 - 250.0 * (s - 3.0) * math.exp(-(((s - 3.0) / 0.2) ** 2)),
         d2f_ds2=lambda s: (12500.0 * (s - 3.0) ** 2 - 250.0) * math.exp(-(((s - 3.0) / 0.2) ** 2)),
     )
-    out.append((bump, ()))
+    out.append((bump, (2.0, 3.0, 4.0)))
     return out
 
 
@@ -240,6 +243,34 @@ def test_tail_table_matches_adaptive_quadrature(tmp_path):
             x = float(x)
             ref = integrate(tail._integrand, x, math.inf, _TAIL_TOL, points=kinks).value
             assert abs(tail.value(x) - ref) <= 1e-12 * ref, (p.label, x)
+
+
+def test_volume_table_matches_adaptive_quadrature(tmp_path):
+    # The tabulated V(x) against an independent adaptive integral from x_min,
+    # tighter than the anchor tolerance, on 300 log-spaced coordinates.
+    ref_tol = Tolerance(rel=2e-13, abs=0.0, max_refinements=60)
+    for p, kinks in _tail_profiles(tmp_path):
+        vol = solve(p)._volume
+        lo = p.x_min * (1.0 + 1e-3) if p.x_min > 0.0 else 1e-3
+        for x in np.geomspace(lo, 1e4 * p.x_scale, 300):
+            x = float(x)
+            ref = integrate(vol._integrand, p.x_min, x, ref_tol, points=kinks).value
+            assert abs(vol.value(x) - ref) <= 1e-12 * ref, (p.label, x)
+
+
+def test_volume_is_independent_of_query_order(tmp_path):
+    # Anchors and tables depend on k alone, so the order in which the
+    # coordinates are visited cannot change a bit of V.
+    rng = random.Random(7)
+    for p, _ in _tail_profiles(tmp_path):
+        lo = p.x_min * (1.0 + 1e-3) if p.x_min > 0.0 else 1e-3
+        xs = [float(x) for x in np.geomspace(lo, 1e4 * p.x_scale, 200)]
+        shuffled = xs[:]
+        rng.shuffle(shuffled)
+        sorted_sol, shuffled_sol = solve(p), solve(p)
+        in_order = {x: volume_to_coordinate(sorted_sol, x) for x in xs}
+        out_of_order = {x: volume_to_coordinate(shuffled_sol, x) for x in shuffled}
+        assert all(in_order[x].hex() == out_of_order[x].hex() for x in xs), p.label
 
 
 def test_bracket_is_the_last_anchor_above_the_target(tmp_path):
