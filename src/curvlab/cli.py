@@ -28,7 +28,7 @@ from .errors import CurvlabError
 from .functionals import build_series, write_series_csv
 from .mass import mass_report, write_mass_csv
 from .numerics import Tolerance
-from .potential import default_t_grid, solve
+from .potential import default_t_grid, grad_value, level, solve
 from .profile import (
     MetricProfile,
     euclidean,
@@ -241,8 +241,6 @@ def cmd_potential(cfg: RunConfig, out: io.TextIOBase) -> int:
     out.write(f"# capacity={cap!r}\n" if cap is not None else "# capacity=nan (boundaryless)\n")
     grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
     out.write("t,s,u,grad\n")
-    from .potential import grad_value, level
-
     for t in grid:
         lp = level(sol, t)
         out.write(f"{lp.t!r},{lp.s!r},{lp.u!r},{grad_value(sol, lp.s)!r}\n")

@@ -120,6 +120,7 @@ def mass_from_volume(
     slope = math.fsum(d * (m - m_mean) for d, m in zip(dxs, ms)) / math.fsum(d * d for d in dxs)
     return m_mean - slope * x_mean, samples
 
+
 def expansion_residuals(
     sol: PotentialSolution,
     radii: Sequence[float],

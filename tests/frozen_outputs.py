@@ -1,0 +1,67 @@
+"""The CLI runs whose stdout is frozen byte for byte in tests/data.
+
+``test_cli.py`` compares each run with its file; ``make_frozen.py``
+rewrites the files from the current code.  Both read the lists below.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).parent.parent
+DATA = pathlib.Path(__file__).parent / "data"
+
+# (args, file) of `functionals`: the head of its CSV on the Euclidean closed form.
+FUNCTIONALS_HEAD = (("--model", "euclidean", "--grid", "8"), "euclid_functionals_head.csv")
+
+# (args, file) of `potential`: every level solve lands on these bits.
+POTENTIAL_TABLES = [
+    (("--model", "perturbed-schwarzschild", "--grid", "64"), "perturbed_potential_grid64.txt"),
+    (
+        ("--model", "mollified-schwarzschild", "--mass", "1.3", "--r0", "0.7", "--grid", "64"),
+        "mollified_potential_grid64.txt",
+    ),
+]
+
+# (args, file, exit code) of `verify`, run in a directory that write_inputs
+# has filled: every margin, tolerance, note and annotation.
+VERIFY_REPORTS = [
+    (("--model", "perturbed-schwarzschild"), "perturbed_verify.txt", 0),
+    (("--model", "euclidean"), "euclidean_verify.txt", 0),
+    # R < 0 and a non-minimal spline boundary: both annotations and the
+    # Skipped comparison checks.
+    (
+        ("--model", "custom", "--profile", "rneg.csv", "--assume-nonnegative-r", "false", "--grid", "32"),
+        "rneg_csv_verify_grid32.txt",
+        1,
+    ),
+]
+
+
+def write_inputs(directory: pathlib.Path) -> None:
+    """Write rneg.csv: ten s,f rows of f = 2 + s^2/(2 + 0.4 s) on [0, 60], a profile with R < 0."""
+    ss = [60.0 * k / 9 for k in range(10)]
+    lines = ["s,f"] + [f"{s!r},{2.0 + s * s / (2.0 + 0.4 * s)!r}" for s in ss]
+    (directory / "rneg.csv").write_text("\n".join(lines) + "\n")
+
+
+def run_cli(*args: str, cwd: pathlib.Path = ROOT) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    cmd = [sys.executable, "-m", "curvlab", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def strip_timestamp(text: str) -> str:
+    return "\n".join(ln for ln in text.splitlines() if not ln.startswith("# generated_at="))
+
+
+def frozen_runs():
+    """(full argv, file, exit code) of every frozen run; verify runs need write_inputs in cwd."""
+    args, name = FUNCTIONALS_HEAD
+    yield ("functionals", *args), name, 0
+    for args, name in POTENTIAL_TABLES:
+        yield ("potential", *args), name, 0
+    for args, name, code in VERIFY_REPORTS:
+        yield ("verify", *args), name, code

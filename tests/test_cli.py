@@ -1,24 +1,21 @@
 import math
 import os
-import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-_ROOT = pathlib.Path(__file__).parent.parent
-
-
-def run_cli(*args: str, cwd: pathlib.Path = _ROOT) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, "-m", "curvlab", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
-
-
-def _strip_timestamp(text: str) -> str:
-    return "\n".join(ln for ln in text.splitlines() if not ln.startswith("# generated_at="))
+from frozen_outputs import (
+    DATA,
+    FUNCTIONALS_HEAD,
+    POTENTIAL_TABLES,
+    ROOT,
+    VERIFY_REPORTS,
+    run_cli,
+    strip_timestamp,
+    write_inputs,
+)
 
 
 def test_help():
@@ -53,7 +50,7 @@ def test_verify_stdout_deterministic_modulo_timestamp():
     a = run_cli("verify", "--model", "schwarzschild", "--mass", "1", "--grid", "32")
     b = run_cli("verify", "--model", "schwarzschild", "--mass", "1", "--grid", "32")
     assert a.returncode == b.returncode == 0
-    assert _strip_timestamp(a.stdout) == _strip_timestamp(b.stdout)
+    assert strip_timestamp(a.stdout) == strip_timestamp(b.stdout)
 
 
 def test_mass_mollified():
@@ -122,60 +119,37 @@ def test_builtin_models_do_not_import_numpy():
         "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
     )
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.splitlines()[-1] == "[]"
 
 
 def test_functionals_golden_head():
-    cp = run_cli("functionals", "--model", "euclidean", "--grid", "8")
+    args, name = FUNCTIONALS_HEAD
+    cp = run_cli("functionals", *args)
     assert cp.returncode == 0, cp.stderr
-    got = _strip_timestamp(cp.stdout).strip().splitlines()
-    golden_path = pathlib.Path(__file__).parent / "data" / "euclid_functionals_head.csv"
-    expected = golden_path.read_text().strip().splitlines()
+    got = strip_timestamp(cp.stdout).strip().splitlines()
+    expected = (DATA / name).read_text().strip().splitlines()
     assert got[: len(expected)] == expected
 
 
-@pytest.mark.parametrize(
-    ("args", "name"),
-    [
-        (("--model", "perturbed-schwarzschild"), "perturbed_potential_grid64.txt"),
-        (("--model", "mollified-schwarzschild", "--mass", "1.3", "--r0", "0.7"), "mollified_potential_grid64.txt"),
-    ],
-)
+@pytest.mark.parametrize(("args", "name"), POTENTIAL_TABLES)
 def test_potential_table_frozen(args, name):
     # Every level solve lands on the same bits as when the file was written.
-    cp = run_cli("potential", *args, "--grid", "64")
+    cp = run_cli("potential", *args)
     assert cp.returncode == 0, cp.stderr
-    expected = (pathlib.Path(__file__).parent / "data" / name).read_text()
-    assert _strip_timestamp(cp.stdout) + "\n" == expected
+    assert strip_timestamp(cp.stdout) + "\n" == (DATA / name).read_text()
 
 
-@pytest.mark.parametrize(
-    ("args", "name", "code"),
-    [
-        (("--model", "perturbed-schwarzschild"), "perturbed_verify.txt", 0),
-        (("--model", "euclidean"), "euclidean_verify.txt", 0),
-        # R < 0 and a non-minimal spline boundary: both annotations and the
-        # Skipped comparison checks.
-        (
-            ("--model", "custom", "--profile", "rneg.csv", "--assume-nonnegative-r", "false", "--grid", "32"),
-            "rneg_csv_verify_grid32.txt",
-            1,
-        ),
-    ],
-)
+@pytest.mark.parametrize(("args", "name", "code"), VERIFY_REPORTS)
 def test_verify_report_frozen(tmp_path, args, name, code):
     # Every margin, tolerance, note and annotation lands on the same bits as
     # when the file was written.
-    ss = [60.0 * k / 9 for k in range(10)]
-    lines = ["s,f"] + [f"{s!r},{2.0 + s * s / (2.0 + 0.4 * s)!r}" for s in ss]
-    (tmp_path / "rneg.csv").write_text("\n".join(lines) + "\n")
+    write_inputs(tmp_path)
     cp = run_cli("verify", *args, cwd=tmp_path)
     assert cp.returncode == code, cp.stderr
-    expected = (pathlib.Path(__file__).parent / "data" / name).read_text()
-    assert _strip_timestamp(cp.stdout) + "\n" == expected
+    assert strip_timestamp(cp.stdout) + "\n" == (DATA / name).read_text()
 
 
 def test_functionals_to_directory(tmp_path):
@@ -206,7 +180,7 @@ def test_config_file_with_flag_override(tmp_path):
 def test_potential_table():
     cp = run_cli("potential", "--model", "euclidean", "--grid", "8")
     assert cp.returncode == 0
-    lines = _strip_timestamp(cp.stdout).strip().splitlines()
+    lines = strip_timestamp(cp.stdout).strip().splitlines()
     assert "t,s,u,grad" in lines
     data = [ln for ln in lines if ln and not ln.startswith("#") and ln[0].isdigit()]
     assert len(data) == 8
@@ -225,7 +199,7 @@ def test_functionals_euclidean_closed_form():
     # Flat space: s = t, u = 1 - 1/t, area = 4 pi t^2, volume = 4 pi t^3/3, Fhat = 0.
     cp = run_cli("functionals", "--model", "euclidean", "--grid", "64")
     assert cp.returncode == 0, cp.stderr
-    lines = _strip_timestamp(cp.stdout).strip().splitlines()
+    lines = strip_timestamp(cp.stdout).strip().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, map(float, ln.split(",")))) for ln in lines[1:]]
     assert len(rows) == 64
@@ -244,4 +218,4 @@ def test_tol_flag_at_default_reproduces_default_report():
     default = run_cli("verify", "--model", "perturbed-schwarzschild", "--grid", "32")
     flagged = run_cli("verify", "--model", "perturbed-schwarzschild", "--grid", "32", "--tol", "1e-8")
     assert default.returncode == flagged.returncode == 0, flagged.stderr
-    assert _strip_timestamp(flagged.stdout) == _strip_timestamp(default.stdout)
+    assert strip_timestamp(flagged.stdout) == strip_timestamp(default.stdout)

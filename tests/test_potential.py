@@ -10,6 +10,7 @@ from curvlab.potential import (
     _TAIL_TOL,
     SolutionKind,
     _coordinate_of_tail,
+    _panel_sum,
     _TailCache,
     capacity,
     default_t_grid,
@@ -32,6 +33,8 @@ from curvlab.profile import (
     schwarzschild,
     to_warped,
 )
+
+from frozen_outputs import write_inputs
 
 FOUR_PI = 4.0 * math.pi
 
@@ -312,6 +315,100 @@ def test_level_solve_reads_few_anchors(monkeypatch):
     for t in grid:
         level(sol, t)
     assert calls[0] / len(grid) <= 4.0
+
+
+def _count_panel_sums(monkeypatch, tables=None):
+    """Count the table reads of the one panel sum; append each table read to ``tables``."""
+    calls = [0]
+
+    def counting(table, x):
+        calls[0] += 1
+        if tables is not None:
+            tables.append(table)
+        return _panel_sum(table, x)
+
+    monkeypatch.setattr("curvlab.potential._panel_sum", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("p", "bound"),
+    [(perturbed_schwarzschild(), 3.5), (schwarzschild(1.0), 2.0), (euclidean(), 2.0)],
+    ids=["perturbed", "schwarzschild", "euclidean"],
+)
+def test_level_solve_reads_the_table_few_times(monkeypatch, p, bound):
+    # 1/T is linear in x for T = 1/(x + a), so Newton on 1/T from its linear
+    # start needs one or two reads there.  Newton on T from a start linear
+    # in T read about 5.9 times per level on all three.
+    calls = _count_panel_sums(monkeypatch)
+    sol = solve(p)
+    grid = default_t_grid(sol, 256)
+    for t in grid:
+        level(sol, t)
+    assert calls[0] / len(grid) <= bound
+
+
+@pytest.mark.parametrize(
+    ("p", "max_ulp", "mean_ulp"),
+    [(euclidean(), 40, 3.190673828125), (schwarzschild(1.0), 37, 3.619140625), (schwarzschild(1.7), 22, 3.102294921875)],
+    ids=["euclidean", "schwarzschild-1", "schwarzschild-1.7"],
+)
+def test_level_solve_closed_form(p, max_ulp, mean_ulp):
+    # T = 1/(x + a) puts the level t at s = t exactly.  The bounds are the
+    # distances of Newton on T from a start linear in T, in ulps of t.
+    sol = solve(p)
+    grid = default_t_grid(sol, 4096)
+    d = [abs(level(sol, t).s - t) / math.ulp(t) for t in grid]
+    assert max(d) <= max_ulp
+    assert sum(d) / len(d) <= mean_ulp
+
+
+def test_level_solve_residual(tmp_path):
+    # |T(s) - target| in ulps of the target: 2 on each profile for Newton on T
+    # from a start linear in T.  Within an ulp or two of s, T repeats values
+    # and skips ulps, so no solve hits every target.
+    write_inputs(tmp_path)
+    profiles = [
+        perturbed_schwarzschild(),
+        to_warped(mollified_schwarzschild(1.3, 0.7)),
+        profile_from_csv(str(tmp_path / "rneg.csv"), False),
+    ]
+    for p in profiles:
+        sol = solve(p)
+        boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
+        worst = 0.0
+        for t in default_t_grid(sol, 4096):
+            target = 2.0 / (2.0 * t + sol.capacity) if boundary else 1.0 / t
+            s = level(sol, t).s
+            worst = max(worst, abs(sol._tail.value(s) - target) / math.ulp(target))
+        assert worst <= 2.0, p.label
+
+
+def test_table_reads_use_the_interval_holding_x(monkeypatch):
+    # Beside every anchor the built-ins build, value(x) reads table k for
+    # x_ref 2^k <= x < x_ref 2^(k+1), and the solve's reader of that interval
+    # returns the same bits.  floor(log2(x / x_ref)) alone put 38 of these
+    # 102 points, all just below an anchor, into the table above at z < -1.
+    builtins = [euclidean(), schwarzschild(1.0), perturbed_schwarzschild(), to_warped(mollified_schwarzschild(1.0, 1.0))]
+    tables = []
+    _count_panel_sums(monkeypatch, tables)
+    for p in builtins:
+        sol = solve(p)
+        tail = sol._tail
+        for t in default_t_grid(sol, 256):
+            level(sol, t)
+        for k in sorted(tail._anchors):
+            x_k = tail.anchor_x(k)
+            for x in (math.nextafter(x_k, 0.0), x_k, math.nextafter(x_k, math.inf)):
+                if x <= p.x_min:
+                    continue
+                j = k if x >= x_k else k - 1
+                lo, hi = tail.anchor_x(j), tail.anchor_x(j + 1)
+                read = tail.reader(lo, tail.anchor_value(j), hi, tail.anchor_value(j + 1))
+                tables.clear()
+                value = tail.value(x)
+                assert tables == ([] if x == x_k else [tail._table(j)]), (p.label, k, x)
+                assert value.hex() == read(x).hex(), (p.label, k, x)
 
 
 @pytest.mark.parametrize("t", [1e30, 1e300])
