@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -52,6 +53,9 @@ _MODELS = {
 }
 
 
+_FLOAT_FIELDS = ("mass", "r0", "amplitude", "offset", "t_min_factor", "t_max_factor")
+
+
 class UsageError(CurvlabError):
     pass
 
@@ -75,6 +79,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.model not in _MODELS:
             raise UsageError(f"unknown model {self.model!r}; see `curvlab models`")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite")
         if self.grid_points < 8:
             raise UsageError("grid_points must be at least 8")
         if self.t_min_factor < 1.0:
@@ -165,42 +172,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each config key is a flag's name, and its argparse dest: key -> (RunConfig
+# field, parser of the config-file text).  A flag overrides the file; a key
+# given by neither keeps the RunConfig default.
+_CONFIG_FIELDS = {
+    "model": ("model", str),
+    "profile": ("profile_path", str),
+    "out": ("output_dir", str),
+    "assume_nonnegative_r": ("assume_nonnegative_r", _parse_bool),
+    "grid": ("grid_points", int),
+    **{key: (key, float) for key in _FLOAT_FIELDS},
+}
+_CONFIG_KEYS = frozenset(_CONFIG_FIELDS) | {"tol", "save_report"}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_values) - _CONFIG_KEYS)
+    if unknown:
+        accepted = ", ".join(sorted(_CONFIG_KEYS))
+        raise UsageError(f"unknown config key(s) {', '.join(unknown)}; accepted: {accepted}")
 
-    def pick(flag_value, key: str, default, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return cast(file_values[key])
-        return default
+    def pick(key: str, cast):
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key)
+        if value is None:
+            return None
+        try:
+            return cast(value)
+        except ValueError as exc:
+            raise UsageError(f"bad value for {key}: {value!r}") from exc
 
+    values = {name: pick(key, cast) for key, (name, cast) in _CONFIG_FIELDS.items()}
+    if not values["model"]:
+        raise UsageError("--model is required (see `curvlab models`)")
     cfg = RunConfig(
-        model=pick(args.model, "model", None, str) or "",
-        mass=pick(args.mass, "mass", 1.0, float),
-        r0=pick(args.r0, "r0", 1.0, float),
-        amplitude=pick(args.amplitude, "amplitude", 0.3, float),
-        offset=pick(args.offset, "offset", 1.0, float),
-        profile_path=pick(args.profile, "profile", None, str),
-        assume_nonnegative_r=pick(
-            _parse_bool(args.assume_nonnegative_r) if args.assume_nonnegative_r else None,
-            "assume_nonnegative_r",
-            None,
-            _parse_bool,
-        ),
-        grid_points=pick(args.grid, "grid", 256, int),
-        t_min_factor=pick(args.t_min_factor, "t_min_factor", 1.0, float),
-        t_max_factor=pick(args.t_max_factor, "t_max_factor", 1000.0, float),
-        output_dir=pick(args.out, "out", None, str),
+        **{name: value for name, value in values.items() if value is not None},
         save_report=bool(args.save_report or _parse_bool(file_values.get("save_report", "false"))),
     )
-    tol_rel = pick(args.tol, "tol", None, float)
+    tol_rel = pick("tol", float)
     if tol_rel is not None:
+        if not (math.isfinite(tol_rel) and tol_rel > 0.0):
+            raise UsageError(f"--tol must be positive and finite, got {tol_rel!r}")
         # Scale the pinned default pair, so --tol 1e-8 reproduces the defaults.
         base = DEFAULT_CHECK_TOLERANCE
         cfg.tolerances = Tolerance(rel=tol_rel, abs=(tol_rel / base.rel) * base.abs)
-    if not cfg.model:
-        raise UsageError("--model is required (see `curvlab models`)")
     cfg.validate()
     return cfg
 

@@ -38,6 +38,7 @@ from .potential import (
     u_value,
     volume_to_coordinate,
 )
+from .profile import _warped_scalar_curvature
 
 __all__ = [
     "FunctionalSeries",
@@ -66,12 +67,24 @@ __all__ = [
 _FOUR_PI = 4.0 * math.pi
 _COAREA_TOL = Tolerance(rel=1e-10, abs=1e-12, max_refinements=48)
 
-SERIES_CSV_HEADER = "t,s,u,area,grad,H,R,Fhat,G,F,A1,A1tilde,a,B1,Fprime,Gprime,volume"
+# (CSV column, FunctionalSeries field) in the order write_series_csv emits them.
+_SERIES_COLUMNS = (
+    ("t", "t_grid"), ("s", "s"), ("u", "u"), ("area", "area"), ("grad", "grad"),
+    ("H", "mean_curvature"), ("R", "scalar_R"), ("Fhat", "Fhat"), ("G", "G"), ("F", "F"),
+    ("A1", "A1"), ("A1tilde", "A1tilde"), ("a", "a_growth"), ("B1", "B1"),
+    ("Fprime", "Fprime_analytic"), ("Gprime", "Gprime_analytic"), ("volume", "volume"),
+)
+SERIES_CSV_HEADER = ",".join(name for name, _ in _SERIES_COLUMNS)
 
 
 def _require(sol: PotentialSolution, kind: SolutionKind, what: str) -> None:
     if sol.kind is not kind:
         raise WrongKind(f"{what} requires a {kind.value} solution, got {sol.kind.value}")
+
+
+def _q(u: float, grad: float, mean_h: float) -> float:
+    """q = 4u/(1-u^2) |grad u| - H; at the boundary u = 0 kills the first factor."""
+    return 4.0 * u / (1.0 - u * u) * grad - mean_h
 
 
 class FunctionalRow(NamedTuple):
@@ -103,8 +116,7 @@ def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
     p = 1.0 + cap / (2.0 * t)
     m1 = 1.0 - cap / (2.0 * t)
     m3 = 1.0 - 3.0 * cap / (2.0 * t)
-    # q = 4u/(1-u^2) |grad u| - H; at the boundary u = 0 kills the first factor.
-    q = 4.0 * ls.u / (1.0 - ls.u * ls.u) * ls.grad - ls.mean_curvature
+    q = _q(ls.u, ls.grad, ls.mean_curvature)
     gauss_bonnet = ls.area * (0.5 * ls.scalar_R_level)  # = 4 pi on a round sphere
     a1_val = t * t / (cap * cap) * p ** 4 * i2
     a1_prime_val = 2.0 * t / (cap * cap) * p ** 3 * m1 * i2 - p * p / cap * ih
@@ -252,9 +264,8 @@ def growth_integrand_cumulative(sol: PotentialSolution, coords: Sequence[float])
         area = _FOUR_PI * f * f
         g = c / (f * f)
         u = u_value(sol, x)
-        q = 4.0 * u / (1.0 - u * u) * g - 2.0 * fs / f
-        r_val = 2.0 * (1.0 - fs * fs) / (f * f) - 4.0 * p.d2f_ds2(x) / f
-        density = area * (r_val + 1.5 * q * q)
+        q = _q(u, g, 2.0 * fs / f)
+        density = area * (_warped_scalar_curvature(f, fs, p.d2f_ds2(x)) + 1.5 * q * q)
         dt_dx = cap * (c * p.ds_dx(x) / (f * f)) / ((1.0 - u) * (1.0 - u))
         return density * dt_dx
 
@@ -283,8 +294,6 @@ class FunctionalSeries:
     undefined) and, for a boundary solution, the sample of the boundary level
     t = C/2 (None without one)."""
 
-    kind: SolutionKind
-    capacity: float
     deficit_A: float
     t_grid: tuple[float, ...]
     s: tuple[float, ...]
@@ -305,18 +314,14 @@ class FunctionalSeries:
     volume: tuple[float, ...]
     boundary_sample: LevelSetSample | None
 
-    def __len__(self) -> int:
-        return len(self.t_grid)
-
 
 def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalSeries:
     """Evaluate every functional over the grid."""
     ts = [float(t) for t in t_grid]
     samples = [level_integrals(sol, t) for t in ts]
-    boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
     boundary_sample = None
     deficit = math.nan
-    if boundary:
+    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
         # A default grid starts at C/2; one with t_min_factor > 1 does not.
         t_b = 0.5 * sol.capacity
         boundary_sample = samples[0] if ts[0] == t_b else level_integrals(sol, t_b)
@@ -325,8 +330,6 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
     cols = FunctionalRow(*zip(*rows))
 
     return FunctionalSeries(
-        kind=sol.kind,
-        capacity=sol.capacity if boundary else math.nan,
         deficit_A=deficit,
         t_grid=tuple(ts),
         s=tuple(ls.s for ls in samples),
@@ -352,24 +355,5 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
 def write_series_csv(series: FunctionalSeries, stream: IO[str]) -> None:
     """Emit the series as CSV with shortest round-trip decimal formatting."""
     stream.write(SERIES_CSV_HEADER + "\n")
-    cols = (
-        series.t_grid,
-        series.s,
-        series.u,
-        series.area,
-        series.grad,
-        series.mean_curvature,
-        series.scalar_R,
-        series.Fhat,
-        series.G,
-        series.F,
-        series.A1,
-        series.A1tilde,
-        series.a_growth,
-        series.B1,
-        series.Fprime_analytic,
-        series.Gprime_analytic,
-        series.volume,
-    )
-    for row in zip(*cols):
+    for row in zip(*(getattr(series, field) for _, field in _SERIES_COLUMNS)):
         stream.write(",".join(map(repr, row)) + "\n")

@@ -67,9 +67,9 @@ def adm_flux_at(c: ConformalProfile, r: float) -> float:
     return -2.0 * r * r * w ** 3 * c.dw(r)
 
 
-def default_surface_radii(c: ConformalProfile, n: int = 8) -> list[float]:
+def default_surface_radii(c: ConformalProfile) -> list[float]:
     lo = max(4.0 * max(_min_radius(c), 1.0), 10.0)
-    return geometric_grid(lo, 1e3 * lo, n)
+    return geometric_grid(lo, 1e3 * lo, 8)
 
 
 def adm_surface(c: ConformalProfile, radii: Sequence[float] | None = None) -> float:
@@ -83,8 +83,8 @@ def adm_surface(c: ConformalProfile, radii: Sequence[float] | None = None) -> fl
     return extrapolate_to_zero([1.0 / r for r in rs], fluxes)
 
 
-def default_volume_samples(n: int = 25) -> list[float]:
-    return geometric_grid(10.0, 1000.0, n)
+def default_volume_samples() -> list[float]:
+    return geometric_grid(10.0, 1000.0, 25)
 
 
 def mass_from_volume(

@@ -406,7 +406,7 @@ def solve(p: MetricProfile) -> PotentialSolution:
     )
 
 
-def capacity(sol: PotentialSolution, check: bool = True) -> float:
+def capacity(sol: PotentialSolution) -> float:
     """Boundary capacity C = (1/4pi) Int_{dM} |grad u| dsigma.
 
     Cross-checked against the bulk representation (1/4pi) Int_M |grad u|^2 dvol
@@ -418,18 +418,18 @@ def capacity(sol: PotentialSolution, check: bool = True) -> float:
     c = sol.c_norm
     f_b = p.f(p.x_min)
     boundary_flux = (f_b * f_b) * (c / (f_b * f_b))  # (1/4pi) * 4 pi f^2 |grad u|
-    if check:
-        def bulk(x: float) -> float:
-            fx = p.f(x)
-            g = c / (fx * fx)
-            return g * g * fx * fx * p.ds_dx(x)
 
-        bulk_value = integrate(bulk, p.x_min, math.inf, _TAIL_TOL, points=p.breakpoints).value
-        if abs(bulk_value - boundary_flux) > 1e-6 * max(boundary_flux, 1.0):
-            raise NonConvergent(
-                "capacity cross-check failed: boundary flux %r vs bulk energy %r"
-                % (boundary_flux, bulk_value)
-            )
+    def bulk(x: float) -> float:
+        fx = p.f(x)
+        g = c / (fx * fx)
+        return g * g * fx * fx * p.ds_dx(x)
+
+    bulk_value = integrate(bulk, p.x_min, math.inf, _TAIL_TOL, points=p.breakpoints).value
+    if abs(bulk_value - boundary_flux) > 1e-6 * max(boundary_flux, 1.0):
+        raise NonConvergent(
+            "capacity cross-check failed: boundary flux %r vs bulk energy %r"
+            % (boundary_flux, bulk_value)
+        )
     return boundary_flux
 
 
@@ -460,12 +460,8 @@ def _coordinate_of_tail(sol: PotentialSolution, target: float) -> float:
 
     if boundary and target >= tail.total() * (1.0 - 4e-16):
         return p.x_min
+    # T(lo) > target >= T(hi); at T(hi) = target the start is hi itself.
     lo, t_lo, hi, t_hi = tail.bracket(target)
-    if t_lo == target:
-        return lo
-    if t_hi == target:
-        return hi
-
     # Newton on g = 1/T - 1/target (T's step times T/target) from the linear
     # interpolation of 1/T; its weight rounds to at most 1, so x <= hi.
     read = tail.reader(lo, t_lo, hi, t_hi)

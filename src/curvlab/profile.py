@@ -159,9 +159,11 @@ def scalar_curvature(p: MetricProfile, x: float) -> float:
         raise DomainEdge(f"x={x!r} below x_min={p.x_min!r}")
     if p.kind is ProfileKind.BOUNDARYLESS and x <= p.x_min:
         raise DomainEdge("scalar curvature is 0/0 at the pole; evaluate at x > x_min")
-    f = p.f(x)
-    fs = p.df_ds(x)
-    fss = p.d2f_ds2(x)
+    return _warped_scalar_curvature(p.f(x), p.df_ds(x), p.d2f_ds2(x))
+
+
+def _warped_scalar_curvature(f: float, fs: float, fss: float) -> float:
+    """R = 2 (1 - f_s^2)/f^2 - 4 f_ss/f from the profile values at one point."""
     return 2.0 * (1.0 - fs * fs) / (f * f) - 4.0 * fss / f
 
 
@@ -186,14 +188,9 @@ def sphere_geometry(p: MetricProfile, x: float) -> tuple[float, float]:
     return _FOUR_PI * f * f, 2.0 * p.df_ds(x) / f
 
 
-def sample_scalar_curvature_sign(
-    p: MetricProfile,
-    n: int = 1000,
-    x_max: float | None = None,
-    threshold: float = -1e-10,
-) -> tuple[bool, float, float]:
-    """Sample R on a log-spaced grid; returns (all >= threshold, worst_x, worst_R)."""
-    hi = x_max if x_max is not None else 1e4 * p.x_scale
+def sample_scalar_curvature_sign(p: MetricProfile, n: int = 1000) -> tuple[bool, float, float]:
+    """Sample R on a log-spaced grid; returns (all >= -1e-10, worst_x, worst_R)."""
+    hi = 1e4 * p.x_scale
     lo = max(p.x_min, 1e-4 * p.x_scale)
     if p.kind is ProfileKind.BOUNDARYLESS:
         lo = max(lo, p.x_min + 1e-4 * p.x_scale)  # the pole itself is 0/0
@@ -207,7 +204,7 @@ def sample_scalar_curvature_sign(
         if r_val < worst_r:
             worst_r = r_val
             worst_x = x
-    return worst_r >= threshold, worst_x, worst_r
+    return worst_r >= -1e-10, worst_x, worst_r
 
 
 # ---------------------------------------------------------------------------

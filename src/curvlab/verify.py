@@ -26,7 +26,6 @@ from .errors import GridTooCoarse
 from .functionals import (
     FunctionalRow,
     FunctionalSeries,
-    a_growth,
     build_series,
     coarea_volumes,
     functional_row,
@@ -238,25 +237,32 @@ def _boundary_checks(
 
     checks.append(_flux_constancy(series, ts, _FOUR_PI * cap, tol))
 
-    # Analytic derivatives vs central differences (subsampled interior points);
-    # G and F share their stencil rows, so each stencil level is solved once.
+    # Central differences at subsampled interior points: the analytic G' and
+    # F', and the Riccati inequality a' >= (1/t)(1 - 4 pi/A1 - a^2/4).  Every
+    # stencil level is solved once and its row shared.
     @cache
     def row_at(tt: float) -> FunctionalRow:
         return functional_row(level_integrals(sol, tt), cap)
 
     g_margins, f_margins, fd_ts = [], [], []
+    r_margins, r_ts = [], []
     for i in _fd_indices(n, _FD_SUBSAMPLE):
         t = ts[i]
         scale_h = 1e-4 * max(1.0, t)
-        if t - 2.0 * scale_h <= 0.5 * cap:
-            continue
-        gp_fd = differentiate(lambda tt: row_at(tt).G, t, scale=scale_h)
-        fp_fd = differentiate(lambda tt: row_at(tt).F, t, scale=scale_h)
-        g_scale = max(abs(series.Gprime_analytic[i]), _FOUR_PI / t)
-        f_scale = max(abs(series.Fprime_analytic[i]), _FOUR_PI)
-        g_margins.append(-abs(series.Gprime_analytic[i] - gp_fd) / g_scale)
-        f_margins.append(-abs(series.Fprime_analytic[i] - fp_fd) / f_scale)
-        fd_ts.append(t)
+        if t - 2.0 * scale_h > 0.5 * cap:
+            gp_fd = differentiate(lambda tt: row_at(tt).G, t, scale=scale_h)
+            fp_fd = differentiate(lambda tt: row_at(tt).F, t, scale=scale_h)
+            g_scale = max(abs(series.Gprime_analytic[i]), _FOUR_PI / t)
+            f_scale = max(abs(series.Fprime_analytic[i]), _FOUR_PI)
+            g_margins.append(-abs(series.Gprime_analytic[i] - gp_fd) / g_scale)
+            f_margins.append(-abs(series.Fprime_analytic[i] - fp_fd) / f_scale)
+            fd_ts.append(t)
+        h = _RICCATI_SCALE * max(1.0, t)
+        if t - 2.0 * h > 0.5 * cap:
+            ap = differentiate(lambda tt: row_at(tt).a, t, scale=h)
+            rhs = (1.0 - _FOUR_PI / series.A1[i] - series.a_growth[i] ** 2 / 4.0) / t
+            r_margins.append(ap - rhs)
+            r_ts.append(t)
     checks.append(_judge("gprime_vs_fd", g_margins, fd_ts, TOL_FD_REL, identity=True))
     checks.append(_judge("fprime_vs_fd", f_margins, fd_ts, TOL_FD_REL, identity=True))
 
@@ -264,19 +270,7 @@ def _boundary_checks(
     a1p = [(series.a_growth[i] * series.A1[i] / ts[i]) for i in range(n)]
     margins = [2.0 / 3.0 * series.A1[i] * series.B1[i] - (ts[i] * a1p[i]) ** 2 for i in range(n)]
     checks.append(_judge("cauchy_schwarz_growth", margins, ts, tol.abs))
-
-    # Riccati inequality: a' >= (1/t)(1 - 4 pi/A1 - a^2/4), a' by central difference
-    margins, r_ts = [], []
-    for i in _fd_indices(n, _FD_SUBSAMPLE):
-        t = ts[i]
-        h = _RICCATI_SCALE * max(1.0, t)
-        if t - 2.0 * h <= 0.5 * cap:
-            continue
-        ap = differentiate(lambda tt: a_growth(sol, tt), t, scale=h)
-        rhs = (1.0 - _FOUR_PI / series.A1[i] - series.a_growth[i] ** 2 / 4.0) / t
-        margins.append(ap - rhs)
-        r_ts.append(t)
-    checks.append(_judge("riccati_growth", margins, r_ts, 10.0 * tol.abs))
+    checks.append(_judge("riccati_growth", r_margins, r_ts, 10.0 * tol.abs))
 
     # Integral lower bound on the growth (case A >= 0):
     # t A1' >= A1 - 4 pi + (1/2t) Int (R1 + B1)

@@ -15,6 +15,12 @@ DATA = pathlib.Path(__file__).parent / "data"
 # (args, file) of `functionals`: the head of its CSV on the Euclidean closed form.
 FUNCTIONALS_HEAD = (("--model", "euclidean", "--grid", "8"), "euclid_functionals_head.csv")
 
+# (args, file) of `functionals`, whole: the boundary functional columns
+# (G through Gprime), which are nan in the Euclidean head.
+FUNCTIONALS_TABLES = [
+    (("--model", "perturbed-schwarzschild", "--grid", "16"), "perturbed_functionals_grid16.csv"),
+]
+
 # (args, file) of `potential`: every level solve lands on these bits.
 POTENTIAL_TABLES = [
     (("--model", "perturbed-schwarzschild", "--grid", "64"), "perturbed_potential_grid64.txt"),
@@ -36,6 +42,13 @@ VERIFY_REPORTS = [
         "rneg_csv_verify_grid32.txt",
         1,
     ),
+    # The equality case of every boundary comparison.
+    (("--model", "schwarzschild", "--mass", "1"), "schwarzschild_verify.txt", 0),
+]
+
+# (args, file) of `mass`: both estimators and the worst volume sample.
+MASS_REPORTS = [
+    (("--model", "mollified-schwarzschild", "--mass", "1", "--r0", "1"), "mollified_mass.txt"),
 ]
 
 
@@ -61,7 +74,11 @@ def frozen_runs():
     """(full argv, file, exit code) of every frozen run; verify runs need write_inputs in cwd."""
     args, name = FUNCTIONALS_HEAD
     yield ("functionals", *args), name, 0
+    for args, name in FUNCTIONALS_TABLES:
+        yield ("functionals", *args), name, 0
     for args, name in POTENTIAL_TABLES:
         yield ("potential", *args), name, 0
     for args, name, code in VERIFY_REPORTS:
         yield ("verify", *args), name, code
+    for args, name in MASS_REPORTS:
+        yield ("mass", *args), name, 0

@@ -6,7 +6,8 @@ Run from the repository root:  python tests/make_frozen.py
 Each run listed in frozen_outputs.py is made in a scratch directory, and its
 stdout, without the ``# generated_at`` line, replaces its file.  For every
 file the script prints each changed field as old -> new, with the move in
-units in the last place of the old value, and the largest such move.  A run
+units in the last place of the old value, and the largest such move; a file
+that does not exist yet is written and reported as new.  A run
 whose exit code differs from the one listed writes nothing and fails the
 script.
 """
@@ -91,7 +92,10 @@ def main() -> int:
             outputs[name] = strip_timestamp(cp.stdout) + "\n"
     for name, text in outputs.items():
         path = DATA / name
-        report(name, path.read_text(), text)
+        if path.exists():
+            report(name, path.read_text(), text)
+        else:
+            print(f"{name}: new file")
         path.write_text(text)
     return 0
 

@@ -6,9 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+from curvlab.cli import main
 from frozen_outputs import (
     DATA,
     FUNCTIONALS_HEAD,
+    FUNCTIONALS_TABLES,
+    MASS_REPORTS,
     POTENTIAL_TABLES,
     ROOT,
     VERIFY_REPORTS,
@@ -103,6 +106,52 @@ def test_missing_model_exits_2():
     assert cp.returncode == 2
 
 
+def _usage_error(capsys, *argv: str) -> str:
+    """Run the CLI in process; assert exit 2 before any output and return stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bad_tol_exits_2(capsys, tol):
+    err = _usage_error(capsys, "verify", "--model", "schwarzschild", "--grid", "16", "--tol", tol)
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--model", "euclidean", "--t-max-factor", "inf"),
+        ("--model", "euclidean", "--t-min-factor", "nan"),
+        ("--model", "schwarzschild", "--mass", "nan"),
+        ("--model", "mollified-schwarzschild", "--r0", "inf"),
+        ("--model", "perturbed-schwarzschild", "--amplitude", "nan"),
+        ("--model", "perturbed-schwarzschild", "--offset=-inf"),
+    ],
+)
+def test_non_finite_values_exit_2(capsys, flags):
+    err = _usage_error(capsys, "potential", "--grid", "8", *flags)
+    assert "must be finite" in err
+
+
+def test_unknown_config_key_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=euclidean\ngird=16\n")
+    err = _usage_error(capsys, "potential", "--config", str(cfg))
+    assert "gird" in err
+
+
+def test_unparsable_config_value_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=euclidean\ngrid=sixteen\n")
+    err = _usage_error(capsys, "potential", "--config", str(cfg))
+    assert "grid" in err
+
+
 def test_builtin_models_do_not_import_numpy():
     # The built-in path runs on the standard library; only --model custom
     # reaches scipy (and through it numpy).
@@ -132,6 +181,21 @@ def test_functionals_golden_head():
     got = strip_timestamp(cp.stdout).strip().splitlines()
     expected = (DATA / name).read_text().strip().splitlines()
     assert got[: len(expected)] == expected
+
+
+@pytest.mark.parametrize(("args", "name"), FUNCTIONALS_TABLES)
+def test_functionals_table_frozen(args, name):
+    # Every functional column, the boundary ones included, lands on the same bits.
+    cp = run_cli("functionals", *args)
+    assert cp.returncode == 0, cp.stderr
+    assert strip_timestamp(cp.stdout) + "\n" == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize(("args", "name"), MASS_REPORTS)
+def test_mass_report_frozen(args, name):
+    cp = run_cli("mass", *args)
+    assert cp.returncode == 0, cp.stderr
+    assert strip_timestamp(cp.stdout) + "\n" == (DATA / name).read_text()
 
 
 @pytest.mark.parametrize(("args", "name"), POTENTIAL_TABLES)

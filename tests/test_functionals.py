@@ -27,8 +27,9 @@ from curvlab.functionals import (
 )
 from curvlab.numerics import differentiate
 from curvlab.potential import _VolumeCache, default_t_grid, grad_value, level_integrals, solve, u_value
-from curvlab.profile import perturbed_schwarzschild
+from curvlab.profile import perturbed_schwarzschild, profile_from_csv
 from curvlab.verify import schwarzschild_comparison_volume
+from frozen_outputs import write_inputs
 
 FOUR_PI = 4.0 * math.pi
 
@@ -170,6 +171,47 @@ class TestPropositionInequalities:
             lhs = t * a1_prime(perturbed_sol, t)
             rhs = a1(perturbed_sol, t) - FOUR_PI + cumulative[i] / (2.0 * t)
             assert lhs >= rhs - 1e-8
+
+
+def _rneg_csv_profile(directory):
+    write_inputs(directory)
+    return profile_from_csv(str(directory / "rneg.csv"), False)
+
+
+# name -> (profile maker taking a scratch directory, bound on the quadrature error)
+_GROWTH_CASES = {
+    "perturbed": (lambda _: perturbed_schwarzschild(), 1.1e-12),
+    "perturbed-0.8-0.45-0.6": (lambda _: perturbed_schwarzschild(0.8, 0.45, 0.6), 1e-12),
+    "rneg-csv": (_rneg_csv_profile, 7e-14),
+}
+
+
+class TestGrowthQuadrature:
+    """On round level sets Int R^Sigma/2 dsigma = 4 pi (Gauss-Bonnet), so
+    F' = (R1 + B1)/2 and the growth integral has the closed form
+    Int_{C/2}^t (R1 + B1) ds = 2 (F(t) - F(C/2)).  Each bound is about twice
+    the error the quadrature showed when the test was written."""
+
+    @pytest.mark.parametrize("case", sorted(_GROWTH_CASES))
+    def test_cumulative_matches_twice_the_rise_of_F(self, case, tmp_path):
+        make, bound = _GROWTH_CASES[case]
+        sol = solve(make(tmp_path))
+        series = build_series(sol, default_t_grid(sol, 256))
+        cumulative = growth_integrand_cumulative(sol, series.s)
+        f0 = series.F[0]  # the default grid starts at C/2
+        for cum, f in zip(cumulative, series.F):
+            rise = 2.0 * (f - f0)
+            assert abs(cum - rise) / (1.0 + abs(rise)) <= bound
+
+    def test_growth_identity_of_A1(self, perturbed_sol, tmp_path):
+        # t A1' - A1 + 4 pi = F/t, with A1' = a A1/t read from the series.
+        for sol in (perturbed_sol, solve(_rneg_csv_profile(tmp_path))):
+            series = build_series(sol, default_t_grid(sol, 256))
+            for t, a, a1_val, f in zip(series.t_grid, series.a_growth, series.A1, series.F):
+                t_a1p = t * (a * a1_val / t)
+                lhs = t_a1p - a1_val + FOUR_PI
+                scale = max(abs(t_a1p), a1_val, FOUR_PI)
+                assert abs(lhs - f / t) / scale <= 2.5e-15
 
 
 class TestVolumes:
