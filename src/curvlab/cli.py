@@ -252,15 +252,16 @@ def cmd_models(out: io.TextIOBase) -> int:
 
 def cmd_potential(cfg: RunConfig, out: io.TextIOBase) -> int:
     sol = solve(_build_profile(cfg))
+    grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
+    # Solve every level before writing, so a failed level leaves no partial table.
+    levels = [level(sol, t) for t in grid]
+    rows = [f"{lp.t!r},{lp.s!r},{lp.u!r},{grad_value(sol, lp.s)!r}\n" for lp in levels]
     _stamp(out)
     out.write(f"# profile={sol.profile.label}\n")
     cap = sol.capacity
     out.write(f"# capacity={cap!r}\n" if cap is not None else "# capacity=nan (boundaryless)\n")
-    grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
     out.write("t,s,u,grad\n")
-    for t in grid:
-        lp = level(sol, t)
-        out.write(f"{lp.t!r},{lp.s!r},{lp.u!r},{grad_value(sol, lp.s)!r}\n")
+    out.writelines(rows)
     return 0
 
 

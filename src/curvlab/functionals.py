@@ -38,7 +38,6 @@ from .potential import (
     u_value,
     volume_to_coordinate,
 )
-from .profile import _warped_scalar_curvature
 
 __all__ = [
     "FunctionalSeries",
@@ -58,7 +57,6 @@ __all__ = [
     "volume_sublevel",
     "coarea_volume",
     "coarea_volumes",
-    "growth_integrand_cumulative",
     "build_series",
     "write_series_csv",
     "SERIES_CSV_HEADER",
@@ -242,47 +240,6 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
 def coarea_volume(sol: PotentialSolution, t: float) -> float:
     """Sub-level volume at one level through the coarea representation (see coarea_volumes)."""
     return coarea_volumes(sol, [t])[0]
-
-
-def growth_integrand_cumulative(sol: PotentialSolution, coords: Sequence[float]) -> list[float]:
-    """Cumulative Int_{C/2}^{t_k} (R1(s) + B1(s)) ds for each grid point,
-    given the radial coordinates of the grid levels.
-
-    R1 = Int R dsigma and B1 as above.  The integral runs over the level
-    parameter; substituting the radial coordinate gives
-    dt = C (du/dx) / (1-u)^2 dx, evaluated panel-by-panel between
-    consecutive grid coordinates at per-panel tolerance 1e-11.
-    """
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "the growth integrand")
-    p = sol.profile
-    cap = sol.capacity
-    c = sol.c_norm
-
-    def integrand(x: float) -> float:
-        f = p.f(x)
-        fs = p.df_ds(x)
-        area = _FOUR_PI * f * f
-        g = c / (f * f)
-        u = u_value(sol, x)
-        q = _q(u, g, 2.0 * fs / f)
-        density = area * (_warped_scalar_curvature(f, fs, p.d2f_ds2(x)) + 1.5 * q * q)
-        dt_dx = cap * (c * p.ds_dx(x) / (f * f)) / ((1.0 - u) * (1.0 - u))
-        return density * dt_dx
-
-    xs = [p.x_min] + [float(x) for x in coords]
-    out: list[float] = []
-    acc = 0.0
-    for lo, hi in zip(xs, xs[1:]):
-        if hi > lo:
-            # The absolute part scales with the panel width: the integrand is
-            # area-scaled roundoff noise on equality-case profiles, and the
-            # growth-bound margin divides the cumulative value by 2t, so the
-            # accumulated error stays orders of magnitude under the check
-            # tolerance.
-            panel_tol = Tolerance(rel=1e-11, abs=1e-11 * (1.0 + (hi - lo)), max_refinements=60)
-            acc += integrate(integrand, lo, hi, panel_tol, points=p.breakpoints).value
-        out.append(acc)
-    return out
 
 
 # -- series -----------------------------------------------------------------

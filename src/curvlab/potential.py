@@ -38,7 +38,7 @@ from typing import Callable
 
 from .errors import NonConvergent, OutOfRange, WrongKind
 from .numerics import Tolerance, geometric_grid, integrate
-from .profile import MetricProfile, ProfileKind, scalar_curvature
+from .profile import MetricProfile, ProfileKind, _warped_scalar_curvature
 
 __all__ = [
     "SolutionKind",
@@ -528,7 +528,7 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
     area = _FOUR_PI * f * f
     g = sol.c_norm / (f * f)
     mean_h = 2.0 * fs / f
-    r_scalar = scalar_curvature(p, x)
+    r_scalar = _warped_scalar_curvature(f, fs, p.d2f_ds2(x))
     r_level = 2.0 / (f * f)
     return LevelSetSample(
         t=t,

@@ -29,7 +29,6 @@ from .functionals import (
     build_series,
     coarea_volumes,
     functional_row,
-    growth_integrand_cumulative,
 )
 from .numerics import Tolerance, differentiate
 from .potential import (
@@ -274,7 +273,9 @@ def _boundary_checks(
 
     # Integral lower bound on the growth (case A >= 0):
     # t A1' >= A1 - 4 pi + (1/2t) Int (R1 + B1)
-    cumulative = growth_integrand_cumulative(sol, series.s)
+    # Gauss-Bonnet on round level sets gives F' = (R1 + B1)/2, so the integral is 2 (F(t) - F(C/2)).
+    f_b = functional_row(bs, cap).F
+    cumulative = [2.0 * (f - f_b) for f in series.F]
     use_tilde = series.deficit_A < 0.0
     margins = []
     for i, t in enumerate(ts):

@@ -59,6 +59,14 @@ def write_inputs(directory: pathlib.Path) -> None:
     (directory / "rneg.csv").write_text("\n".join(lines) + "\n")
 
 
+def rneg_profile(directory: pathlib.Path):
+    """The rneg.csv profile, written into ``directory`` and read with R >= 0 not assumed."""
+    from curvlab.profile import profile_from_csv
+
+    write_inputs(directory)
+    return profile_from_csv(str(directory / "rneg.csv"), False)
+
+
 def run_cli(*args: str, cwd: pathlib.Path = ROOT) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")

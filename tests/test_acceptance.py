@@ -25,7 +25,6 @@ from curvlab.functionals import (
     f_func,
     f_prime_analytic,
     g_func,
-    growth_integrand_cumulative,
 )
 from curvlab.mass import adm_surface, mass_from_volume
 from curvlab.numerics import differentiate
@@ -39,6 +38,7 @@ from curvlab.profile import (
     to_warped,
 )
 from curvlab.verify import schwarzschild_comparison_volume
+from growth_quadrature import growth_integrand_cumulative
 
 FOUR_PI = 4.0 * math.pi
 

@@ -283,3 +283,12 @@ def test_tol_flag_at_default_reproduces_default_report():
     flagged = run_cli("verify", "--model", "perturbed-schwarzschild", "--grid", "32", "--tol", "1e-8")
     assert default.returncode == flagged.returncode == 0, flagged.stderr
     assert strip_timestamp(flagged.stdout) == strip_timestamp(default.stdout)
+
+
+def test_potential_failed_level_writes_no_table(capsys):
+    # Every level is solved before the first line is written: a level that
+    # does not converge leaves stdout empty instead of a partial table.
+    err = _usage_error(
+        capsys, "potential", "--model", "euclidean", "--t-min-factor", "1e300", "--t-max-factor", "1e301", "--grid", "8"
+    )
+    assert "did not converge" in err

@@ -21,15 +21,15 @@ from curvlab.functionals import (
     fhat,
     g_func,
     g_prime,
-    growth_integrand_cumulative,
     volume_sublevel,
     write_series_csv,
 )
 from curvlab.numerics import differentiate
 from curvlab.potential import _VolumeCache, default_t_grid, grad_value, level_integrals, solve, u_value
-from curvlab.profile import perturbed_schwarzschild, profile_from_csv
+from curvlab.profile import perturbed_schwarzschild
 from curvlab.verify import schwarzschild_comparison_volume
-from frozen_outputs import write_inputs
+from frozen_outputs import rneg_profile
+from growth_quadrature import growth_integrand_cumulative
 
 FOUR_PI = 4.0 * math.pi
 
@@ -173,16 +173,11 @@ class TestPropositionInequalities:
             assert lhs >= rhs - 1e-8
 
 
-def _rneg_csv_profile(directory):
-    write_inputs(directory)
-    return profile_from_csv(str(directory / "rneg.csv"), False)
-
-
 # name -> (profile maker taking a scratch directory, bound on the quadrature error)
 _GROWTH_CASES = {
     "perturbed": (lambda _: perturbed_schwarzschild(), 1.1e-12),
     "perturbed-0.8-0.45-0.6": (lambda _: perturbed_schwarzschild(0.8, 0.45, 0.6), 1e-12),
-    "rneg-csv": (_rneg_csv_profile, 7e-14),
+    "rneg-csv": (rneg_profile, 7e-14),
 }
 
 
@@ -205,7 +200,7 @@ class TestGrowthQuadrature:
 
     def test_growth_identity_of_A1(self, perturbed_sol, tmp_path):
         # t A1' - A1 + 4 pi = F/t, with A1' = a A1/t read from the series.
-        for sol in (perturbed_sol, solve(_rneg_csv_profile(tmp_path))):
+        for sol in (perturbed_sol, solve(rneg_profile(tmp_path))):
             series = build_series(sol, default_t_grid(sol, 256))
             for t, a, a1_val, f in zip(series.t_grid, series.a_growth, series.A1, series.F):
                 t_a1p = t * (a * a1_val / t)

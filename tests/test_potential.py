@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -416,3 +417,25 @@ def test_level_beyond_the_last_anchor_raises(t):
     sol = solve(perturbed_schwarzschild())
     with pytest.raises(NonConvergent):
         level(sol, t)
+
+
+def test_level_integrals_reads_the_profile_once_per_value():
+    # On warm tables the level solve reads f three times; level_integrals then
+    # reads f, df/ds and d2f/ds2 once each and computes R from those values.
+    counts = {"f": 0, "df_ds": 0, "d2f_ds2": 0}
+    p = perturbed_schwarzschild()
+
+    def counting(name):
+        real = getattr(p, name)
+
+        def wrapped(x):
+            counts[name] += 1
+            return real(x)
+
+        return wrapped
+
+    sol = solve(dataclasses.replace(p, **{name: counting(name) for name in counts}))
+    level_integrals(sol, 5.0)  # builds the tables the level solve reads
+    counts.update(dict.fromkeys(counts, 0))
+    level_integrals(sol, 5.0)
+    assert counts == {"f": 4, "df_ds": 1, "d2f_ds2": 1}

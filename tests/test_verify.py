@@ -4,15 +4,16 @@ import math
 import pytest
 
 from curvlab.errors import GridTooCoarse, WrongKind
-from curvlab.functionals import boundary_deficit
+from curvlab.functionals import boundary_deficit, build_series, functional_row
 from curvlab.potential import default_t_grid, solve
-from curvlab.profile import MetricProfile, ProfileKind, schwarzschild
+from curvlab.profile import MetricProfile, ProfileKind, perturbed_schwarzschild, schwarzschild
 from curvlab.verify import (
     CheckStatus,
     run_battery,
     write_report_csv,
     write_report_text,
 )
+from frozen_outputs import rneg_profile
 
 THEOREM_CHECKS = (
     "boundary_gradient_estimate",
@@ -180,8 +181,8 @@ class TestReportMechanics:
 
 
 def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
-    # The growth bound and the coarea cross-check reuse the series' level
-    # coordinates instead of solving grid levels a second time.
+    # The growth bound reads the series' F and the coarea cross-check its
+    # levels; neither solves a grid level a second time.
     import curvlab.functionals as functionals_mod
     import curvlab.potential as potential_mod
     import curvlab.verify as verify_mod
@@ -212,6 +213,48 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     # The G and F finite differences share their stencil levels.
     assert [t for t, k in calls.items() if k > 1] == []
     assert [solves[t] for t in grid] == [1] * len(grid)
+
+
+def test_battery_integrates_only_the_coarea_segments(perturbed_sol, monkeypatch):
+    # The growth integral is 2 (F(t) - F(C/2)) from the series, so on warm
+    # tables the battery integrates only the three coarea segments.
+    import curvlab.functionals as functionals_mod
+    import curvlab.potential as potential_mod
+    import curvlab.profile as profile_mod
+    from curvlab.numerics import integrate
+
+    grid = default_t_grid(perturbed_sol, 256)
+    run_battery(perturbed_sol, grid)  # builds every anchor and table the battery reads
+    spans = []
+
+    def counting(fn, a, b, *args, **kwargs):
+        spans.append((a, b))
+        return integrate(fn, a, b, *args, **kwargs)
+
+    for mod in (functionals_mod, potential_mod, profile_mod):
+        monkeypatch.setattr(mod, "integrate", counting)
+    run_battery(perturbed_sol, grid)
+    n = len(grid)
+    picks = [grid[i] for i in (n // 4, n // 2, (3 * n) // 4)]
+    assert spans == list(zip([0.5 * perturbed_sol.capacity, *picks], picks))
+
+
+@pytest.mark.parametrize(
+    ("make", "grid", "tilde"),
+    [(lambda _: perturbed_schwarzschild(), 256, False), (rneg_profile, 32, True)],
+    ids=["perturbed", "rneg-csv"],
+)
+def test_growth_bound_margin_closed_form(tmp_path, make, grid, tilde):
+    # t A1' - A1 + 4 pi = F/t, so the margin is F(C/2)/t, and (F(C/2) - A)/t
+    # in the A1~ variant (2) that a negative deficit A selects.
+    sol = solve(make(tmp_path))
+    ts = default_t_grid(sol, grid)
+    check = run_battery(sol, ts).check("a1_growth_lower_bound")
+    series = build_series(sol, ts)
+    assert (series.deficit_A < 0.0) is tilde
+    f_b = functional_row(series.boundary_sample, sol.capacity).F
+    predicted = (f_b - series.deficit_A if tilde else f_b) / check.worst_t
+    assert abs(check.worst_margin - predicted) <= 1.5e-14
 
 
 def test_coarea_crosscheck_splits_at_breakpoint_level():
