@@ -7,7 +7,7 @@ Euclidean equality oracles, and computes ADM mass by two independent
 estimators.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     CurvlabError,

@@ -14,7 +14,10 @@ In the rotationally symmetric reduction the traceless second fundamental
 form and tangential gradient vanish, so with q = 4u/(1-u^2) |grad u| - H:
 
     |B|^2 / |grad u|^2 = (3/2) q^2,   B1(t) = Int (3/2) q^2 dsigma
-    F'(t) = 4 pi - Int R^Sigma/2 + Int [R/2 + (3/4) q^2] dsigma
+    F'(t) = Int [R/2 + (3/4) q^2] dsigma
+
+(the first variation carries 4 pi - Int R^Sigma/2, which Gauss-Bonnet
+makes zero on the round level spheres).
 
 Boundaryless case:  Fhat(t) = -4 pi / t + t * Int |grad u|^2 dsigma.
 """
@@ -115,7 +118,6 @@ def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
     m1 = 1.0 - cap / (2.0 * t)
     m3 = 1.0 - 3.0 * cap / (2.0 * t)
     q = _q(ls.u, ls.grad, ls.mean_curvature)
-    gauss_bonnet = ls.area * (0.5 * ls.scalar_R_level)  # = 4 pi on a round sphere
     a1_val = t * t / (cap * cap) * p ** 4 * i2
     a1_prime_val = 2.0 * t / (cap * cap) * p ** 3 * m1 * i2 - p * p / cap * ih
     return FunctionalRow(
@@ -123,7 +125,7 @@ def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
         G=-math.pi * cap * cap / t + 0.25 * t * p ** 4 * i2,
         Gprime=math.pi * cap * cap / (t * t) + 0.25 * p ** 3 * m3 * i2 - cap / (4.0 * t) * p * p * ih,
         F=_FOUR_PI * t + t ** 3 / (cap * cap) * p ** 3 * m3 * i2 - t * t / cap * p * p * ih,
-        Fprime=_FOUR_PI - gauss_bonnet + ls.area * (0.5 * ls.scalar_R + 0.75 * q * q),
+        Fprime=ls.area * (0.5 * ls.scalar_R + 0.75 * q * q),
         A1=a1_val,
         A1prime=a1_prime_val,
         a=t * a1_prime_val / a1_val,

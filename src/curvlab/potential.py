@@ -104,8 +104,6 @@ class LevelSetSample:
     grad: float
     mean_curvature: float
     scalar_R: float
-    scalar_R_level: float
-    int_grad: float
     int_grad_sq: float
     int_grad_H: float
     int_inv_grad: float
@@ -516,9 +514,8 @@ def grad_value(sol: PotentialSolution, x: float) -> float:
 def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
     """Geometric payload of the level set at t.
 
-    All four surface integrals reduce to 4 pi f^2 times pointwise values on
-    round level sets; Int |grad u| equals 4 pi C (boundary case) or 4 pi
-    (boundaryless) by the divergence theorem.
+    The three surface integrals reduce to 4 pi f^2 times pointwise values on
+    round level sets.
     """
     lp = level(sol, t)
     p = sol.profile
@@ -529,7 +526,6 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
     g = sol.c_norm / (f * f)
     mean_h = 2.0 * fs / f
     r_scalar = _warped_scalar_curvature(f, fs, p.d2f_ds2(x))
-    r_level = 2.0 / (f * f)
     return LevelSetSample(
         t=t,
         s=x,
@@ -538,8 +534,6 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
         grad=g,
         mean_curvature=mean_h,
         scalar_R=r_scalar,
-        scalar_R_level=r_level,
-        int_grad=area * g,
         int_grad_sq=area * g * g,
         int_grad_H=area * g * mean_h,
         int_inv_grad=area / g,

@@ -166,12 +166,6 @@ def _sign_checks(
     ]
 
 
-def _flux_constancy(series: FunctionalSeries, ts: list[float], target: float, tol: Tolerance) -> CheckResult:
-    """Int |grad u| = area * |grad u| equals ``target`` (4 pi C or 4 pi) on every level."""
-    margins = [-abs(area * grad - target) / target for area, grad in zip(series.area, series.grad)]
-    return _judge("flux_constancy", margins, ts, 0.1 * tol.rel, identity=True)
-
-
 def _coarea_crosscheck(
     sol: PotentialSolution, series: FunctionalSeries, ts: list[float], tol: Tolerance
 ) -> CheckResult:
@@ -188,7 +182,7 @@ def _boundary_checks(
     sol: PotentialSolution, series: FunctionalSeries, ts: list[float], tol: Tolerance, skip_note: str
 ) -> list[CheckResult]:
     """The battery of a boundary solution.  A ``skip_note`` (the boundary is
-    not minimal) reports the comparison checks and the deficit as Skipped."""
+    not minimal) reports the comparison checks as Skipped."""
     cap = sol.capacity
     n = len(ts)
     t_b = [0.5 * cap]
@@ -216,25 +210,7 @@ def _boundary_checks(
         # against the closed-form Schwarzschild volume
         comparison("volume_comparison", volume_margins, [t for t, _ in volume_levels], 10.0 * tol.rel),
         *_sign_checks(sol, "g", series.G, ts, tol),
-        comparison("deficit_nonnegative", [series.deficit_A], t_b, tol.abs),
     ]
-
-    # F = (4 t^3 / C^2) G', deviation scaled by the term magnitudes
-    margins = []
-    for i, t in enumerate(ts):
-        scale = _FOUR_PI * t + abs(series.F[i]) + abs(4.0 * t ** 3 / cap ** 2 * series.Gprime_analytic[i])
-        dev = series.F[i] - 4.0 * t ** 3 / cap ** 2 * series.Gprime_analytic[i]
-        margins.append(-abs(dev) / scale)
-    checks.append(_judge("identity_f_from_gprime", margins, ts, 0.1 * tol.rel, identity=True))
-
-    # A1 = 4 pi + (4t/C^2) G
-    margins = [
-        -abs(series.A1[i] - (_FOUR_PI + 4.0 * ts[i] / cap ** 2 * series.G[i])) / _FOUR_PI
-        for i in range(n)
-    ]
-    checks.append(_judge("identity_a1_g", margins, ts, 0.01 * tol.rel, identity=True))
-
-    checks.append(_flux_constancy(series, ts, _FOUR_PI * cap, tol))
 
     # Central differences at subsampled interior points: the analytic G' and
     # F', and the Riccati inequality a' >= (1/t)(1 - 4 pi/A1 - a^2/4).  Every
@@ -262,35 +238,13 @@ def _boundary_checks(
             rhs = (1.0 - _FOUR_PI / series.A1[i] - series.a_growth[i] ** 2 / 4.0) / t
             r_margins.append(ap - rhs)
             r_ts.append(t)
-    checks.append(_judge("gprime_vs_fd", g_margins, fd_ts, TOL_FD_REL, identity=True))
-    checks.append(_judge("fprime_vs_fd", f_margins, fd_ts, TOL_FD_REL, identity=True))
-
-    # Cauchy-Schwarz bound on the growth rate: (t A1')^2 <= (2/3) A1 B1
-    a1p = [(series.a_growth[i] * series.A1[i] / ts[i]) for i in range(n)]
-    margins = [2.0 / 3.0 * series.A1[i] * series.B1[i] - (ts[i] * a1p[i]) ** 2 for i in range(n)]
-    checks.append(_judge("cauchy_schwarz_growth", margins, ts, tol.abs))
-    checks.append(_judge("riccati_growth", r_margins, r_ts, 10.0 * tol.abs))
-
-    # Integral lower bound on the growth (case A >= 0):
-    # t A1' >= A1 - 4 pi + (1/2t) Int (R1 + B1)
-    # Gauss-Bonnet on round level sets gives F' = (R1 + B1)/2, so the integral is 2 (F(t) - F(C/2)).
-    f_b = functional_row(bs, cap).F
-    cumulative = [2.0 * (f - f_b) for f in series.F]
-    use_tilde = series.deficit_A < 0.0
-    margins = []
-    for i, t in enumerate(ts):
-        lhs = t * a1p[i]
-        rhs = series.A1[i] - _FOUR_PI + cumulative[i] / (2.0 * t)
-        if use_tilde:
-            # A < 0 only occurs under violated hypotheses; check variant (2).
-            lhs = lhs - series.deficit_A / (2.0 * t)
-            rhs = rhs + series.deficit_A / (2.0 * t)
-        margins.append(lhs - rhs)
-    note = "checked with A1~ (deficit < 0)" if use_tilde else ""
-    checks.append(_judge("a1_growth_lower_bound", margins, ts, 10.0 * tol.abs, note=note))
-
-    checks.append(_coarea_crosscheck(sol, series, ts, tol))
-    return checks
+    return [
+        *checks,
+        _judge("gprime_vs_fd", g_margins, fd_ts, TOL_FD_REL, identity=True),
+        _judge("fprime_vs_fd", f_margins, fd_ts, TOL_FD_REL, identity=True),
+        _judge("riccati_growth", r_margins, r_ts, 10.0 * tol.abs),
+        _coarea_crosscheck(sol, series, ts, tol),
+    ]
 
 
 def _boundaryless_checks(
@@ -302,7 +256,6 @@ def _boundaryless_checks(
         _judge("area_comparison", area_margins, ts, 0.1 * tol.rel),
         _judge("volume_comparison", volume_margins, ts, 0.1 * tol.rel),
         *_sign_checks(sol, "fhat", series.Fhat, ts, tol),
-        _flux_constancy(series, ts, _FOUR_PI, tol),
         _coarea_crosscheck(sol, series, ts, tol),
     ]
 

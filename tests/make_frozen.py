@@ -5,17 +5,18 @@ Run from the repository root:  python tests/make_frozen.py
 
 Each run listed in frozen_outputs.py is made in a scratch directory, and its
 stdout, without the ``# generated_at`` line, replaces its file.  For every
-file the script prints each changed field as old -> new, with the move in
-units in the last place of the old value, and the largest such move; a file
-that does not exist yet is written and reported as new.  A run
-whose exit code differs from the one listed writes nothing and fails the
-script.
+file the script prints each line removed or added (``removed check X``) and
+each changed field as old -> new, with the move in units in the last place
+of the old value, and the largest such move; a file that does not exist yet
+is written and reported as new.  A run whose exit code differs from the one
+listed writes nothing and fails the script.
 """
 
 import math
 import pathlib
 import sys
 import tempfile
+from collections import Counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -24,30 +25,38 @@ from frozen_outputs import DATA, frozen_runs, run_cli, strip_timestamp, write_in
 _CHECK_COLUMNS = ("status", "margin", "t", "tol")
 
 
-def fields(text: str) -> dict[str, str]:
-    """Every field of a frozen output, labelled by line number and name.
+def fields(text: str) -> dict[str, dict[str, str]]:
+    """Every field of a frozen output, grouped by the line it sits on.
 
-    CSV cells are named by their column, ``check`` lines by the check and
-    its column, and ``key=value`` lines by the key.
+    A ``check`` line is named ``check <name>`` and holds its columns (and
+    its note), a ``key=value`` line is named by its key and holds
+    ``value``, and a CSV data row is named ``row <k>`` and holds its cells
+    by column.  A name seen before (a second ``annotation``) gets `` #<n>``
+    appended.
     """
-    out = {}
+    out: dict[str, dict[str, str]] = {}
+    seen: Counter[str] = Counter()
     header = None
-    for n, line in enumerate(text.splitlines(), 1):
+    rows = 0
+    for line in text.splitlines():
         if line.startswith("check "):
             head, _, note = line.partition(" # ")
             _, name, *cols = head.split()
-            out.update((f"line {n} {name} {c}", v) for c, v in zip(_CHECK_COLUMNS, cols))
+            unit, values = f"check {name}", dict(zip(_CHECK_COLUMNS, cols))
             if note:
-                out[f"line {n} {name} note"] = note
+                values["note"] = note
         elif "," in line and "=" not in line:
             cells = line.split(",")
             if header is None:
                 header = cells
-            else:
-                out.update((f"line {n} {c}", v) for c, v in zip(header, cells))
+                continue
+            rows += 1
+            unit, values = f"row {rows}", dict(zip(header, cells))
         else:
             key, _, value = line.lstrip("# ").partition("=")
-            out[f"line {n} {key}"] = value
+            unit, values = key, {"value": value}
+        seen[unit] += 1
+        out[unit if seen[unit] == 1 else f"{unit} #{seen[unit]}"] = values
     return out
 
 
@@ -63,18 +72,28 @@ def ulps(old: str, new: str) -> float | None:
 
 
 def report(name: str, old: str, new: str) -> None:
+    """Print the lines removed and added and every changed field of a common line."""
     if old == new:
         print(f"{name}: unchanged")
         return
     before, after = fields(old), fields(new)
-    if before.keys() != after.keys():
-        print(f"{name}: the lines changed shape; compare the files by hand")
-        return
-    changed = [(k, before[k], after[k]) for k in before if before[k] != after[k]]
+    changed = []
+    for unit in (u for u in before if u in after):
+        a, b = before[unit], after[unit]
+        for col in dict.fromkeys([*a, *b]):
+            if a.get(col) != b.get(col):
+                label = unit if col == "value" else f"{unit} {col}"
+                changed.append((label, a.get(col, "(none)"), b.get(col, "(none)")))
     moves = [ulps(a, b) for _, a, b in changed]
     finite = [m for m in moves if m is not None]
     largest = f", largest move {max(finite):.3g} ulp" if finite else ""
-    print(f"{name}: {len(changed)} fields changed{largest}")
+    removed = [u for u in before if u not in after]
+    added = [u for u in after if u not in before]
+    print(f"{name}: {len(removed)} lines removed, {len(added)} added, {len(changed)} fields changed{largest}")
+    for unit in removed:
+        print(f"  removed {unit}")
+    for unit in added:
+        print(f"  added {unit}")
     for (label, a, b), m in zip(changed, moves):
         print(f"  {label}: {a} -> {b}" + (f" ({m:.3g} ulp)" if m is not None else ""))
 

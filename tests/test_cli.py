@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from curvlab import __version__
 from curvlab.cli import main
+from curvlab.report_store import load, make_record, save
 from frozen_outputs import (
     DATA,
     FUNCTIONALS_HEAD,
@@ -232,6 +234,39 @@ def test_save_report_creates_run_record(tmp_path):
     records = list(tmp_path.glob("run-*.txt"))
     assert len(records) == 1
     assert (tmp_path / "verify.csv").exists()
+
+
+def test_save_report_beside_a_record_of_the_previous_version(tmp_path):
+    # A 0.1.0 record of the same config holds checks that 0.2.0 dropped; the
+    # version is part of the run_id, so the new record gets its own file.
+    argv = ["verify", "--model", "schwarzschild", "--mass", "1", "--grid", "16", "--save-report"]
+    assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+    current = load(next((tmp_path / "fresh").glob("run-*.txt")))
+    stale = tmp_path / "stale"
+    old = save(
+        make_record(
+            current.config_echo,
+            current.reports + "\ncheck deficit_nonnegative EqualityDetected 0.0 0.5 1e-09",
+            "0.1.0",
+            "2026-01-01T00:00:00",
+        ),
+        stale,
+    )
+    assert main([*argv, "--out", str(stale)]) == 0
+    (new,) = set(stale.glob("run-*.txt")) - {old}
+    assert load(new).version == __version__ != "0.1.0"
+    assert load(new).reports == current.reports
+
+
+def test_rneg_csv_fails_exactly_the_g_signs_and_riccati(tmp_path, capsys):
+    write_inputs(tmp_path)
+    code = main(
+        ["verify", "--model", "custom", "--profile", str(tmp_path / "rneg.csv"),
+         "--assume-nonnegative-r", "false", "--grid", "32"]
+    )
+    checks = [ln.split() for ln in capsys.readouterr().out.splitlines() if ln.startswith("check ")]
+    assert code == 1
+    assert {c[1] for c in checks if c[2] == "Fail"} == {"g_monotone", "g_nonpositive", "riccati_growth"}
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,14 +1,18 @@
-"""Property-based checks of the numerics kernel and the level machinery."""
+"""Property-based checks of the numerics kernel, the level machinery and
+the algebraic identities of the functionals."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvlab.functionals import functional_row
 from curvlab.numerics import Tolerance, differentiate, find_root, integrate
-from curvlab.potential import level, t_of_level, u_value
+from curvlab.potential import LevelSetSample, level, t_of_level, u_value
+from curvlab.profile import _warped_scalar_curvature
 
 _EPS = 2.220446049250313e-16
 
@@ -91,3 +95,60 @@ def test_level_map_monotone(schw1_sol, t1, t2):
         return
     lo, hi = sorted((t1, t2))
     assert level(schw1_sol, lo).s <= level(schw1_sol, hi).s
+
+
+@given(
+    f=st.floats(0.01, 100.0),
+    fs=st.floats(-10.0, 10.0),
+    fss=st.floats(-10.0, 10.0),
+    cap=st.floats(0.01, 100.0),
+    t_over_cap=st.floats(0.5, 1000.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_functional_row_identities(f, fs, fss, cap, t_over_cap):
+    # Any round level set of a boundary solution, built as level_integrals
+    # builds it: |grad u| = C/f^2 and u = (2t - C)/(2t + C).  Each identity
+    # is algebra on functional_row, so its residual is rounding alone,
+    # measured against the magnitudes of the terms that cancel.
+    t = cap * t_over_cap
+    area = 4.0 * math.pi * f * f
+    g = cap / (f * f)
+    mean_h = 2.0 * fs / f
+    u = (2.0 * t - cap) / (2.0 * t + cap)
+    ls = LevelSetSample(
+        t=t,
+        s=0.0,
+        u=u,
+        area=area,
+        grad=g,
+        mean_curvature=mean_h,
+        scalar_R=_warped_scalar_curvature(f, fs, fss),
+        int_grad_sq=area * g * g,
+        int_grad_H=area * g * mean_h,
+        int_inv_grad=area / g,
+    )
+    row = functional_row(ls, cap)
+    four_pi = 4.0 * math.pi
+    p = 1.0 + cap / (2.0 * t)
+    # The I2 terms of t A1' and F/t carry 1 - C/2t and 1 - 3C/2t, which are
+    # cancellations themselves one ulp above t = C/2: scale them by 1 + C/2t
+    # (= P) and 1 + 3C/2t.
+    i2_term = t * t / (cap * cap) * p ** 3 * ls.int_grad_sq
+    i2_m1 = p * i2_term
+    i2_m3 = (1.0 + 3.0 * cap / (2.0 * t)) * i2_term
+    ih_term = abs(t / cap * p * p * ls.int_grad_H)
+
+    # A1 = 4 pi + (4t/C^2) G
+    g_term = 4.0 * t / (cap * cap) * row.G
+    assert abs(row.A1 - four_pi - g_term) <= 1e-10 * (abs(row.A1) + four_pi + abs(g_term))
+    # F = (4t^3/C^2) G'
+    gp_term = 4.0 * t ** 3 / (cap * cap) * row.Gprime
+    assert abs(row.F - gp_term) <= 1e-9 * t * (four_pi + i2_m3 + ih_term)
+    # t A1' - A1 + 4 pi = F/t
+    lhs = t * row.A1prime - row.A1 + four_pi
+    assert abs(lhs - row.F / t) <= 1e-9 * (2.0 * i2_m1 + abs(row.A1) + 2.0 * four_pi + i2_m3 + 2.0 * ih_term)
+    # Cauchy-Schwarz holds with equality: (t A1')^2 = (2/3) A1 B1.  Both
+    # sides square q, so a tiny f_s (q ~ 1e-162) underflows them into
+    # subnormals, whose rounding is absolute: the smallest normal float.
+    cs_scale = (2.0 * i2_m1 + ih_term) ** 2 + row.A1 * area * (abs(4.0 * u / (1.0 - u * u) * g) + abs(mean_h)) ** 2
+    assert abs((t * row.A1prime) ** 2 - 2.0 / 3.0 * row.A1 * row.B1) <= 1e-9 * cs_scale + sys.float_info.min

@@ -1,7 +1,9 @@
 import io
+import re
 
 import pytest
 
+from curvlab import __version__
 from curvlab.errors import ReportStoreError, SchemaMismatch
 from curvlab.potential import default_t_grid
 from curvlab.report_store import diff, load, make_record, save
@@ -78,3 +80,22 @@ def test_diff_schema_mismatch(schw1_sol, euclid_sol):
     b = make_record("cfg-b", _report_text(euclid_sol), "0.1.0", "t")
     with pytest.raises(SchemaMismatch):
         diff(a, b)
+
+
+# Check lines of a 0.1.0 Schwarzschild report that 0.2.0 no longer writes:
+# algebraic identities of functional_row, asserted in test_properties.
+_DROPPED_IN_0_2_0 = """\
+check deficit_nonnegative EqualityDetected 0.0 0.5 1e-09
+check identity_f_from_gprime Pass -9.006933485619723e-16 7.533289028156558 1e-09
+check identity_a1_g Pass -2.8271597168564594e-16 0.530713867287078 1e-10
+check flux_constancy Pass -2.8271597168564594e-16 1.0534171779489063 1e-09
+check cauchy_schwarz_growth EqualityDetected -2.700193954655488e-27 678.7536785637899 1e-09
+check a1_growth_lower_bound EqualityDetected -1.2126102489933225e-14 30.57804860811336 1e-08"""
+
+
+def test_diff_against_a_0_1_0_record_names_the_dropped_checks(schw1_sol):
+    new = make_record("cfg", _report_text(schw1_sol), __version__, "t")
+    old = make_record("cfg", new.reports + "\n" + _DROPPED_IN_0_2_0, "0.1.0", "t")
+    dropped = sorted(line.split()[1] for line in _DROPPED_IN_0_2_0.splitlines())
+    with pytest.raises(SchemaMismatch, match=re.escape(f"only-a={dropped}, only-b=[]")):
+        diff(old, new)

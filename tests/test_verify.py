@@ -23,6 +23,18 @@ THEOREM_CHECKS = (
     "volume_comparison",
 )
 
+# Every check the battery reports, in report order.
+BOUNDARY_CHECKS = (
+    *THEOREM_CHECKS,
+    "g_monotone",
+    "g_nonpositive",
+    "gprime_vs_fd",
+    "fprime_vs_fd",
+    "riccati_growth",
+    "coarea_crosscheck",
+)
+BOUNDARYLESS_CHECKS = ("area_comparison", "volume_comparison", "fhat_monotone", "fhat_nonpositive", "coarea_crosscheck")
+
 
 @pytest.fixture(scope="module")
 def schw1_report(schw1_sol):
@@ -116,9 +128,9 @@ class TestHypothesisViolations:
         assert any("not minimal" in a for a in flat_exterior_report.annotations)
 
     def test_battery_still_evaluates(self, flat_exterior_report):
-        # identities hold even when hypotheses fail
-        assert flat_exterior_report.check("identity_a1_g").status is CheckStatus.PASS
-        assert flat_exterior_report.check("flux_constancy").status is CheckStatus.PASS
+        # the numerical cross-checks hold even when hypotheses fail
+        for name in ("gprime_vs_fd", "fprime_vs_fd", "coarea_crosscheck"):
+            assert flat_exterior_report.check(name).status is CheckStatus.PASS, name
 
     def test_negative_curvature_annotated(self):
         # f(s) = 2 + s^2/(2 + 0.4 s): minimal boundary, but f'' = 8/(2+0.4s)^3
@@ -164,9 +176,10 @@ class TestReportMechanics:
         write_report_csv(schw1_report, csv)
         assert csv.getvalue().startswith("name,status,worst_margin,worst_t,tolerance,note\n")
 
-    def test_stable_check_ordering(self, schw1_report):
-        names = [c.name for c in schw1_report.checks]
-        assert names[:5] == list(THEOREM_CHECKS)
+    def test_stable_check_ordering(self, schw1_report, euclid_sol):
+        assert [c.name for c in schw1_report.checks] == list(BOUNDARY_CHECKS)
+        boundaryless = run_battery(euclid_sol, default_t_grid(euclid_sol, 32))
+        assert [c.name for c in boundaryless.checks] == list(BOUNDARYLESS_CHECKS)
 
     def test_every_check_present_exactly_once(self, schw1_report, euclid_sol):
         names = [c.name for c in schw1_report.checks]
@@ -181,8 +194,8 @@ class TestReportMechanics:
 
 
 def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
-    # The growth bound reads the series' F and the coarea cross-check its
-    # levels; neither solves a grid level a second time.
+    # The coarea cross-check reads the series' levels and solves none of
+    # them a second time.
     import curvlab.functionals as functionals_mod
     import curvlab.potential as potential_mod
     import curvlab.verify as verify_mod
@@ -207,8 +220,8 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     monkeypatch.setattr(functionals_mod, "level", counting_level)
     grid = default_t_grid(schw1_sol, 16)
     run_battery(schw1_sol, grid)
-    # grid[0] = C/2 is also the boundary level of the deficit and gradient
-    # checks, which reuse its sample.
+    # grid[0] = C/2 is also the boundary level of the deficit and of the
+    # boundary checks, which reuse its sample.
     assert [calls[t] for t in grid] == [1] * len(grid)
     # The G and F finite differences share their stencil levels.
     assert [t for t, k in calls.items() if k > 1] == []
@@ -216,8 +229,7 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
 
 
 def test_battery_integrates_only_the_coarea_segments(perturbed_sol, monkeypatch):
-    # The growth integral is 2 (F(t) - F(C/2)) from the series, so on warm
-    # tables the battery integrates only the three coarea segments.
+    # On warm tables the battery integrates only the three coarea segments.
     import curvlab.functionals as functionals_mod
     import curvlab.potential as potential_mod
     import curvlab.profile as profile_mod
@@ -245,16 +257,23 @@ def test_battery_integrates_only_the_coarea_segments(perturbed_sol, monkeypatch)
     ids=["perturbed", "rneg-csv"],
 )
 def test_growth_bound_margin_closed_form(tmp_path, make, grid, tilde):
+    # The growth bound t A1' >= A1 - 4 pi + (1/2t) Int (R1 + B1), with the
+    # integral read as 2 (F(t) - F(C/2)), is algebra on the series columns:
     # t A1' - A1 + 4 pi = F/t, so the margin is F(C/2)/t, and (F(C/2) - A)/t
     # in the A1~ variant (2) that a negative deficit A selects.
     sol = solve(make(tmp_path))
     ts = default_t_grid(sol, grid)
-    check = run_battery(sol, ts).check("a1_growth_lower_bound")
     series = build_series(sol, ts)
     assert (series.deficit_A < 0.0) is tilde
     f_b = functional_row(series.boundary_sample, sol.capacity).F
-    predicted = (f_b - series.deficit_A if tilde else f_b) / check.worst_t
-    assert abs(check.worst_margin - predicted) <= 1.5e-14
+    shift = series.deficit_A if tilde else 0.0
+    margins = [
+        t * (a * a1 / t) - shift / (2.0 * t) - (a1 - 4.0 * math.pi + (f - f_b) / t + shift / (2.0 * t))
+        for t, a, a1, f in zip(ts, series.a_growth, series.A1, series.F)
+    ]
+    worst = min(margins)
+    worst_t = ts[margins.index(worst)]
+    assert abs(worst - (f_b - shift) / worst_t) <= 1.5e-14
 
 
 def test_coarea_crosscheck_splits_at_breakpoint_level():
