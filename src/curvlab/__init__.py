@@ -29,10 +29,10 @@ from .potential import (
     LevelSetSample,
     PotentialSolution,
     SolutionKind,
-    capacity,
     default_t_grid,
     level,
     level_integrals,
+    levels,
     solve,
 )
 from .profile import (
@@ -88,8 +88,8 @@ __all__ = [
     "LevelParam",
     "LevelSetSample",
     "solve",
-    "capacity",
     "level",
+    "levels",
     "level_integrals",
     "default_t_grid",
     "FunctionalSeries",

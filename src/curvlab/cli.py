@@ -29,7 +29,7 @@ from .errors import CurvlabError
 from .functionals import build_series, write_series_csv
 from .mass import mass_report, write_mass_csv
 from .numerics import Tolerance
-from .potential import default_t_grid, grad_value, level, solve
+from .potential import default_t_grid, grad_value, levels, solve
 from .profile import (
     MetricProfile,
     euclidean,
@@ -254,8 +254,7 @@ def cmd_potential(cfg: RunConfig, out: io.TextIOBase) -> int:
     sol = solve(_build_profile(cfg))
     grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
     # Solve every level before writing, so a failed level leaves no partial table.
-    levels = [level(sol, t) for t in grid]
-    rows = [f"{lp.t!r},{lp.s!r},{lp.u!r},{grad_value(sol, lp.s)!r}\n" for lp in levels]
+    rows = [f"{lp.t!r},{lp.s!r},{lp.u!r},{grad_value(sol, lp.s)!r}\n" for lp in levels(sol, grid)]
     _stamp(out)
     out.write(f"# profile={sol.profile.label}\n")
     cap = sol.capacity

@@ -35,8 +35,10 @@ from .potential import (
     LevelSetSample,
     PotentialSolution,
     SolutionKind,
+    _sample,
     level,
     level_integrals,
+    levels,
     t_of_level,
     u_value,
     volume_to_coordinate,
@@ -277,7 +279,7 @@ class FunctionalSeries:
 def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalSeries:
     """Evaluate every functional over the grid."""
     ts = [float(t) for t in t_grid]
-    samples = [level_integrals(sol, t) for t in ts]
+    samples = [_sample(sol, lp) for lp in levels(sol, ts)]
     boundary_sample = None
     deficit = math.nan
     if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
@@ -287,16 +289,17 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         deficit = _deficit(boundary_sample, sol.capacity)
     rows = [functional_row(ls, sol.capacity) for ls in samples]
     cols = FunctionalRow(*zip(*rows))
+    geometry = LevelSetSample(*zip(*samples))
 
     return FunctionalSeries(
         deficit_A=deficit,
         t_grid=tuple(ts),
-        s=tuple(ls.s for ls in samples),
-        u=tuple(ls.u for ls in samples),
-        area=tuple(ls.area for ls in samples),
-        grad=tuple(ls.grad for ls in samples),
-        mean_curvature=tuple(ls.mean_curvature for ls in samples),
-        scalar_R=tuple(ls.scalar_R for ls in samples),
+        s=geometry.s,
+        u=geometry.u,
+        area=geometry.area,
+        grad=geometry.grad,
+        mean_curvature=geometry.mean_curvature,
+        scalar_R=geometry.scalar_R,
         Fhat=cols.Fhat,
         G=cols.G,
         F=cols.F,
@@ -306,7 +309,7 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         B1=cols.B1,
         Fprime_analytic=cols.Fprime,
         Gprime_analytic=cols.Gprime,
-        volume=tuple(volume_to_coordinate(sol, ls.s) for ls in samples),
+        volume=tuple(volume_to_coordinate(sol, s) for s in geometry.s),
         boundary_sample=boundary_sample,
     )
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .errors import OutOfRange, ProfileDataError, WrongKind
-from .functionals import volume_sublevel
 from .numerics import extrapolate_to_zero, geometric_grid
-from .potential import PotentialSolution, SolutionKind, grad_value, u_value
+from .potential import PotentialSolution, SolutionKind, grad_value, levels, u_value, volume_to_coordinate
 from .profile import ConformalProfile
 
 __all__ = [
@@ -98,8 +97,8 @@ def mass_from_volume(
         raise ProfileDataError("the volume estimator needs an asymptotically flat profile")
     ts = [float(t) for t in (t_samples if t_samples is not None else default_volume_samples())]
     samples: list[tuple[float, float]] = []
-    for t in ts:
-        vol = volume_sublevel(sol, t)
+    for t, s, _ in levels(sol, ts):
+        vol = volume_to_coordinate(sol, s)
         m_est = (vol - _FOUR_PI * t ** 3 / 3.0) / (_FOUR_PI * t * t)
         samples.append((t, m_est))
 

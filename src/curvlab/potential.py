@@ -24,7 +24,11 @@ decays like 1/x on every profile end, so the bracket walk starts at
 floor(log2 T(x_ref) - log2 target) and usually reads two or three anchors;
 and 1/T is nearly linear on the bracket (exactly, where T = 1/(x + a)).
 Newton runs on 1/T - 1/target from its linear interpolation and reads T
-from the bracket's table, located once: 1.5 to 3.5 table reads per level.
+from the bracket's table: 1.5 to 3.5 table reads per level.  ``levels``
+solves a sequence of t in one pass and locates the bracket and its table
+once per anchor interval the sequence stays in, so an ordered grid of 4096
+levels walks 11 to 13 brackets; the bracket is a function of the target
+alone, so every level is bitwise the one a solve of t alone returns.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
-from .errors import NonConvergent, OutOfRange, WrongKind
+from .errors import NonConvergent, OutOfRange
 from .numerics import Tolerance, geometric_grid, integrate
 from .profile import MetricProfile, ProfileKind, _warped_scalar_curvature
 
@@ -46,8 +50,8 @@ __all__ = [
     "LevelParam",
     "LevelSetSample",
     "solve",
-    "capacity",
     "level",
+    "levels",
     "level_value",
     "t_of_level",
     "level_integrals",
@@ -80,8 +84,7 @@ class SolutionKind(str, Enum):
     GREEN_BOUNDARYLESS = "green_boundaryless"
 
 
-@dataclass(frozen=True)
-class LevelParam:
+class LevelParam(NamedTuple):
     """One level of u in the three equivalent labels: t, radial coordinate, u-value."""
 
     t: float
@@ -89,8 +92,7 @@ class LevelParam:
     u: float
 
 
-@dataclass(frozen=True)
-class LevelSetSample:
+class LevelSetSample(NamedTuple):
     """Pointwise and integrated level-set geometry at one t.
 
     On round level sets each surface integral is 4 pi f^2 times the
@@ -404,33 +406,6 @@ def solve(p: MetricProfile) -> PotentialSolution:
     )
 
 
-def capacity(sol: PotentialSolution) -> float:
-    """Boundary capacity C = (1/4pi) Int_{dM} |grad u| dsigma.
-
-    Cross-checked against the bulk representation (1/4pi) Int_M |grad u|^2 dvol
-    by an independent quadrature pass.
-    """
-    if sol.kind is not SolutionKind.CAPACITARY_WITH_BOUNDARY:
-        raise WrongKind("capacity is defined for boundary solutions only")
-    p = sol.profile
-    c = sol.c_norm
-    f_b = p.f(p.x_min)
-    boundary_flux = (f_b * f_b) * (c / (f_b * f_b))  # (1/4pi) * 4 pi f^2 |grad u|
-
-    def bulk(x: float) -> float:
-        fx = p.f(x)
-        g = c / (fx * fx)
-        return g * g * fx * fx * p.ds_dx(x)
-
-    bulk_value = integrate(bulk, p.x_min, math.inf, _TAIL_TOL, points=p.breakpoints).value
-    if abs(bulk_value - boundary_flux) > 1e-6 * max(boundary_flux, 1.0):
-        raise NonConvergent(
-            "capacity cross-check failed: boundary flux %r vs bulk energy %r"
-            % (boundary_flux, bulk_value)
-        )
-    return boundary_flux
-
-
 def level_value(sol: PotentialSolution, t: float) -> float:
     """The u-level labelled by t."""
     if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
@@ -450,54 +425,68 @@ def t_of_level(sol: PotentialSolution, u: float) -> float:
     return 1.0 / (1.0 - u)
 
 
-def _coordinate_of_tail(sol: PotentialSolution, target: float) -> float:
-    """Solve T(x) = target by safeguarded Newton (T' = -ds_dx/f^2 is analytic)."""
+def levels(sol: PotentialSolution, ts: Iterable[float]) -> list[LevelParam]:
+    """Locate the level sets labelled by ts, in order; each round-trips t -> s -> t to rel 1e-10.
+
+    Each level solves T(x) = (1 - u)/c by safeguarded Newton (T' = -ds_dx/f^2
+    is analytic).  The bracket of the previous level and its table reader are
+    kept while the next target stays inside it, so an ordered grid locates
+    one bracket per anchor interval it covers.
+    """
     tail = sol._tail
     p = sol.profile
+    f, ds_dx = p.f, p.ds_dx
     boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
-
-    if boundary and target >= tail.total() * (1.0 - 4e-16):
-        return p.x_min
-    # T(lo) > target >= T(hi); at T(hi) = target the start is hi itself.
-    lo, t_lo, hi, t_hi = tail.bracket(target)
-    # Newton on g = 1/T - 1/target (T's step times T/target) from the linear
-    # interpolation of 1/T; its weight rounds to at most 1, so x <= hi.
-    read = tail.reader(lo, t_lo, hi, t_hi)
-    x = lo + (1.0 / target - 1.0 / t_lo) / (1.0 / t_hi - 1.0 / t_lo) * (hi - lo)
-    stop = 1e-14 * target
-    for _ in range(80):
-        t_x = read(x)
-        resid = t_x - target
-        fx = p.f(x)
-        x_new = x + resid * fx * fx / p.ds_dx(x) * (t_x / target)
-        if abs(resid) <= stop:
-            # Inside the stop band: take one more step and keep the closer point.
-            if x_new != x and lo <= x_new <= hi and abs(read(x_new) - target) < abs(resid):
-                return x_new
-            return x
-        if resid > 0.0:
-            lo = x
+    bracket = None  # (lo, T(lo), hi, T(hi)) of the last bracketed level
+    out = []
+    for t in ts:
+        u_target = level_value(sol, t)
+        # T = (1 - u)/c in closed form (c = C with a boundary, 1 without):
+        # forming 1 - u from u would cancel digits at large t.
+        target = 2.0 / (2.0 * t + sol.capacity) if boundary else 1.0 / t
+        if boundary and target >= tail.total() * (1.0 - 4e-16):
+            out.append(LevelParam(t, p.x_min, u_target))
+            continue
+        # T(lo) > target >= T(hi); at T(hi) = target the start is hi itself.
+        # The bracket depends on the target alone, so a kept one is the one
+        # tail.bracket would return.
+        if bracket is None or not bracket[1] > target >= bracket[3]:
+            bracket = tail.bracket(target)
+            read = tail.reader(*bracket)
+        lo, t_lo, hi, t_hi = bracket
+        # Newton on g = 1/T - 1/target (T's step times T/target) from the linear
+        # interpolation of 1/T; its weight rounds to at most 1, so x <= hi.
+        x = lo + (1.0 / target - 1.0 / t_lo) / (1.0 / t_hi - 1.0 / t_lo) * (hi - lo)
+        stop = 1e-14 * target
+        for _ in range(80):
+            t_x = read(x)
+            resid = t_x - target
+            fx = f(x)
+            x_new = x + resid * fx * fx / ds_dx(x) * (t_x / target)
+            if abs(resid) <= stop:
+                # Inside the stop band: take one more step and keep the closer point.
+                if x_new != x and lo <= x_new <= hi and abs(read(x_new) - target) < abs(resid):
+                    x = x_new
+                break
+            if resid > 0.0:
+                lo = x
+            else:
+                hi = x
+            if not lo < x_new < hi:
+                x_new = 0.5 * (lo + hi)
+            if abs(x_new - x) <= 4e-16 * abs(x):
+                x = x_new
+                break
+            x = x_new
         else:
-            hi = x
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4e-16 * abs(x):
-            return x_new
-        x = x_new
-    raise NonConvergent(f"level solve did not converge (target {target!r})")
+            raise NonConvergent(f"level solve did not converge (target {target!r})")
+        out.append(LevelParam(t, x, u_target))
+    return out
 
 
 def level(sol: PotentialSolution, t: float) -> LevelParam:
-    """Locate the level set labelled by t; round-trips t -> s -> t to rel 1e-10."""
-    u_target = level_value(sol, t)
-    # T = (1 - u)/c in closed form (c = C with a boundary, 1 without):
-    # forming 1 - u from u would cancel digits at large t.
-    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
-        target_tail = 2.0 / (2.0 * t + sol.capacity)
-    else:
-        target_tail = 1.0 / t
-    x = _coordinate_of_tail(sol, target_tail)
-    return LevelParam(t=t, s=x, u=u_target)
+    """Locate the level set labelled by t (see levels)."""
+    return levels(sol, (t,))[0]
 
 
 def u_value(sol: PotentialSolution, x: float) -> float:
@@ -517,7 +506,11 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
     The three surface integrals reduce to 4 pi f^2 times pointwise values on
     round level sets.
     """
-    lp = level(sol, t)
+    return _sample(sol, level(sol, t))
+
+
+def _sample(sol: PotentialSolution, lp: LevelParam) -> LevelSetSample:
+    """The level_integrals payload of a solved level."""
     p = sol.profile
     x = lp.s
     f = p.f(x)
@@ -527,7 +520,7 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
     mean_h = 2.0 * fs / f
     r_scalar = _warped_scalar_curvature(f, fs, p.d2f_ds2(x))
     return LevelSetSample(
-        t=t,
+        t=lp.t,
         s=x,
         u=lp.u,
         area=area,

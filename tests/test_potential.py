@@ -5,20 +5,19 @@ import random
 import numpy as np
 import pytest
 
-from curvlab.errors import NonConvergent, OutOfRange, WrongKind
+from curvlab.errors import NonConvergent, OutOfRange
 from curvlab.numerics import Tolerance, differentiate, integrate
 from curvlab.potential import (
     _TAIL_TOL,
     SolutionKind,
-    _coordinate_of_tail,
     _panel_sum,
     _TailCache,
-    capacity,
     default_t_grid,
     grad_value,
     level,
     level_integrals,
     level_value,
+    levels,
     solve,
     t_of_level,
     u_value,
@@ -69,8 +68,8 @@ class TestSchwarzschild:
             assert u_value(schw1_sol, r) == pytest.approx(exact, abs=1e-12)
 
     def test_capacity_equals_mass(self, schw1_sol, schw2_sol, golden):
-        assert capacity(schw1_sol) == pytest.approx(golden["potential.schw1_capacity"], rel=1e-10)
-        assert capacity(schw2_sol) == pytest.approx(golden["potential.schw2_capacity"], rel=1e-10)
+        assert schw1_sol.capacity == pytest.approx(golden["potential.schw1_capacity"], rel=1e-10)
+        assert schw2_sol.capacity == pytest.approx(golden["potential.schw2_capacity"], rel=1e-10)
 
     def test_boundary_level(self, schw1_sol):
         # dM = {u = 0} at t = C/2, by the maximum principle.
@@ -135,8 +134,7 @@ class TestLevels:
             level(euclid_sol, 0.0)
 
     def test_wrong_kind(self, euclid_sol):
-        with pytest.raises(WrongKind):
-            capacity(euclid_sol)
+        assert euclid_sol.capacity is None
 
 
 class TestMollified:
@@ -169,7 +167,7 @@ class TestCapacityExamples:
             d2f_ds2=lambda x: 0.0,
         )
         sol = solve(p)
-        assert capacity(sol) == pytest.approx(golden["potential.flat_exterior_capacity"], rel=1e-10)
+        assert sol.capacity == pytest.approx(golden["potential.flat_exterior_capacity"], rel=1e-10)
 
 
 def test_volume_euclid_ball(euclid_sol, golden):
@@ -293,7 +291,7 @@ def test_bracket_is_the_last_anchor_above_the_target(tmp_path):
         targets += [anchors[k] for k in ks[1:-1]]
         if boundary:
             # At T(x_min) the level is the boundary itself; no bracket is needed.
-            assert _coordinate_of_tail(sol, tail.total()) == p.x_min
+            assert level(sol, 0.5 * sol.capacity).s == p.x_min
             targets = [t for t in targets if t < tail.total() * (1.0 - 4e-16)]
         assert anchors[ks[0]] > max(targets) and anchors[ks[-1]] < min(targets), p.label
         for target in targets:
@@ -318,6 +316,46 @@ def test_level_solve_reads_few_anchors(monkeypatch):
     for t in grid:
         level(sol, t)
     assert calls[0] / len(grid) <= 4.0
+
+
+@pytest.mark.parametrize(
+    "p",
+    [euclidean(), schwarzschild(1.0), perturbed_schwarzschild(), to_warped(mollified_schwarzschild(1.0, 1.0))],
+    ids=["euclidean", "schwarzschild", "perturbed", "mollified"],
+)
+def test_levels_brackets_once_per_anchor_interval(monkeypatch, p):
+    # levels keeps its bracket while the next target stays inside it: one
+    # bracket per dyadic interval the grid's levels occupy, where a level
+    # solve per t walks one per level (every level but the boundary's).
+    counts = {"bracket": 0, "anchor_value": 0}
+
+    def counting(name):
+        real = getattr(_TailCache, name)
+
+        def wrapped(self, arg):
+            counts[name] += 1
+            return real(self, arg)
+
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(_TailCache, name, counting(name))
+    sol = solve(p)
+    tail = sol._tail
+    grid = default_t_grid(sol, 4096)
+    levels(sol, grid)  # builds the tables; each build reads its anchor once more
+    counts.update(dict.fromkeys(counts, 0))
+    levels(sol, grid)
+    swept = dict(counts)
+    boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
+    targets = [2.0 / (2.0 * t + sol.capacity) if boundary else 1.0 / t for t in grid]
+    intervals = {tail.bracket(target)[0] for target in targets[boundary:]}
+    assert swept["bracket"] == len(intervals) and 11 <= len(intervals) <= 13, p.label
+    assert swept["anchor_value"] <= 60, p.label
+    counts.update(dict.fromkeys(counts, 0))
+    for t in grid:
+        level(sol, t)
+    assert counts["bracket"] >= 4095, p.label
 
 
 def _count_panel_sums(monkeypatch, tables=None):

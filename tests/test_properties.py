@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from curvlab.functionals import functional_row
 from curvlab.numerics import Tolerance, differentiate, find_root, integrate
-from curvlab.potential import LevelSetSample, level, t_of_level, u_value
-from curvlab.profile import _warped_scalar_curvature
+from curvlab.potential import LevelSetSample, default_t_grid, level, levels, solve, t_of_level, u_value
+from curvlab.profile import _warped_scalar_curvature, mollified_schwarzschild, perturbed_schwarzschild, to_warped
+
+from frozen_outputs import rneg_profile
 
 _EPS = 2.220446049250313e-16
 
@@ -95,6 +97,54 @@ def test_level_map_monotone(schw1_sol, t1, t2):
         return
     lo, hi = sorted((t1, t2))
     assert level(schw1_sol, lo).s <= level(schw1_sol, hi).s
+
+
+_models = st.one_of(
+    st.tuples(st.just("perturbed"), st.floats(0.5, 2.0), st.floats(0.1, 0.5), st.floats(0.5, 2.0)),
+    st.tuples(st.just("mollified"), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    st.just(("rneg",)),
+)
+
+
+@pytest.fixture(scope="module")
+def rneg(tmp_path_factory):
+    return rneg_profile(tmp_path_factory.mktemp("rneg"))
+
+
+@given(
+    model=_models,
+    n=st.integers(1, 24),
+    t_min_factor=st.one_of(st.just(1.0), st.floats(1.0, 4.0)),
+    t_max_factor=st.floats(4.0, 1000.0),
+    order=st.sampled_from(["increasing", "decreasing", "shuffled", "repeated"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_levels_match_single_level_solves(rneg, model, n, t_min_factor, t_max_factor, order, data):
+    # levels keeps its bracket while the next target stays inside it; each
+    # level must still carry the bits of a solve of its t alone on a fresh
+    # solution, in any order.  t_min_factor = 1 starts the grid at the
+    # boundary level C/2 on the boundary profiles.
+    if model[0] == "perturbed":
+        p = perturbed_schwarzschild(*model[1:])
+    elif model[0] == "mollified":
+        p = to_warped(mollified_schwarzschild(*model[1:]))
+    else:
+        p = rneg
+    grid = default_t_grid(solve(p), n, t_min_factor, t_max_factor)
+    if order == "decreasing":
+        ts = grid[::-1]
+    elif order == "shuffled":
+        ts = data.draw(st.permutations(grid))
+    elif order == "repeated":
+        ts = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=2 * n))
+    else:
+        ts = grid
+    swept = levels(solve(p), ts)
+    assert [lp.t for lp in swept] == ts
+    for lp in swept:
+        alone = level(solve(p), lp.t)
+        assert (lp.s.hex(), lp.u.hex()) == (alone.s.hex(), alone.u.hex()), (p.label, lp.t)
 
 
 @given(

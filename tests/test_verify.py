@@ -195,29 +195,32 @@ class TestReportMechanics:
 
 def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     # The coarea cross-check reads the series' levels and solves none of
-    # them a second time.
+    # them a second time.  Every sample, of a grid or of one level_integrals
+    # call, is built by potential._sample, and every solve, of a grid or of
+    # one level call, runs through potential.levels.
     import curvlab.functionals as functionals_mod
     import curvlab.potential as potential_mod
-    import curvlab.verify as verify_mod
 
     calls: dict[float, int] = {}
-    real = functionals_mod.level_integrals
+    real = potential_mod._sample
 
-    def counting(sol, t):
-        calls[t] = calls.get(t, 0) + 1
-        return real(sol, t)
+    def counting(sol, lp):
+        calls[lp.t] = calls.get(lp.t, 0) + 1
+        return real(sol, lp)
 
     solves: dict[float, int] = {}
-    real_level = potential_mod.level
+    real_levels = potential_mod.levels
 
-    def counting_level(sol, t):
-        solves[t] = solves.get(t, 0) + 1
-        return real_level(sol, t)
+    def counting_levels(sol, ts):
+        ts = list(ts)
+        for t in ts:
+            solves[t] = solves.get(t, 0) + 1
+        return real_levels(sol, ts)
 
-    monkeypatch.setattr(functionals_mod, "level_integrals", counting)
-    monkeypatch.setattr(verify_mod, "level_integrals", counting)
-    monkeypatch.setattr(potential_mod, "level", counting_level)
-    monkeypatch.setattr(functionals_mod, "level", counting_level)
+    monkeypatch.setattr(potential_mod, "_sample", counting)
+    monkeypatch.setattr(functionals_mod, "_sample", counting)
+    monkeypatch.setattr(potential_mod, "levels", counting_levels)
+    monkeypatch.setattr(functionals_mod, "levels", counting_levels)
     grid = default_t_grid(schw1_sol, 16)
     run_battery(schw1_sol, grid)
     # grid[0] = C/2 is also the boundary level of the deficit and of the
