@@ -167,8 +167,10 @@ def integrate(
         integrably; divergence shows up as `NonConvergent`.
     a, b : float
         Interval ends; ``b=math.inf`` triggers the rational compactification
-        s = a + x/(1-x), x in [0, 1), so O(s^-2) tails are integrated without
-        a truncation radius.
+        s = a + L x/(1-x), x in [0, 1), with L = max(|a|, 1), so O(s^-2)
+        tails are integrated without a truncation radius.  The scale L keeps
+        the map uniform in relative terms however far out a lies: an exact
+        s^-2 tail maps to the constant 1/L, integrated to the ulp at any a.
     tol : Tolerance, optional
         Accuracy contract (default rel=1e-10, abs=1e-12, 60 refinements).
     points : sequence of float, optional
@@ -190,15 +192,17 @@ def integrate(
         res = integrate(f, b, a, tol, points)
         return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
     if math.isinf(b):
+        scale = max(abs(a), 1.0)
+
         def compactified(x: float) -> float:
             onemx = 1.0 - x
             if onemx <= 0.0:
                 # Refinement has piled up against the compactified endpoint:
                 # the tail is not integrable at the working tolerance.
                 raise NonConvergent("tail integral does not converge")
-            return f(a + x / onemx) / (onemx * onemx)
+            return f(a + scale * x / onemx) * scale / (onemx * onemx)
 
-        mapped = [(p - a) / (1.0 + (p - a)) for p in points if p > a]
+        mapped = [(p - a) / (scale + (p - a)) for p in points if p > a]
         return _adaptive(compactified, 0.0, 1.0, tol, mapped)
     return _adaptive(f, a, b, tol, points)
 

@@ -7,14 +7,20 @@ with a single normalisation constant:
     chosen so u -> 1 at infinity;
   * boundaryless:   u(x) = 1 - Int_x^oo f^-2 ds  (u = 1 - 4 pi G_o, c = 1).
 
-u is evaluated from the tail integral T(x) = Int_x^oo f^-2 ds.  The
-canonical anchors x_ref * 2^k carry independent semi-infinite adaptive
-integrals T(x_ref * 2^k).  On each dyadic interval between two anchors the
-integrand ds_dx/f^2 is tabulated once as a piecewise Chebyshev interpolant
-whose antiderivative is exact, so T(x) is the anchor value minus one
-Clenshaw sum: O(1) per query, with no per-query quadrature inside the level
-solve or the integrands built on u.  Anchor values and tables depend on k
-alone, so query results are bitwise independent of evaluation order.
+u is evaluated from the tail integral T(x) = Int_x^oo f^-2 ds at the
+canonical anchors x_ref * 2^k and between them.  On each dyadic interval
+between two anchors the integrand ds_dx/f^2 is tabulated once as a
+piecewise Chebyshev interpolant whose antiderivative is exact, so T(x) is
+the anchor value minus one Clenshaw sum: O(1) per query, with no per-query
+quadrature inside the level solve or the integrands built on u.  One
+semi-infinite adaptive integral fixes the far anchor T(x_ref 2^_FAR_K);
+every anchor below it telescopes down through the tables, T(x_ref 2^k) =
+T(x_ref 2^(k+1)) + the total of table k, so the tables are the one source
+of T below the far anchor, and on a boundary profile the capacity's
+T(x_min) is that same sum.  Anchors above it, read only by levels beyond
+x_ref 2^_FAR_K, are their own adaptive integrals.  Anchor values and
+tables depend on k alone, so query results are bitwise independent of
+evaluation order.
 
 The sub-level volume V(x) = Int_{x_min}^x 4 pi f^2 ds is read from tables
 of 4 pi f^2 ds_dx on the same intervals, built and summed by the same code.
@@ -77,6 +83,10 @@ _CHEB_COS = tuple(
 _TABLE_REL = 1e-16
 _TABLE_MAX_DEPTH = 60
 _TABLE_MAX_PANELS = 4096  # bisection budget beyond the breakpoint split
+# The tail anchors below _FAR_K telescope from the adaptive integral at
+# _FAR_K.  The default t-grids of the built-ins read tables up to k = 10 or
+# so, which leaves that integral the only one they make.
+_FAR_K = 12
 
 
 class SolutionKind(str, Enum):
@@ -119,9 +129,9 @@ class _DyadicTables:
     k splits at the profile breakpoints, interpolates the integrand in
     Chebyshev polynomials and bisects each panel until the trailing
     coefficients of its integrated series, times the panel half-width, fall
-    below _TABLE_REL times ``_scale(anchor, through)``: ``anchor`` is the
-    anchor value at the left end of the interval and ``through`` the
-    integral from there to the right end of the panel.  Each panel stores
+    below _TABLE_REL times ``_scale(k, through)``, where ``through`` is the
+    integral from the left end of the interval to the right end of the
+    panel; the scale must be known before table k is built.  Each panel stores
     its left edge, half-width, the integral of the panels before it, and
     its integrated coefficients as (c0, (cN, ..., c1)) in Clenshaw order.
     Anchors and tables are built on first use and depend on k alone.
@@ -149,7 +159,7 @@ class _DyadicTables:
         return coeffs
 
     def _table(self, k: int) -> tuple:
-        """(anchor value, panel starts, panels, integral over the interval) of interval k."""
+        """(panel starts, panels, integral over the interval) of interval k."""
         table = self._tables.get(k)
         if table is None:
             table = self._tables[k] = self._build_table(k)
@@ -157,7 +167,6 @@ class _DyadicTables:
 
     def _build_table(self, k: int) -> tuple:
         lo, hi = self.anchor_x(k), self.anchor_x(k + 1)
-        anchor = self.anchor_value(k)
         edges = [lo] + [p for p in sorted(set(self._p.breakpoints)) if lo < p < hi] + [hi]
         todo = [(a, b, 0) for a, b in reversed(list(zip(edges, edges[1:])))]
         starts: list[float] = []
@@ -173,7 +182,7 @@ class _DyadicTables:
             ints[0] = sum(v if j % 2 else -v for j, v in enumerate(ints))
             half = 0.5 * (b - a)
             piece = half * sum(ints)
-            if (abs(ints[-1]) + abs(ints[-2])) * half <= _TABLE_REL * self._scale(anchor, acc + piece):
+            if (abs(ints[-1]) + abs(ints[-2])) * half <= _TABLE_REL * self._scale(k, acc + piece):
                 starts.append(a)
                 panels.append((a, half, acc, ints[0], tuple(reversed(ints[1:]))))
                 acc += piece
@@ -184,7 +193,7 @@ class _DyadicTables:
                 raise NonConvergent(f"table did not resolve the integrand on [{a!r}, {b!r}] (depth {depth})")
             todo.append((mid, b, depth + 1))
             todo.append((a, mid, depth + 1))
-        return (anchor, starts, panels, acc)
+        return (starts, panels, acc)
 
     def _interval(self, x: float) -> int:
         """The k with x_ref 2^k <= x < x_ref 2^(k+1): the log2 guess, corrected once either way."""
@@ -200,13 +209,12 @@ class _DyadicTables:
         k = self._interval(x)
         if x == self.anchor_x(k):
             return self.anchor_value(k), 0.0
-        table = self._table(k)
-        return table[0], _panel_sum(table, x)
+        return self.anchor_value(k), _panel_sum(self._table(k), x)
 
 
 def _panel_sum(table: tuple, x: float) -> float:
     """Integral of a table from its left end to x, strictly inside its interval: one Clenshaw sum."""
-    _, starts, panels, _ = table
+    starts, panels, _ = table
     start, half, before, c0, rest = panels[bisect_right(starts, x) - 1]
     z = (x - start) / half - 1.0
     # Clenshaw sum of the integrated Chebyshev series at z.
@@ -220,10 +228,13 @@ def _panel_sum(table: tuple, x: float) -> float:
 class _TailCache(_DyadicTables):
     """T(x) = Int_x^oo ds/f^2 from canonical anchors x_ref * 2^k and per-interval tables.
 
-    Every anchor value is an independent semi-infinite adaptive integral,
-    and T(x) is the anchor below x minus the table integral up to x.  The
-    table of interval k measures its panels against the anchor value T(x_ref
-    2^k), so T(x) is bitwise independent of evaluation order.
+    T(x) is the anchor below x minus the table integral up to x.  The anchor
+    at k = _FAR_K is a semi-infinite adaptive integral; below it T(x_ref 2^k)
+    = T(x_ref 2^(k+1)) + the total of table k, and above it each anchor is
+    its own adaptive integral.  The table of interval k measures its panels
+    against T(x_ref 2^(k+1)), a lower bound of T on the interval that is
+    known before the table is built, so anchors and tables depend on k alone
+    and T(x) is bitwise independent of evaluation order.
     """
 
     def __init__(self, profile: MetricProfile):
@@ -235,8 +246,8 @@ class _TailCache(_DyadicTables):
         fx = self._p.f(x)
         return self._p.ds_dx(x) / (fx * fx)
 
-    def _scale(self, anchor: float, through: float) -> float:
-        return anchor
+    def _scale(self, k: int, through: float) -> float:
+        return self.anchor_value(k + 1)
 
     def anchor_value(self, k: int) -> float:
         if self._k_floor is not None:
@@ -244,9 +255,12 @@ class _TailCache(_DyadicTables):
         cached = self._anchors.get(k)
         if cached is not None:
             return cached
-        value = integrate(
-            self._integrand, self.anchor_x(k), math.inf, _TAIL_TOL, points=self._p.breakpoints
-        ).value
+        if k < _FAR_K:
+            value = self.anchor_value(k + 1) + self._table(k)[2]
+        else:
+            value = integrate(
+                self._integrand, self.anchor_x(k), math.inf, _TAIL_TOL, points=self._p.breakpoints
+            ).value
         self._anchors[k] = value
         return value
 
@@ -269,9 +283,11 @@ class _TailCache(_DyadicTables):
         there, formed in log space so that a tiny target cannot overflow, and
         moves down while the anchor value is still at or below the target, then
         up until the next anchor value drops to it.  Where T falls faster than
-        1/x the guess can overshoot to an anchor whose integral does not
-        converge; the walk then starts from k = 0.  The anchors strictly
-        decrease, so the answer does not depend on the start.
+        1/x the guess can overshoot above _FAR_K to an anchor whose adaptive
+        integral does not converge; the walk then starts from k = 0.  Below
+        _FAR_K the anchors are telescoped table sums and that fallback is not
+        taken.  The anchors strictly decrease, so the answer does not depend
+        on the start.
         """
         t_ref = self.anchor_value(0)
         k = 80
@@ -335,8 +351,8 @@ class _VolumeCache(_DyadicTables):
         fx = self._p.f(x)
         return _FOUR_PI * fx * fx * self._p.ds_dx(x)
 
-    def _scale(self, anchor: float, through: float) -> float:
-        return anchor + through
+    def _scale(self, k: int, through: float) -> float:
+        return self.anchor_value(k) + through
 
     def anchor_value(self, k: int) -> float:
         cached = self._anchors.get(k)
@@ -344,7 +360,7 @@ class _VolumeCache(_DyadicTables):
             return cached
         p = self._p
         if k > 0:
-            value = self.anchor_value(k - 1) + self._table(k - 1)[3]
+            value = self.anchor_value(k - 1) + self._table(k - 1)[2]
         elif self.anchor_x(k) == p.x_min:  # x_ref is the boundary
             value = 0.0
         else:

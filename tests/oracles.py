@@ -87,6 +87,14 @@ def schwarzschild_capacity_quadrature(m, dps: int = 30) -> float:
         return float(1 / total)
 
 
+def bump_tail_quadrature(c: float, w: float, x: float, dps: int = 30) -> float:
+    """T(x) = Int_x^oo ds/f^2 for f = s + 5 exp(-((s - c)/w)^2), split across the bump."""
+    with mpmath.workdps(dps):
+        f = lambda s: s + 5 * mpmath.exp(-(((s - c) / w) ** 2))
+        splits = [c + j * w for j in (-5, -2, -1, 0, 1, 2, 5) if c + j * w > x]
+        return float(mpmath.quad(lambda s: 1 / f(s) ** 2, [x, *splits, mpmath.inf]))
+
+
 def compute_all() -> dict[str, float]:
     vals: dict[str, float] = {}
 
@@ -145,6 +153,9 @@ def compute_all() -> dict[str, float]:
     # Mollified exterior potential u = 1 - 1/(r + 1/2).
     vals["potential.moll11_u_at_2"] = _f(1 - 1 / (sp.Integer(2) + sp.Rational(1, 2)))
     vals["potential.moll11_u_at_5"] = _f(1 - 1 / (sp.Integer(5) + sp.Rational(1, 2)))
+    # T below a narrow bump (centre 3, width 0.02) that no breakpoint declares.
+    vals["potential.bump3_tail_at_1"] = bump_tail_quadrature(3.0, 0.02, 1.0)
+    vals["potential.bump3_tail_at_1p9"] = bump_tail_quadrature(3.0, 0.02, 1.9)
 
     # --- functionals ------------------------------------------------------
     vals["functionals.euclid_volume_t2"] = _f(sp.Rational(32, 3) * sp.pi)

@@ -320,10 +320,21 @@ def test_tol_flag_at_default_reproduces_default_report():
     assert strip_timestamp(flagged.stdout) == strip_timestamp(default.stdout)
 
 
+def test_potential_reaches_far_levels(capsys):
+    # t up to 1e9 C reads anchors near x_ref 2^30, whose integrals on the
+    # unit-scale map of [x, oo) did not converge.
+    code = main(["potential", "--model", "perturbed-schwarzschild", "--grid", "8", "--t-max-factor", "1e9"])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "t,s,u,grad" and len(lines) == 9
+
+
 def test_potential_failed_level_writes_no_table(capsys):
     # Every level is solved before the first line is written: a level that
-    # does not converge leaves stdout empty instead of a partial table.
+    # cannot be solved leaves stdout empty instead of a partial table.  The
+    # far anchors converge, so these levels fail in the bracket walk.
     err = _usage_error(
         capsys, "potential", "--model", "euclidean", "--t-min-factor", "1e300", "--t-max-factor", "1e301", "--grid", "8"
     )
-    assert "did not converge" in err
+    assert "level lies beyond the resolvable range" in err

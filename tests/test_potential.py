@@ -189,6 +189,19 @@ def _write_csv(path, header, rows):
     return str(path)
 
 
+def _bump(c, w):
+    """The boundaryless f = s + 5 exp(-((s - c)/w)^2), with no declared breakpoint."""
+    bump = lambda s: math.exp(-(((s - c) / w) ** 2))
+    return MetricProfile(
+        label=f"bump(c={c}, w={w})",
+        kind=ProfileKind.BOUNDARYLESS,
+        x_min=0.0,
+        f=lambda s: s + 5.0 * bump(s),
+        df_ds=lambda s: 1.0 - 10.0 * (s - c) / w**2 * bump(s),
+        d2f_ds2=lambda s: (20.0 * (s - c) ** 2 / w**4 - 10.0 / w**2) * bump(s),
+    )
+
+
 def _tail_profiles(tmp_path):
     """Every built-in, one r,w and two s,f CSV profiles and a narrow bump, with their kinks."""
     builtins = [
@@ -224,16 +237,54 @@ def _tail_profiles(tmp_path):
     # the panels of interval k = 1 to resolve it.  The reference splits at
     # its centre and five widths either side, or an integral from 0 to far
     # out steps over it.
-    bump = MetricProfile(
-        label="bump",
-        kind=ProfileKind.BOUNDARYLESS,
-        x_min=0.0,
-        f=lambda s: s + 5.0 * math.exp(-(((s - 3.0) / 0.2) ** 2)),
-        df_ds=lambda s: 1.0 - 250.0 * (s - 3.0) * math.exp(-(((s - 3.0) / 0.2) ** 2)),
-        d2f_ds2=lambda s: (12500.0 * (s - 3.0) ** 2 - 250.0) * math.exp(-(((s - 3.0) / 0.2) ** 2)),
-    )
-    out.append((bump, (2.0, 3.0, 4.0)))
+    out.append((_bump(3.0, 0.2), (2.0, 3.0, 4.0)))
     return out
+
+
+def test_tail_anchors_match_adaptive_quadrature(tmp_path):
+    # Below the far anchor every anchor is a telescoped sum of table totals;
+    # each agrees with its own semi-infinite adaptive integral.
+    for p, kinks in _tail_profiles(tmp_path):
+        tail = solve(p)._tail
+        for k in range(-20, 21):
+            x = tail.anchor_x(k)
+            if x <= p.x_min:
+                continue
+            ref = integrate(tail._integrand, x, math.inf, _TAIL_TOL, points=kinks).value
+            assert abs(tail.anchor_value(k) - ref) <= 1e-12 * ref, (p.label, k)
+
+
+def test_tail_anchors_are_independent_of_query_order(tmp_path):
+    # Anchor k and table k depend on k alone, so the order in which the
+    # anchors are first read cannot change a bit of any of them.
+    rng = random.Random(13)
+    ks = list(range(-20, 21))
+    for p, _ in _tail_profiles(tmp_path):
+        shuffled = ks[:]
+        rng.shuffle(shuffled)
+        in_order, out_of_order = solve(p)._tail, solve(p)._tail
+        expected = {k: in_order.anchor_value(k) for k in ks}
+        got = {k: out_of_order.anchor_value(k) for k in shuffled}
+        assert all(expected[k].hex() == got[k].hex() for k in ks), p.label
+
+
+def test_euclidean_anchors_are_exact():
+    # T = 1/x.  The scaled map of [x_k, oo) turns the integrand of each
+    # adaptive anchor into the constant 1/x_k, and every table total
+    # 2^-(k+1) is a float, so each anchor lands on 2^-k.  The unit-scale map
+    # lost ulps from k = 8 and stopped converging at k = 29.
+    tail = solve(euclidean())._tail
+    for k in range(-40, 81):
+        assert abs(tail.anchor_value(k) - 2.0**-k) <= math.ulp(2.0**-k), k
+
+
+def test_tail_below_a_narrow_bump(golden):
+    # A bump of width 0.02 at s = 3 that no breakpoint declares: table k = 1
+    # resolves it, and T below it telescopes through that table.  A separate
+    # adaptive anchor integral from 1 stepped over it (off by 4.9e-3).
+    tail = solve(_bump(3.0, 0.02))._tail
+    for x, key in ((1.0, "potential.bump3_tail_at_1"), (1.9, "potential.bump3_tail_at_1p9")):
+        assert tail.value(x) == pytest.approx(golden[key], rel=1e-13, abs=0.0), x
 
 
 def test_tail_table_matches_adaptive_quadrature(tmp_path):

@@ -6,7 +6,15 @@ import pytest
 from curvlab.errors import GridTooCoarse, WrongKind
 from curvlab.functionals import boundary_deficit, build_series, functional_row
 from curvlab.potential import default_t_grid, solve
-from curvlab.profile import MetricProfile, ProfileKind, perturbed_schwarzschild, schwarzschild
+from curvlab.profile import (
+    MetricProfile,
+    ProfileKind,
+    euclidean,
+    mollified_schwarzschild,
+    perturbed_schwarzschild,
+    schwarzschild,
+    to_warped,
+)
 from curvlab.verify import (
     CheckStatus,
     run_battery,
@@ -252,6 +260,30 @@ def test_battery_integrates_only_the_coarea_segments(perturbed_sol, monkeypatch)
     n = len(grid)
     picks = [grid[i] for i in (n // 4, n // 2, (3 * n) // 4)]
     assert spans == list(zip([0.5 * perturbed_sol.capacity, *picks], picks))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [schwarzschild(1.0), perturbed_schwarzschild(), euclidean(), to_warped(mollified_schwarzschild(1.0, 1.0))],
+    ids=["schwarzschild", "perturbed", "euclidean", "mollified"],
+)
+def test_battery_integrates_one_tail_anchor(p, monkeypatch):
+    # Every tail anchor the battery reads telescopes from the one far anchor
+    # through the tables; separate anchor integrals made 12 to 21 of them.
+    import curvlab.potential as potential_mod
+    from curvlab.numerics import integrate
+
+    tails = []
+
+    def counting(fn, a, b, *args, **kwargs):
+        if math.isinf(b):
+            tails.append(a)
+        return integrate(fn, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(potential_mod, "integrate", counting)
+    sol = solve(p)
+    run_battery(sol, default_t_grid(sol))
+    assert len(tails) == 1, tails
 
 
 @pytest.mark.parametrize(
