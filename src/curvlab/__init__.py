@@ -21,7 +21,7 @@ from .errors import (
     SchemaMismatch,
     WrongKind,
 )
-from .functionals import FunctionalSeries, boundary_deficit, build_series, write_series_csv
+from .functionals import FunctionalSeries, build_series, write_series_csv
 from .mass import MassReport, adm_surface, expansion_residuals, mass_from_volume, mass_report
 from .numerics import QuadratureResult, Tolerance, differentiate, find_root, integrate
 from .potential import (
@@ -94,7 +94,6 @@ __all__ = [
     "default_t_grid",
     "FunctionalSeries",
     "build_series",
-    "boundary_deficit",
     "write_series_csv",
     "CheckStatus",
     "CheckResult",

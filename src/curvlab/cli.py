@@ -240,7 +240,10 @@ def _stamp(out: io.TextIOBase) -> None:
 
 def _outdir(cfg: RunConfig) -> Path:
     path = Path(cfg.output_dir) if cfg.output_dir else Path(".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -265,11 +268,12 @@ def cmd_potential(cfg: RunConfig, out: io.TextIOBase) -> int:
 
 
 def cmd_functionals(cfg: RunConfig, out: io.TextIOBase) -> int:
+    outdir = _outdir(cfg) if cfg.output_dir else None
     sol = solve(_build_profile(cfg))
     grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
     series = build_series(sol, grid)
-    if cfg.output_dir:
-        path = _outdir(cfg) / "functionals.csv"
+    if outdir:
+        path = outdir / "functionals.csv"
         with open(path, "w", encoding="utf-8") as fh:
             write_series_csv(series, fh)
         _stamp(out)
@@ -281,6 +285,7 @@ def cmd_functionals(cfg: RunConfig, out: io.TextIOBase) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
+    outdir = _outdir(cfg) if cfg.output_dir or cfg.save_report else None
     sol = solve(_build_profile(cfg))
     grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
     report = run_battery(sol, grid, tol=cfg.tolerances)
@@ -289,7 +294,7 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
     write_report_text(report, buffer)
     out.write(buffer.getvalue())
     if cfg.output_dir:
-        path = _outdir(cfg) / "verify.csv"
+        path = outdir / "verify.csv"
         with open(path, "w", encoding="utf-8") as fh:
             write_report_csv(report, fh)
         out.write(f"wrote {path}\n")
@@ -300,7 +305,7 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
             __version__,
             datetime.now(timezone.utc).isoformat(),
         )
-        path = save(record, _outdir(cfg))
+        path = save(record, outdir)
         out.write(f"saved {path}\n")
     return 1 if report.blocking() else 0
 
@@ -308,6 +313,7 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
 def cmd_mass(cfg: RunConfig, out: io.TextIOBase) -> int:
     if cfg.model not in ("euclidean", "mollified-schwarzschild"):
         raise UsageError("the mass subcommand needs a boundaryless conformal model: euclidean or mollified-schwarzschild")
+    outdir = _outdir(cfg) if cfg.output_dir else None
     sol = solve(_build_profile(cfg))
     report = mass_report(sol.profile.conformal, sol)
     _stamp(out)
@@ -317,8 +323,8 @@ def cmd_mass(cfg: RunConfig, out: io.TextIOBase) -> int:
     out.write(f"m_volume={report.m_volume!r}\n")
     worst = min(m for _, m in report.samples)
     out.write(f"min_m_est={worst!r}\n")
-    if cfg.output_dir:
-        path = _outdir(cfg) / "mass.csv"
+    if outdir:
+        path = outdir / "mass.csv"
         with open(path, "w", encoding="utf-8") as fh:
             write_mass_csv(report, fh)
         out.write(f"wrote {path}\n")

@@ -8,7 +8,7 @@ Boundary case (capacity C, P = 1 + C/2t, I2 = Int |grad u|^2, IH = Int |grad u| 
     A1(t)  = (t^2/C^2) P^4 I2           = 4 pi + (4t/C^2) G(t)
     A1'(t) = (2t/C^2) P^3 (1 - C/2t) I2 - (1/C) P^2 IH
     a(t)   = t A1'/A1
-    A      = F(C/2) = 2C (pi - I2 at the boundary)
+    A      = F(C/2) = 2C (pi - I2 at the boundary)   (FunctionalSeries.deficit_A)
 
 In the rotationally symmetric reduction the traceless second fundamental
 form and tangential gradient vanish, so with q = 4u/(1-u^2) |grad u| - H:
@@ -20,6 +20,10 @@ form and tangential gradient vanish, so with q = 4u/(1-u^2) |grad u| - H:
 makes zero on the round level spheres).
 
 Boundaryless case:  Fhat(t) = -4 pi / t + t * Int |grad u|^2 dsigma.
+
+One level: functional_row(level_integrals(sol, t), sol.capacity) (the capacity
+is None without a boundary, where only Fhat is defined).  A grid: build_series,
+which adds A, A1~ = A1 + A/2t and the volumes that coarea_volumes cross-checks.
 """
 
 from __future__ import annotations
@@ -29,14 +33,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import IO, NamedTuple, Sequence
 
-from .errors import WrongKind
 from .numerics import Tolerance, integrate
 from .potential import (
     LevelSetSample,
     PotentialSolution,
     SolutionKind,
     _sample,
-    level,
     level_integrals,
     levels,
     t_of_level,
@@ -48,19 +50,6 @@ __all__ = [
     "FunctionalSeries",
     "FunctionalRow",
     "functional_row",
-    "fhat",
-    "g_func",
-    "g_prime",
-    "f_func",
-    "f_prime_analytic",
-    "a1",
-    "a1_prime",
-    "a1_tilde",
-    "a_growth",
-    "b1",
-    "boundary_deficit",
-    "volume_sublevel",
-    "coarea_volume",
     "coarea_volumes",
     "build_series",
     "write_series_csv",
@@ -78,11 +67,6 @@ _SERIES_COLUMNS = (
     ("Fprime", "Fprime_analytic"), ("Gprime", "Gprime_analytic"), ("volume", "volume"),
 )
 SERIES_CSV_HEADER = ",".join(name for name, _ in _SERIES_COLUMNS)
-
-
-def _require(sol: PotentialSolution, kind: SolutionKind, what: str) -> None:
-    if sol.kind is not kind:
-        raise WrongKind(f"{what} requires a {kind.value} solution, got {sol.kind.value}")
 
 
 def _q(u: float, grad: float, mean_h: float) -> float:
@@ -135,87 +119,13 @@ def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
     )
 
 
-def _row(sol: PotentialSolution, t: float, what: str) -> FunctionalRow:
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, what)
-    return functional_row(level_integrals(sol, t), sol.capacity)
-
-
-# -- boundaryless -----------------------------------------------------------
-
-
-def fhat(sol: PotentialSolution, t: float) -> float:
-    """Fhat(t) = -4 pi/t + t Int_{u = 1 - 1/t} |grad u|^2 dsigma."""
-    _require(sol, SolutionKind.GREEN_BOUNDARYLESS, "fhat")
-    return functional_row(level_integrals(sol, t), None).Fhat
-
-
-# -- boundary case ----------------------------------------------------------
-
-
-def g_func(sol: PotentialSolution, t: float) -> float:
-    return _row(sol, t, "G").G
-
-
-def g_prime(sol: PotentialSolution, t: float) -> float:
-    """Analytic G'(t) from the first variation of the level integrals."""
-    return _row(sol, t, "G'").Gprime
-
-
-def f_func(sol: PotentialSolution, t: float) -> float:
-    return _row(sol, t, "F").F
-
-
-def f_prime_analytic(sol: PotentialSolution, t: float) -> float:
-    """Analytic F'(t) in the symmetric reduction (traceless terms drop)."""
-    return _row(sol, t, "F'").Fprime
-
-
-def a1(sol: PotentialSolution, t: float) -> float:
-    return _row(sol, t, "A1").A1
-
-
-def a1_prime(sol: PotentialSolution, t: float) -> float:
-    return _row(sol, t, "A1'").A1prime
-
-
-def a1_tilde(sol: PotentialSolution, t: float) -> float:
-    return _row(sol, t, "A1~").A1 + boundary_deficit(sol) / (2.0 * t)
-
-
-def a_growth(sol: PotentialSolution, t: float) -> float:
-    """a(t) = t A1'/A1: polynomial growth rate of A1."""
-    return _row(sol, t, "a").a
-
-
-def b1(sol: PotentialSolution, t: float) -> float:
-    """B1(t) = Int |B|^2/|grad u|^2 dsigma via the symmetric pointwise reduction."""
-    return _row(sol, t, "B1").B1
-
-
-def boundary_deficit(sol: PotentialSolution) -> float:
-    """A = F(C/2) = 2C (pi - Int_{dM} |grad u|^2 dsigma)."""
-    _require(sol, SolutionKind.CAPACITARY_WITH_BOUNDARY, "the boundary deficit")
-    return _deficit(level_integrals(sol, 0.5 * sol.capacity), sol.capacity)
-
-
-def _deficit(boundary: LevelSetSample, cap: float) -> float:
-    return 2.0 * cap * (math.pi - boundary.int_grad_sq)
-
-
-# -- volumes ----------------------------------------------------------------
-
-
-def volume_sublevel(sol: PotentialSolution, t: float) -> float:
-    """Vol({u <= level(t)}) as the radial integral Int 4 pi f^2 ds."""
-    return volume_to_coordinate(sol, level(sol, t).s)
-
-
 def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     """Sub-level volumes at the levels ts through the coarea representation:
     one quadrature in the level parameter per segment [lower, t1], [t1, t2],
     ..., accumulated, each node an independent level query.
 
-    This is the cross-check route for volume_sublevel.  The lower end is the
+    This is the cross-check route for the radial volume column of
+    build_series (Int 4 pi f^2 ds up to the level).  The lower end is the
     boundary level C/2; the boundaryless integrand vanishes like 4 pi s^2
     toward s = 0, so there it is cut at s = 1e-4 t1 with an O((s/t)^3)
     remainder, largest at t1 and far below the 1e-8 comparison tolerance.
@@ -239,14 +149,6 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
 
     segments = zip([lower, *ts], ts)
     return list(accumulate(integrate(integrand, lo, hi, _COAREA_TOL, points=kinks).value for lo, hi in segments))
-
-
-def coarea_volume(sol: PotentialSolution, t: float) -> float:
-    """Sub-level volume at one level through the coarea representation (see coarea_volumes)."""
-    return coarea_volumes(sol, [t])[0]
-
-
-# -- series -----------------------------------------------------------------
 
 
 @dataclass
@@ -286,7 +188,7 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         # A default grid starts at C/2; one with t_min_factor > 1 does not.
         t_b = 0.5 * sol.capacity
         boundary_sample = samples[0] if ts[0] == t_b else level_integrals(sol, t_b)
-        deficit = _deficit(boundary_sample, sol.capacity)
+        deficit = 2.0 * sol.capacity * (math.pi - boundary_sample.int_grad_sq)
     rows = [functional_row(ls, sol.capacity) for ls in samples]
     cols = FunctionalRow(*zip(*rows))
     geometry = LevelSetSample(*zip(*samples))

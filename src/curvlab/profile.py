@@ -15,6 +15,7 @@ All geometric formulas below use arclength derivatives:
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,6 +43,7 @@ __all__ = [
 
 _FOUR_PI = 4.0 * math.pi
 _CONSTRUCTION_TOL = Tolerance(rel=1e-8, abs=1e-10, max_refinements=60)
+_R_ROUNDING = 8.0 * sys.float_info.epsilon
 
 ScalarFn = Callable[[float], float]
 
@@ -189,7 +191,8 @@ def sphere_geometry(p: MetricProfile, x: float) -> tuple[float, float]:
 
 
 def sample_scalar_curvature_sign(p: MetricProfile, n: int = 1000) -> tuple[bool, float, float]:
-    """Sample R on a log-spaced grid; returns (all >= -1e-10, worst_x, worst_R)."""
+    """Sample R on a log-spaced grid; returns (all >= -1e-10, worst_x, worst_R), each sample
+    allowed its rounding budget 8 eps (2 (1 + f_s^2)/f^2 + 4 |f_ss/f|), which grows like 1/f^2."""
     hi = 1e4 * p.x_scale
     lo = max(p.x_min, 1e-4 * p.x_scale)
     if p.kind is ProfileKind.BOUNDARYLESS:
@@ -197,14 +200,15 @@ def sample_scalar_curvature_sign(p: MetricProfile, n: int = 1000) -> tuple[bool,
     xs = geometric_grid(lo, hi, n)
     if p.kind is ProfileKind.WITH_BOUNDARY and p.x_min < lo:
         xs.insert(0, p.x_min)
-    worst_x = xs[0]
-    worst_r = math.inf
+    worst_x, worst_r, ok = xs[0], math.inf, True
     for x in xs:
-        r_val = scalar_curvature(p, x)
+        f, fs, fss = p.f(x), p.df_ds(x), p.d2f_ds2(x)
+        r_val = _warped_scalar_curvature(f, fs, fss)
+        ok = ok and r_val >= -1e-10 - _R_ROUNDING * (2.0 * (1.0 + fs * fs) / (f * f) + 4.0 * abs(fss / f))
         if r_val < worst_r:
             worst_r = r_val
             worst_x = x
-    return worst_r >= -1e-10, worst_x, worst_r
+    return ok, worst_x, worst_r
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +453,31 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
     """
     from scipy.interpolate import CubicSpline
 
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().lower().replace(" ", "")
-        if header not in ("r,w", "s,f"):
-            raise ProfileDataError(f"unsupported CSV header {header!r}; expected 'r,w' or 's,f'")
-        col0: list[float] = []
-        col1: list[float] = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ProfileDataError(f"{path}:{ln}: expected two comma-separated values")
-            try:
-                col0.append(float(parts[0]))
-                col1.append(float(parts[1]))
-            except ValueError as exc:
-                raise ProfileDataError(f"{path}:{ln}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, rows = fh.readline(), fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProfileDataError(f"cannot read profile {path}: {exc}") from exc
+    header = header.strip().lower().replace(" ", "")
+    if header not in ("r,w", "s,f"):
+        raise ProfileDataError(f"unsupported CSV header {header!r}; expected 'r,w' or 's,f'")
+    col0: list[float] = []
+    col1: list[float] = []
+    for ln, line in enumerate(rows, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ProfileDataError(f"{path}:{ln}: expected two comma-separated values")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ProfileDataError(f"{path}:{ln}: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ProfileDataError(f"{path}:{ln}: values must be finite")
+        col0.append(x)
+        col1.append(y)
     if len(col0) < 8:
         raise ProfileDataError("need at least 8 samples to build a spline profile")
     if not all(b > a for a, b in zip(col0, col0[1:])):

@@ -109,6 +109,8 @@ def _judge(
     identity: bool = False,
     note: str = "",
 ) -> CheckResult:
+    if not margins:  # e.g. every finite-difference stencil reaches below C/2
+        return CheckResult(name, CheckStatus.SKIPPED, math.nan, math.nan, tol, "no grid level admits the check")
     worst = min(margins)
     worst_t = ts[margins.index(worst)]
     if worst < -tol:

@@ -15,17 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from curvlab.functionals import (
-    a1,
-    a1_prime,
-    a_growth,
-    b1,
-    boundary_deficit,
-    build_series,
-    f_func,
-    f_prime_analytic,
-    g_func,
-)
+from curvlab.functionals import build_series, functional_row
 from curvlab.mass import adm_surface, mass_from_volume
 from curvlab.numerics import differentiate
 from curvlab.potential import default_t_grid, level_integrals, solve
@@ -105,7 +95,7 @@ def test_criterion_3_monotonicity_and_signs():
     assert np.min(np.diff(pseries.G)) >= -1e-9
     assert np.max(pseries.G) <= 1e-9
     assert np.max(pseries.A1) <= FOUR_PI + 1e-8
-    assert boundary_deficit(pert) >= -1e-9
+    assert pseries.deficit_A >= -1e-9
     elapsed = time.perf_counter() - start
     assert elapsed <= 30.0
     _ok(f"3 monotonicity_sign_suite (Fhat, G, A1, deficit; {elapsed:.1f}s)")
@@ -123,10 +113,10 @@ def test_criterion_4_derivative_identities():
             h = 1e-4 * max(1.0, t)
             if t - 2.0 * h <= 0.5 * cap:
                 continue
-            gp_fd = differentiate(lambda tt: g_func(sol, tt), t, scale=h)
+            gp_fd = differentiate(lambda tt: functional_row(level_integrals(sol, tt), cap).G, t, scale=h)
             g_scale = max(abs(series.Gprime_analytic[i]), FOUR_PI / t)
             assert abs(series.Gprime_analytic[i] - gp_fd) <= 1e-5 * g_scale
-            fp_fd = differentiate(lambda tt: f_func(sol, tt), t, scale=h)
+            fp_fd = differentiate(lambda tt: functional_row(level_integrals(sol, tt), cap).F, t, scale=h)
             f_scale = max(abs(series.Fprime_analytic[i]), FOUR_PI)
             assert abs(series.Fprime_analytic[i] - fp_fd) <= 1e-5 * f_scale
 
@@ -148,25 +138,27 @@ def test_criterion_5_proposition_inequalities():
         grid = default_t_grid(sol)
         samples = [level_integrals(sol, t) for t in grid]
 
-        for t in grid:
-            lhs = (t * a1_prime(sol, t)) ** 2
-            rhs = 2.0 / 3.0 * a1(sol, t) * b1(sol, t)
+        rows = [functional_row(ls, cap) for ls in samples]
+
+        for t, r in zip(grid, rows):
+            lhs = (t * r.A1prime) ** 2
+            rhs = 2.0 / 3.0 * r.A1 * r.B1
             assert lhs <= rhs + 1e-9
-            assert f_prime_analytic(sol, t) >= 0.5 * b1(sol, t) - 1e-9
+            assert r.Fprime >= 0.5 * r.B1 - 1e-9
 
         for i in range(1, len(grid) - 1, 4):
             t = float(grid[i])
             h = 1e-3 * max(1.0, t)
             if t - 2.0 * h <= 0.5 * cap:
                 continue
-            ap = differentiate(lambda tt: a_growth(sol, tt), t, scale=h)
-            av = a_growth(sol, t)
-            rhs = (1.0 - FOUR_PI / a1(sol, t) - av * av / 4.0) / t
+            ap = differentiate(lambda tt: functional_row(level_integrals(sol, tt), cap).a, t, scale=h)
+            av = rows[i].a
+            rhs = (1.0 - FOUR_PI / rows[i].A1 - av * av / 4.0) / t
             assert ap >= rhs - 1e-8
 
         cumulative = growth_integrand_cumulative(sol, [ls.s for ls in samples])
-        for i, t in enumerate(grid):
-            margin = t * a1_prime(sol, t) - (a1(sol, t) - FOUR_PI + cumulative[i] / (2.0 * t))
+        for i, (t, r) in enumerate(zip(grid, rows)):
+            margin = t * r.A1prime - (r.A1 - FOUR_PI + cumulative[i] / (2.0 * t))
             assert margin >= -1e-8
     _ok("5 proposition_inequality_suite (Cauchy-Schwarz, F'>=B1/2, Riccati, growth bound)")
 

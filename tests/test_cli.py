@@ -338,3 +338,79 @@ def test_potential_failed_level_writes_no_table(capsys):
         capsys, "potential", "--model", "euclidean", "--t-min-factor", "1e300", "--t-max-factor", "1e301", "--grid", "8"
     )
     assert "level lies beyond the resolvable range" in err
+
+
+def _verify_lines(capsys, *argv: str) -> tuple[int, dict[str, str], list[str]]:
+    """Run verify in process: (exit code, header fields, check lines)."""
+    code = main(["verify", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    fields = dict(ln.split("=", 1) for ln in lines if "=" in ln and not ln.startswith(("#", "check ")))
+    return code, fields, [ln for ln in lines if ln.startswith("check ")]
+
+
+def test_verify_skips_fd_checks_when_no_level_clears_the_stencil(capsys):
+    # At C ~ 1.4e-6 the stencil step 1e-4 max(1, t) reaches below C/2 at
+    # every grid level: the three finite-difference checks have no margin.
+    code, _, checks = _verify_lines(
+        capsys, "--model", "perturbed-schwarzschild", "--mass", "1e-6", "--amplitude", "1e-6",
+        "--offset", "1e-6", "--t-max-factor", "100",
+    )
+    assert code == 0
+    skipped = {ln.split()[1] for ln in checks if ln.split()[2] == "Skipped"}
+    assert skipped == {"gprime_vs_fd", "fprime_vs_fd", "riccati_growth"}
+    assert all(ln.endswith("# no grid level admits the check") for ln in checks if "Skipped" in ln)
+
+
+@pytest.mark.parametrize("argv", [("--mass", "0.001"), ("--mass", "1e-6", "--t-max-factor", "100")])
+def test_small_schwarzschild_is_an_equality_case(capsys, argv):
+    # R = 0 exactly; its rounding noise grows like eps/f^2 at small scale and
+    # must not read as a hypothesis violation.
+    code, fields, checks = _verify_lines(capsys, "--model", "schwarzschild", *argv, "--grid", "64")
+    assert code == 0
+    assert fields["r_nonneg_confirmed"] == "true"
+    assert not any(key == "annotation" for key in fields)
+    assert not any(" Fail " in ln for ln in checks)
+
+
+def _finite_rows(header: str) -> list[str]:
+    return [header] + [f"{i + 1}.0,{i + 3}.0" for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    ("header", "row", "value"),
+    [("s,f", 4, "nan"), ("s,f", 4, "inf"), ("s,f", 0, "-inf"), ("r,w", 6, "inf")],
+)
+def test_non_finite_csv_value_exits_2(capsys, tmp_path, header, row, value):
+    rows = _finite_rows(header)
+    rows[row + 1] = f"{row + 1}.0,{value}"
+    csv = tmp_path / "bad.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    err = _usage_error(capsys, "verify", "--model", "custom", "--profile", str(csv), "--assume-nonnegative-r", "true")
+    assert f"{csv}:{row + 2}: values must be finite" in err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "undecodable"])
+def test_unreadable_profile_exits_2(capsys, tmp_path, case):
+    path = tmp_path / "profile.csv"
+    if case == "directory":
+        path.mkdir()
+    elif case == "undecodable":
+        path.write_bytes(b"s,f\n\xff,1.0\n")
+    err = _usage_error(capsys, "verify", "--model", "custom", "--profile", str(path), "--assume-nonnegative-r", "true")
+    assert f"cannot read profile {path}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--model", "schwarzschild", "--grid", "8"),
+        ("verify", "--model", "schwarzschild", "--grid", "8", "--save-report"),
+        ("functionals", "--model", "euclidean", "--grid", "8"),
+        ("mass", "--model", "euclidean"),
+    ],
+)
+def test_out_below_a_file_exits_2_before_any_output(capsys, tmp_path, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    err = _usage_error(capsys, *argv, "--out", str(blocker / "sub"))
+    assert "cannot create output directory" in err

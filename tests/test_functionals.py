@@ -4,28 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.errors import WrongKind
-from curvlab.functionals import (
-    SERIES_CSV_HEADER,
-    a1,
-    a1_prime,
-    a1_tilde,
-    a_growth,
-    b1,
-    boundary_deficit,
-    build_series,
-    coarea_volume,
-    coarea_volumes,
-    f_func,
-    f_prime_analytic,
-    fhat,
-    g_func,
-    g_prime,
-    volume_sublevel,
-    write_series_csv,
-)
+from curvlab.functionals import SERIES_CSV_HEADER, build_series, coarea_volumes, functional_row, write_series_csv
 from curvlab.numerics import differentiate
-from curvlab.potential import _VolumeCache, default_t_grid, grad_value, level_integrals, solve, u_value
+from curvlab.potential import (
+    _VolumeCache,
+    default_t_grid,
+    grad_value,
+    level,
+    level_integrals,
+    solve,
+    u_value,
+    volume_to_coordinate,
+)
 from curvlab.profile import perturbed_schwarzschild
 from curvlab.verify import schwarzschild_comparison_volume
 from frozen_outputs import rneg_profile
@@ -37,47 +27,50 @@ FOUR_PI = 4.0 * math.pi
 class TestFhat:
     def test_euclid_identically_zero(self, euclid_sol):
         for t in (0.3, 1.0, 7.0, 500.0):
-            assert abs(fhat(euclid_sol, t)) <= 1e-11
+            assert abs(functional_row(level_integrals(euclid_sol, t), None).Fhat) <= 1e-11
 
     def test_mollified_matches_exterior_closed_form(self, moll11_sol, golden):
-        assert fhat(moll11_sol, 4.0) == pytest.approx(golden["functionals.moll11_fhat_t4"], rel=1e-9)
+        value = functional_row(level_integrals(moll11_sol, 4.0), None).Fhat
+        assert value == pytest.approx(golden["functionals.moll11_fhat_t4"], rel=1e-9)
 
     def test_mollified_nonpositive_and_monotone(self, moll11_sol):
         ts = np.geomspace(0.5, 1000.0, 50)
-        vals = [fhat(moll11_sol, float(t)) for t in ts]
+        vals = [functional_row(level_integrals(moll11_sol, float(t)), None).Fhat for t in ts]
         assert max(vals) <= 1e-9
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
         # decays to zero from below
         assert vals[-1] > vals[0]
         assert abs(vals[-1]) < 1e-4
 
-    def test_wrong_kind(self, schw1_sol):
-        with pytest.raises(WrongKind):
-            fhat(schw1_sol, 1.0)
-
 
 class TestSchwarzschildEqualityCase:
     def test_g_vanishes(self, schw1_sol):
         for t in (0.5, 2.0, 100.0):
-            assert abs(g_func(schw1_sol, t)) <= 1e-12 * max(1.0, t)
+            assert abs(functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity).G) <= 1e-12 * max(1.0, t)
 
     def test_g_at_boundary_is_minus_deficit(self, schw1_sol):
         # G(C/2) = -A; the gradient-estimate equality gives A = 0 here.
-        assert g_func(schw1_sol, 0.5) == pytest.approx(-boundary_deficit(schw1_sol), abs=1e-12)
-        assert boundary_deficit(schw1_sol) == pytest.approx(0.0, abs=1e-12)
+        cap = schw1_sol.capacity
+        boundary = level_integrals(schw1_sol, 0.5 * cap)
+        deficit = 2.0 * cap * (math.pi - boundary.int_grad_sq)
+        assert functional_row(boundary, cap).G == pytest.approx(-deficit, abs=1e-12)
+        assert deficit == pytest.approx(0.0, abs=1e-12)
 
     def test_a1_is_4pi(self, schw1_sol):
         for t in (0.5, 1.0, 5.0, 50.0):
-            assert a1(schw1_sol, t) == pytest.approx(FOUR_PI, rel=1e-10)
+            assert functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity).A1 == pytest.approx(
+                FOUR_PI, rel=1e-10
+            )
 
     def test_b1_vanishes(self, schw1_sol):
         for t in (0.5, 1.0, 5.0, 50.0):
-            assert abs(b1(schw1_sol, t)) <= 1e-12
+            assert abs(functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity).B1) <= 1e-12
 
     def test_f_and_fprime_vanish(self, schw1_sol):
         for t in (0.6, 3.0, 200.0):
-            assert abs(f_func(schw1_sol, t)) <= 1e-11 * max(1.0, t)
-            assert abs(f_prime_analytic(schw1_sol, t)) <= 1e-12
+            r = functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity)
+            assert abs(r.F) <= 1e-11 * max(1.0, t)
+            assert abs(r.Fprime) <= 1e-12
 
     def test_pointwise_identity_four_u_grad_equals_H(self, schw1_sol):
         # 4u/(1-u^2) |grad u| = H on Schwarzschild, checked at 5 radii.
@@ -91,7 +84,7 @@ class TestSchwarzschildEqualityCase:
 
     def test_a_growth_zero(self, schw1_sol):
         for t in (1.0, 10.0):
-            assert abs(a_growth(schw1_sol, t)) <= 1e-12
+            assert abs(functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity).a) <= 1e-12
 
 
 class TestIdentities:
@@ -99,42 +92,41 @@ class TestIdentities:
         cap = perturbed_sol.capacity
         for t in np.geomspace(0.5 * cap, 1000.0 * cap, 30):
             t = float(t)
-            lhs = a1(perturbed_sol, t)
-            rhs = FOUR_PI + 4.0 * t / cap**2 * g_func(perturbed_sol, t)
-            assert abs(lhs - rhs) <= 1e-10 * FOUR_PI
+            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            assert abs(r.A1 - (FOUR_PI + 4.0 * t / cap**2 * r.G)) <= 1e-10 * FOUR_PI
 
     def test_f_equals_scaled_gprime(self, perturbed_sol):
         cap = perturbed_sol.capacity
         for t in np.geomspace(0.5 * cap, 500.0 * cap, 20):
             t = float(t)
-            lhs = f_func(perturbed_sol, t)
-            rhs = 4.0 * t**3 / cap**2 * g_prime(perturbed_sol, t)
+            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            lhs = r.F
+            rhs = 4.0 * t**3 / cap**2 * r.Gprime
             scale = FOUR_PI * t + abs(lhs) + abs(rhs)
             assert abs(lhs - rhs) <= 1e-9 * scale
 
     def test_deficit_equals_F_at_boundary(self, perturbed_sol):
         cap = perturbed_sol.capacity
-        assert f_func(perturbed_sol, 0.5 * cap) == pytest.approx(
-            boundary_deficit(perturbed_sol), rel=1e-9
-        )
+        boundary = level_integrals(perturbed_sol, 0.5 * cap)
+        deficit = 2.0 * cap * (math.pi - boundary.int_grad_sq)
+        assert functional_row(boundary, cap).F == pytest.approx(deficit, rel=1e-9)
 
     def test_a1_tilde(self, perturbed_sol):
         cap = perturbed_sol.capacity
-        deficit = boundary_deficit(perturbed_sol)
+        deficit = 2.0 * cap * (math.pi - level_integrals(perturbed_sol, 0.5 * cap).int_grad_sq)
         t = 2.0 * cap
-        assert a1_tilde(perturbed_sol, t) == pytest.approx(
-            a1(perturbed_sol, t) + deficit / (2 * t), rel=1e-12
+        assert build_series(perturbed_sol, [t]).A1tilde[0] == pytest.approx(
+            functional_row(level_integrals(perturbed_sol, t), cap).A1 + deficit / (2 * t), rel=1e-12
         )
 
     def test_derivatives_match_finite_differences(self, perturbed_sol):
         cap = perturbed_sol.capacity
         for t in (1.1 * cap, 3.0 * cap, 40.0 * cap):
-            gp = g_prime(perturbed_sol, t)
-            gp_fd = differentiate(lambda tt: g_func(perturbed_sol, tt), t)
-            assert gp == pytest.approx(gp_fd, rel=1e-5, abs=1e-9)
-            fp = f_prime_analytic(perturbed_sol, t)
-            fp_fd = differentiate(lambda tt: f_func(perturbed_sol, tt), t)
-            assert fp == pytest.approx(fp_fd, rel=1e-5, abs=1e-8)
+            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            gp_fd = differentiate(lambda tt: functional_row(level_integrals(perturbed_sol, tt), cap).G, t)
+            assert r.Gprime == pytest.approx(gp_fd, rel=1e-5, abs=1e-9)
+            fp_fd = differentiate(lambda tt: functional_row(level_integrals(perturbed_sol, tt), cap).F, t)
+            assert r.Fprime == pytest.approx(fp_fd, rel=1e-5, abs=1e-8)
 
 
 class TestPropositionInequalities:
@@ -142,14 +134,13 @@ class TestPropositionInequalities:
         cap = perturbed_sol.capacity
         for t in np.geomspace(0.5 * cap, 1000.0 * cap, 25):
             t = float(t)
-            lhs = (t * a1_prime(perturbed_sol, t)) ** 2
-            rhs = 2.0 / 3.0 * a1(perturbed_sol, t) * b1(perturbed_sol, t)
-            assert lhs <= rhs + 1e-9
+            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            assert (t * r.A1prime) ** 2 <= 2.0 / 3.0 * r.A1 * r.B1 + 1e-9
 
     def test_fprime_at_least_half_b1(self, perturbed_sol):
         for t in np.geomspace(0.5 * perturbed_sol.capacity, 500.0, 25):
-            t = float(t)
-            assert f_prime_analytic(perturbed_sol, t) >= 0.5 * b1(perturbed_sol, t) - 1e-9
+            r = functional_row(level_integrals(perturbed_sol, float(t)), perturbed_sol.capacity)
+            assert r.Fprime >= 0.5 * r.B1 - 1e-9
 
     def test_riccati(self, perturbed_sol):
         cap = perturbed_sol.capacity
@@ -158,18 +149,20 @@ class TestPropositionInequalities:
             h = 1e-3 * max(1.0, t)
             if t - 2 * h <= 0.5 * cap:
                 continue
-            ap = differentiate(lambda tt: a_growth(perturbed_sol, tt), t, scale=h)
-            av = a_growth(perturbed_sol, t)
-            rhs = (1.0 - FOUR_PI / a1(perturbed_sol, t) - av * av / 4.0) / t
+            ap = differentiate(lambda tt: functional_row(level_integrals(perturbed_sol, tt), cap).a, t, scale=h)
+            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            rhs = (1.0 - FOUR_PI / r.A1 - r.a * r.a / 4.0) / t
             assert ap >= rhs - 1e-8
 
     def test_growth_integral_bound(self, perturbed_sol):
-        grid = [float(t) for t in np.geomspace(0.5 * perturbed_sol.capacity, 800.0, 40)]
+        cap = perturbed_sol.capacity
+        grid = [float(t) for t in np.geomspace(0.5 * cap, 800.0, 40)]
         samples = [level_integrals(perturbed_sol, t) for t in grid]
         cumulative = growth_integrand_cumulative(perturbed_sol, [ls.s for ls in samples])
-        for i, t in enumerate(grid):
-            lhs = t * a1_prime(perturbed_sol, t)
-            rhs = a1(perturbed_sol, t) - FOUR_PI + cumulative[i] / (2.0 * t)
+        for i, (t, ls) in enumerate(zip(grid, samples)):
+            r = functional_row(ls, cap)
+            lhs = t * r.A1prime
+            rhs = r.A1 - FOUR_PI + cumulative[i] / (2.0 * t)
             assert lhs >= rhs - 1e-8
 
 
@@ -211,15 +204,15 @@ class TestGrowthQuadrature:
 
 class TestVolumes:
     def test_euclid_ball(self, euclid_sol, golden):
-        assert volume_sublevel(euclid_sol, 2.0) == pytest.approx(
+        assert volume_to_coordinate(euclid_sol, level(euclid_sol, 2.0).s) == pytest.approx(
             golden["functionals.euclid_volume_t2"], rel=1e-10
         )
 
     def test_schwarzschild_matches_closed_form(self, schw1_sol, schw2_sol, golden):
-        assert volume_sublevel(schw1_sol, 3.0) == pytest.approx(
+        assert volume_to_coordinate(schw1_sol, level(schw1_sol, 3.0).s) == pytest.approx(
             golden["functionals.schw1_volume_closed_t3"], rel=1e-9
         )
-        assert volume_sublevel(schw2_sol, 7.0) == pytest.approx(
+        assert volume_to_coordinate(schw2_sol, level(schw2_sol, 7.0).s) == pytest.approx(
             golden["functionals.schw2_volume_closed_t7"], rel=1e-9
         )
         # and the closed form itself against the oracle
@@ -231,22 +224,22 @@ class TestVolumes:
         )
 
     def test_mollified_expansion_leading_terms(self, moll11_sol, golden):
-        vol = volume_sublevel(moll11_sol, 100.0)
+        vol = volume_to_coordinate(moll11_sol, level(moll11_sol, 100.0).s)
         assert vol == pytest.approx(golden["functionals.moll11_volume_exact_t100"], rel=1e-8)
         lead = golden["functionals.moll11_volume_leading_t100"]
         assert abs(vol - lead) <= 0.02 * lead
 
     def test_coarea_cross_check(self, schw1_sol, euclid_sol, moll11_sol):
         for sol, t in ((schw1_sol, 3.0), (euclid_sol, 5.0), (moll11_sol, 5.0)):
-            radial = volume_sublevel(sol, t)
-            coarea = coarea_volume(sol, t)
+            radial = volume_to_coordinate(sol, level(sol, t).s)
+            coarea = coarea_volumes(sol, [t])[0]
             assert abs(radial - coarea) <= 1e-8 * radial
 
     def test_coarea_sweep_matches_each_level(self, schw1_sol, euclid_sol, moll11_sol):
         # One sweep over consecutive segments against a fresh quadrature per level.
         for sol, ts in ((schw1_sol, (2.0, 3.0, 7.0)), (euclid_sol, (0.8, 5.0, 40.0)), (moll11_sol, (1.5, 5.0, 30.0))):
             for swept, t in zip(coarea_volumes(sol, ts), ts):
-                single = coarea_volume(sol, t)
+                single = coarea_volumes(sol, [t])[0]
                 assert abs(swept - single) <= 1e-11 * single, (sol.profile.label, t)
 
 
@@ -293,20 +286,25 @@ class TestSeries:
         for t_min_factor in (1.0, 3.0):
             grid = default_t_grid(perturbed_sol, 24, t_min_factor=t_min_factor)
             series = build_series(perturbed_sol, grid)
-            assert series.boundary_sample.t == 0.5 * perturbed_sol.capacity
-            assert series.deficit_A == boundary_deficit(perturbed_sol)
-            for col, fn in (
-                (series.G, g_func),
-                (series.Gprime_analytic, g_prime),
-                (series.F, f_func),
-                (series.Fprime_analytic, f_prime_analytic),
-                (series.A1, a1),
-                (series.A1tilde, a1_tilde),
-                (series.a_growth, a_growth),
-                (series.B1, b1),
+            cap = perturbed_sol.capacity
+            assert series.boundary_sample.t == 0.5 * cap
+            deficit = 2.0 * cap * (math.pi - level_integrals(perturbed_sol, 0.5 * cap).int_grad_sq)
+            assert series.deficit_A == deficit
+            rows = [functional_row(level_integrals(perturbed_sol, t), cap) for t in grid]
+            for col, field in (
+                (series.G, "G"),
+                (series.Gprime_analytic, "Gprime"),
+                (series.F, "F"),
+                (series.Fprime_analytic, "Fprime"),
+                (series.A1, "A1"),
+                (series.a_growth, "a"),
+                (series.B1, "B1"),
             ):
-                scalars = np.array([fn(perturbed_sol, t) for t in grid])
-                assert np.asarray(col).tobytes() == scalars.tobytes(), fn.__name__
+                scalars = np.array([getattr(r, field) for r in rows])
+                assert np.asarray(col).tobytes() == scalars.tobytes(), field
+            tilde = np.array([r.A1 + deficit / (2.0 * t) for r, t in zip(rows, grid)])
+            assert np.asarray(series.A1tilde).tobytes() == tilde.tobytes()
         grid = default_t_grid(euclid_sol, 24)
         series = build_series(euclid_sol, grid)
-        assert np.asarray(series.Fhat).tobytes() == np.array([fhat(euclid_sol, t) for t in grid]).tobytes()
+        scalars = [functional_row(level_integrals(euclid_sol, t), None).Fhat for t in grid]
+        assert np.asarray(series.Fhat).tobytes() == np.array(scalars).tobytes()

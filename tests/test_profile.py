@@ -178,6 +178,29 @@ class TestInvariants:
         ok, _, worst = sample_scalar_curvature_sign(p, n=1000)
         assert ok, f"worst sampled R = {worst}"
 
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            lambda: schwarzschild(1e-3),
+            lambda: schwarzschild(1e-4),
+            lambda: schwarzschild(1e-6),
+            lambda: to_warped(mollified_schwarzschild(1e-4, 1e-4)),
+        ],
+        ids=["schwarzschild-1e-3", "schwarzschild-1e-4", "schwarzschild-1e-6", "mollified-1e-4"],
+    )
+    def test_rounding_noise_of_small_scale_R_is_not_a_violation(self, maker):
+        # The sampled R of these R >= 0 profiles dips to -2.3e-10, -1.5e-8
+        # and -6.1e-5: rounding in 2 (1 - f_s^2)/f^2, which grows like eps/f^2.
+        ok, _, worst = sample_scalar_curvature_sign(maker(), n=1000)
+        assert ok, f"worst sampled R = {worst}"
+
+    def test_negative_R_csv_keeps_its_worst_sample(self, tmp_path):
+        from frozen_outputs import rneg_profile
+
+        ok, _, worst = sample_scalar_curvature_sign(rneg_profile(tmp_path))
+        assert not ok
+        assert worst == pytest.approx(-0.3035, abs=5e-5)
+
     def test_area_strictly_increasing(self):
         p = schwarzschild(1.0)
         xs = np.geomspace(p.x_min * (1 + 1e-9), 100.0, 50)

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from curvlab.errors import GridTooCoarse, WrongKind
-from curvlab.functionals import boundary_deficit, build_series, functional_row
-from curvlab.potential import default_t_grid, solve
+from curvlab.errors import GridTooCoarse
+from curvlab.functionals import build_series, coarea_volumes, functional_row
+from curvlab.potential import default_t_grid, level, level_integrals, solve, volume_to_coordinate
 from curvlab.profile import (
     MetricProfile,
     ProfileKind,
@@ -113,19 +113,23 @@ class TestPerturbed:
 
 
 class TestDeficit:
+    """A = 2C (pi - Int |grad u|^2) on the boundary level t = C/2."""
+
     def test_schwarzschild_zero(self, schw1_sol):
-        assert boundary_deficit(schw1_sol) == pytest.approx(0.0, abs=1e-9)
+        cap = schw1_sol.capacity
+        deficit = 2.0 * cap * (math.pi - level_integrals(schw1_sol, 0.5 * cap).int_grad_sq)
+        assert deficit == pytest.approx(0.0, abs=1e-9)
 
     def test_schwarzschild_mass_3(self):
         sol = solve(schwarzschild(3.0))
-        assert boundary_deficit(sol) == pytest.approx(0.0, abs=1e-9)
+        cap = sol.capacity
+        deficit = 2.0 * cap * (math.pi - level_integrals(sol, 0.5 * cap).int_grad_sq)
+        assert deficit == pytest.approx(0.0, abs=1e-9)
 
     def test_perturbed_nonnegative(self, perturbed_sol):
-        assert boundary_deficit(perturbed_sol) >= -1e-9
-
-    def test_wrong_kind(self, euclid_sol):
-        with pytest.raises(WrongKind):
-            boundary_deficit(euclid_sol)
+        cap = perturbed_sol.capacity
+        deficit = 2.0 * cap * (math.pi - level_integrals(perturbed_sol, 0.5 * cap).int_grad_sq)
+        assert deficit >= -1e-9
 
 
 class TestHypothesisViolations:
@@ -303,8 +307,8 @@ def test_growth_bound_margin_closed_form(tmp_path, make, grid, tilde):
     f_b = functional_row(series.boundary_sample, sol.capacity).F
     shift = series.deficit_A if tilde else 0.0
     margins = [
-        t * (a * a1 / t) - shift / (2.0 * t) - (a1 - 4.0 * math.pi + (f - f_b) / t + shift / (2.0 * t))
-        for t, a, a1, f in zip(ts, series.a_growth, series.A1, series.F)
+        t * (a * a1_val / t) - shift / (2.0 * t) - (a1_val - 4.0 * math.pi + (f - f_b) / t + shift / (2.0 * t))
+        for t, a, a1_val, f in zip(ts, series.a_growth, series.A1, series.F)
     ]
     worst = min(margins)
     worst_t = ts[margins.index(worst)]
@@ -314,13 +318,10 @@ def test_growth_bound_margin_closed_form(tmp_path, make, grid, tilde):
 def test_coarea_crosscheck_splits_at_breakpoint_level():
     # Mollified model whose matching radius falls inside the coarea range:
     # without a split at the level of r0 the cross-check failed at -1.25e-8.
-    from curvlab.functionals import coarea_volume, volume_sublevel
-    from curvlab.profile import mollified_schwarzschild, to_warped
-
     sol = solve(to_warped(mollified_schwarzschild(0.742431247375666, 1.3176329982356385)))
     t = 3.3687114071702857
-    radial = volume_sublevel(sol, t)
-    assert abs(coarea_volume(sol, t) - radial) <= 1e-11 * radial
+    radial = volume_to_coordinate(sol, level(sol, t).s)
+    assert abs(coarea_volumes(sol, [t])[0] - radial) <= 1e-11 * radial
     report = run_battery(sol)
     assert report.check("coarea_crosscheck").status is CheckStatus.PASS
     assert not report.blocking()
