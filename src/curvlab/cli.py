@@ -254,16 +254,26 @@ def cmd_models(out: io.TextIOBase) -> int:
 
 
 def cmd_potential(cfg: RunConfig, out: io.TextIOBase) -> int:
+    outdir = _outdir(cfg) if cfg.output_dir else None
     sol = solve(_build_profile(cfg))
     grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
     # Solve every level before writing, so a failed level leaves no partial table.
     rows = [f"{lp.t!r},{lp.s!r},{lp.u!r},{grad_value(sol, lp.s)!r}\n" for lp in levels(sol, grid)]
-    _stamp(out)
-    out.write(f"# profile={sol.profile.label}\n")
     cap = sol.capacity
-    out.write(f"# capacity={cap!r}\n" if cap is not None else "# capacity=nan (boundaryless)\n")
-    out.write("t,s,u,grad\n")
-    out.writelines(rows)
+    table = [
+        f"# profile={sol.profile.label}\n",
+        f"# capacity={cap!r}\n" if cap is not None else "# capacity=nan (boundaryless)\n",
+        "t,s,u,grad\n",
+        *rows,
+    ]
+    _stamp(out)
+    if outdir:
+        path = outdir / "potential.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(table)
+        out.write(f"wrote {path}\n")
+    else:
+        out.writelines(table)
     return 0
 
 

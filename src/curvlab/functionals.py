@@ -22,8 +22,10 @@ makes zero on the round level spheres).
 Boundaryless case:  Fhat(t) = -4 pi / t + t * Int |grad u|^2 dsigma.
 
 One level: functional_row(level_integrals(sol, t), sol.capacity) (the capacity
-is None without a boundary, where only Fhat is defined).  A grid: build_series,
-which adds A, A1~ = A1 + A/2t and the volumes that coarea_volumes cross-checks.
+is None without a boundary, where only Fhat is defined).  An ordered list of
+levels: functional_rows, which solves them in one levels sweep.  A grid:
+build_series, which reads functional_rows and adds A, A1~ = A1 + A/2t and the
+volumes that coarea_volumes cross-checks.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import IO, NamedTuple, Sequence
 
-from .numerics import Tolerance, integrate
+from .numerics import NodeIntegrand, Tolerance, integrate
 from .potential import (
     LevelSetSample,
     PotentialSolution,
     SolutionKind,
+    _round_sphere,
     _sample,
     level_integrals,
     levels,
@@ -50,6 +53,7 @@ __all__ = [
     "FunctionalSeries",
     "FunctionalRow",
     "functional_row",
+    "functional_rows",
     "coarea_volumes",
     "build_series",
     "write_series_csv",
@@ -119,10 +123,18 @@ def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
     )
 
 
+def functional_rows(sol: PotentialSolution, ts: Sequence[float]) -> tuple[list[LevelSetSample], list[FunctionalRow]]:
+    """The sample and the functional row of each level of ts, solved in one levels sweep."""
+    samples = [_sample(sol, lp) for lp in levels(sol, ts)]
+    return samples, [functional_row(ls, sol.capacity) for ls in samples]
+
+
 def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     """Sub-level volumes at the levels ts through the coarea representation:
     one quadrature in the level parameter per segment [lower, t1], [t1, t2],
-    ..., accumulated, each node an independent level query.
+    ..., accumulated.  Each Gauss-Kronrod panel hands its 15 nodes over in
+    one list, solved sorted in one levels sweep; a level's bits do not depend
+    on the sweep it is solved in.
 
     This is the cross-check route for the radial volume column of
     build_series (Int 4 pi f^2 ds up to the level).  The lower end is the
@@ -133,22 +145,19 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     """
     p = sol.profile
     kinks = [t_of_level(sol, u_value(sol, x)) for x in p.breakpoints if x > p.x_min]
-    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
-        cap = sol.capacity
-        lower = 0.5 * cap
+    boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
+    cap = sol.capacity
+    lower = 0.5 * cap if boundary else 1e-4 * ts[0]
 
-        def integrand(s: float) -> float:
-            inv = level_integrals(sol, s).int_inv_grad
-            return cap / (s * s) * (1.0 + cap / (2.0 * s)) ** -2 * inv
-
-    else:
-        lower = 1e-4 * ts[0]
-
-        def integrand(s: float) -> float:
-            return level_integrals(sol, s).int_inv_grad / (s * s)
+    def integrand(ss: list[float]) -> list[float]:
+        inv = {lp.t: _round_sphere(sol, p.f(lp.s))[2] for lp in levels(sol, sorted(ss))}
+        if boundary:
+            return [cap / (s * s) * (1.0 + cap / (2.0 * s)) ** -2 * inv[s] for s in ss]
+        return [inv[s] / (s * s) for s in ss]
 
     segments = zip([lower, *ts], ts)
-    return list(accumulate(integrate(integrand, lo, hi, _COAREA_TOL, points=kinks).value for lo, hi in segments))
+    nodes = NodeIntegrand(integrand)
+    return list(accumulate(integrate(nodes, lo, hi, _COAREA_TOL, points=kinks).value for lo, hi in segments))
 
 
 @dataclass
@@ -181,7 +190,7 @@ class FunctionalSeries:
 def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalSeries:
     """Evaluate every functional over the grid."""
     ts = [float(t) for t in t_grid]
-    samples = [_sample(sol, lp) for lp in levels(sol, ts)]
+    samples, rows = functional_rows(sol, ts)
     boundary_sample = None
     deficit = math.nan
     if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
@@ -189,7 +198,6 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         t_b = 0.5 * sol.capacity
         boundary_sample = samples[0] if ts[0] == t_b else level_integrals(sol, t_b)
         deficit = 2.0 * sol.capacity * (math.pi - boundary_sample.int_grad_sq)
-    rows = [functional_row(ls, sol.capacity) for ls in samples]
     cols = FunctionalRow(*zip(*rows))
     geometry = LevelSetSample(*zip(*samples))
 

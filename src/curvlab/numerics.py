@@ -1,6 +1,13 @@
 """Scalar numerical kernel: adaptive quadrature, differentiation, root finding,
 geometric grids.
 
+The adaptive Gauss-Kronrod loop evaluates each panel's 15 nodes in one call
+on the node list.  ``integrate`` runs a plain integrand on that loop one node
+at a time, and a :class:`NodeIntegrand` one panel at a time, with the same
+abscissae, summation order, error estimate and evaluation count.  The finite
+difference of ``differentiate`` is split the same way: its abscissae
+(``difference_stencil``) and their combination (``difference_quotient``).
+
 Every routine takes an explicit :class:`Tolerance`, so callers own their
 accuracy budget.  Nothing here keeps state between calls; all functions are
 pure and safe to invoke concurrently.
@@ -19,7 +26,10 @@ __all__ = [
     "Tolerance",
     "QuadratureResult",
     "DEFAULT_TOLERANCE",
+    "NodeIntegrand",
     "integrate",
+    "difference_stencil",
+    "difference_quotient",
     "differentiate",
     "find_root",
     "extrapolate_to_zero",
@@ -92,17 +102,25 @@ class QuadratureResult:
     evaluations: int
 
 
-def _panel(f: Callable[[float], float], lo: float, hi: float):
-    """One Gauss-Kronrod 7-15 panel; returns (kronrod, error_estimate)."""
+def _panel(values: Callable[[list[float]], list[float]], lo: float, hi: float):
+    """One Gauss-Kronrod 7-15 panel; returns (kronrod, error_estimate).
+
+    The 15 nodes go to ``values`` in one list: the centre, then each pair
+    centre -+ half*x_j from the outermost abscissa in.
+    """
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = f(centre)
+    nodes = [centre]
+    for x in _XGK[:7]:
+        dx = half * x
+        nodes += (centre - dx, centre + dx)
+    fs = values(nodes)
+    fc = fs[0]
     k = _WGK[7] * fc
     g = _WG[3] * fc
     for j in range(7):
-        dx = half * _XGK[j]
-        f1 = f(centre - dx)
-        f2 = f(centre + dx)
+        f1 = fs[2 * j + 1]
+        f2 = fs[2 * j + 2]
         k += _WGK[j] * (f1 + f2)
         if j % 2 == 1:
             g += _WG[(j - 1) // 2] * (f1 + f2)
@@ -113,7 +131,7 @@ def _panel(f: Callable[[float], float], lo: float, hi: float):
     return k, max(err, 50.0 * _EPS * abs(k))
 
 
-def _adaptive(f, lo: float, hi: float, tol: Tolerance, points: Sequence[float]):
+def _adaptive(values, lo: float, hi: float, tol: Tolerance, points: Sequence[float]):
     edges = [lo]
     for p in sorted(set(points)):
         if edges[-1] < p < hi:
@@ -124,7 +142,7 @@ def _adaptive(f, lo: float, hi: float, tol: Tolerance, points: Sequence[float]):
     evaluations = 0
     seq = 0
     for a, b in zip(edges, edges[1:]):
-        v, e = _panel(f, a, b)
+        v, e = _panel(values, a, b)
         evaluations += 15
         panels.append((-e, seq, a, b, v, e, 0))
         seq += 1
@@ -142,8 +160,8 @@ def _adaptive(f, lo: float, hi: float, tol: Tolerance, points: Sequence[float]):
                 f"quadrature did not converge on [{a!r}, {b!r}] "
                 f"(depth {depth}, {evaluations} evaluations, error {err!r})"
             )
-        v1, e1 = _panel(f, a, mid)
-        v2, e2 = _panel(f, mid, b)
+        v1, e1 = _panel(values, a, mid)
+        v2, e2 = _panel(values, mid, b)
         evaluations += 30
         heapq.heappush(panels, (-e1, seq, a, mid, v1, e1, depth + 1))
         seq += 1
@@ -151,8 +169,20 @@ def _adaptive(f, lo: float, hi: float, tol: Tolerance, points: Sequence[float]):
         seq += 1
 
 
+@dataclass(frozen=True)
+class NodeIntegrand:
+    """An integrand given on node lists: ``values(xs)`` returns f at each x of xs, in order.
+
+    :func:`integrate` hands it the 15 nodes of each Gauss-Kronrod panel in
+    one call, so an integrand whose points cost less together than apart
+    pays once per panel.
+    """
+
+    values: Callable[[list[float]], list[float]]
+
+
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[float], float] | NodeIntegrand,
     a: float,
     b: float,
     tol: Tolerance | None = None,
@@ -162,9 +192,11 @@ def integrate(
 
     Parameters
     ----------
-    f : callable
+    f : callable or NodeIntegrand
         Integrand, continuous on [a, b).  For b = +inf it must decay
-        integrably; divergence shows up as `NonConvergent`.
+        integrably; divergence shows up as `NonConvergent`.  A plain
+        callable is evaluated node by node, a NodeIntegrand one panel at a
+        time; both give the same bits when they agree pointwise.
     a, b : float
         Interval ends; ``b=math.inf`` triggers the rational compactification
         s = a + L x/(1-x), x in [0, 1), with L = max(|a|, 1), so O(s^-2)
@@ -191,35 +223,52 @@ def integrate(
     if b < a:
         res = integrate(f, b, a, tol, points)
         return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
+    values = f.values if isinstance(f, NodeIntegrand) else (lambda xs: [f(x) for x in xs])
     if math.isinf(b):
         scale = max(abs(a), 1.0)
 
-        def compactified(x: float) -> float:
-            onemx = 1.0 - x
-            if onemx <= 0.0:
+        def compactified(xs: list[float]) -> list[float]:
+            onemxs = [1.0 - x for x in xs]
+            if min(onemxs) <= 0.0:
                 # Refinement has piled up against the compactified endpoint:
                 # the tail is not integrable at the working tolerance.
                 raise NonConvergent("tail integral does not converge")
-            return f(a + scale * x / onemx) * scale / (onemx * onemx)
+            fs = values([a + scale * x / onemx for x, onemx in zip(xs, onemxs)])
+            return [fx * scale / (onemx * onemx) for fx, onemx in zip(fs, onemxs)]
 
         mapped = [(p - a) / (scale + (p - a)) for p in points if p > a]
         return _adaptive(compactified, 0.0, 1.0, tol, mapped)
-    return _adaptive(f, a, b, tol, points)
+    return _adaptive(values, a, b, tol, points)
+
+
+def difference_stencil(t: float, scale: float | None = None) -> tuple[float, tuple[float, float, float, float]]:
+    """The step h of :func:`differentiate` at t and its abscissae (t + h, t - h, t + h/2, t - h/2).
+
+    h is ``scale``, or 1e-4*max(1, |t|) by default, which balances
+    truncation against cancellation in double precision.
+    """
+    h = 1e-4 * max(1.0, abs(t)) if scale is None else float(scale)
+    if h <= 0.0:
+        raise ValueError("scale must be positive")
+    return h, (t + h, t - h, t + 0.5 * h, t - 0.5 * h)
+
+
+def difference_quotient(fs: Sequence[float], h: float) -> float:
+    """Central difference with one Richardson step from f at the abscissae of difference_stencil."""
+    f_p, f_m, f_p2, f_m2 = fs
+    d_h = (f_p - f_m) / (2.0 * h)
+    d_h2 = (f_p2 - f_m2) / h
+    return (4.0 * d_h2 - d_h) / 3.0
 
 
 def differentiate(f: Callable[[float], float], t: float, scale: float | None = None) -> float:
     """Derivative of f at t: central difference with one Richardson step.
 
-    Error is O(scale^4) for smooth f; the default stencil scale
-    1e-4*max(1, |t|) balances truncation against cancellation in double
-    precision.  f is evaluated at t +- scale and t +- scale/2.
+    Error is O(scale^4) for smooth f; f is evaluated at the four abscissae
+    of :func:`difference_stencil`, t +- scale and t +- scale/2.
     """
-    h = 1e-4 * max(1.0, abs(t)) if scale is None else float(scale)
-    if h <= 0.0:
-        raise ValueError("scale must be positive")
-    d_h = (f(t + h) - f(t - h)) / (2.0 * h)
-    d_h2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
+    h, xs = difference_stencil(t, scale)
+    return difference_quotient([f(x) for x in xs], h)
 
 
 def find_root(

@@ -525,14 +525,20 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
     return _sample(sol, level(sol, t))
 
 
+def _round_sphere(sol: PotentialSolution, f: float) -> tuple[float, float, float]:
+    """Area, |grad u| and Int 1/|grad u| dsigma of the level sphere where the profile is f."""
+    area = _FOUR_PI * f * f
+    g = sol.c_norm / (f * f)
+    return area, g, area / g
+
+
 def _sample(sol: PotentialSolution, lp: LevelParam) -> LevelSetSample:
     """The level_integrals payload of a solved level."""
     p = sol.profile
     x = lp.s
     f = p.f(x)
     fs = p.df_ds(x)
-    area = _FOUR_PI * f * f
-    g = sol.c_norm / (f * f)
+    area, g, inv_grad = _round_sphere(sol, f)
     mean_h = 2.0 * fs / f
     r_scalar = _warped_scalar_curvature(f, fs, p.d2f_ds2(x))
     return LevelSetSample(
@@ -545,7 +551,7 @@ def _sample(sol: PotentialSolution, lp: LevelParam) -> LevelSetSample:
         scalar_R=r_scalar,
         int_grad_sq=area * g * g,
         int_grad_H=area * g * mean_h,
-        int_inv_grad=area / g,
+        int_inv_grad=inv_grad,
     )
 
 

@@ -19,24 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from typing import IO, Sequence
 
 from .errors import GridTooCoarse
-from .functionals import (
-    FunctionalRow,
-    FunctionalSeries,
-    build_series,
-    coarea_volumes,
-    functional_row,
-)
-from .numerics import Tolerance, differentiate
-from .potential import (
-    PotentialSolution,
-    SolutionKind,
-    default_t_grid,
-    level_integrals,
-)
+from .functionals import FunctionalSeries, build_series, coarea_volumes, functional_rows
+from .numerics import Tolerance, difference_quotient, difference_stencil
+from .potential import PotentialSolution, SolutionKind, default_t_grid
 from .profile import sample_scalar_curvature_sign, sphere_geometry
 
 __all__ = [
@@ -215,31 +203,38 @@ def _boundary_checks(
     ]
 
     # Central differences at subsampled interior points: the analytic G' and
-    # F', and the Riccati inequality a' >= (1/t)(1 - 4 pi/A1 - a^2/4).  Every
-    # stencil level is solved once and its row shared.
-    @cache
-    def row_at(tt: float) -> FunctionalRow:
-        return functional_row(level_integrals(sol, tt), cap)
-
-    g_margins, f_margins, fd_ts = [], [], []
-    r_margins, r_ts = [], []
+    # F', and the Riccati inequality a' >= (1/t)(1 - 4 pi/A1 - a^2/4).  The
+    # stencil levels of every difference are solved in one sorted sweep and
+    # each row is shared by the differences that read it.
+    fd_stencils, riccati_stencils = [], []
     for i in _fd_indices(n, _FD_SUBSAMPLE):
         t = ts[i]
         scale_h = 1e-4 * max(1.0, t)
         if t - 2.0 * scale_h > 0.5 * cap:
-            gp_fd = differentiate(lambda tt: row_at(tt).G, t, scale=scale_h)
-            fp_fd = differentiate(lambda tt: row_at(tt).F, t, scale=scale_h)
-            g_scale = max(abs(series.Gprime_analytic[i]), _FOUR_PI / t)
-            f_scale = max(abs(series.Fprime_analytic[i]), _FOUR_PI)
-            g_margins.append(-abs(series.Gprime_analytic[i] - gp_fd) / g_scale)
-            f_margins.append(-abs(series.Fprime_analytic[i] - fp_fd) / f_scale)
-            fd_ts.append(t)
+            fd_stencils.append((i, *difference_stencil(t, scale_h)))
         h = _RICCATI_SCALE * max(1.0, t)
         if t - 2.0 * h > 0.5 * cap:
-            ap = differentiate(lambda tt: row_at(tt).a, t, scale=h)
-            rhs = (1.0 - _FOUR_PI / series.A1[i] - series.a_growth[i] ** 2 / 4.0) / t
-            r_margins.append(ap - rhs)
-            r_ts.append(t)
+            riccati_stencils.append((i, *difference_stencil(t, h)))
+    stencil_ts = sorted({x for _, _, xs in fd_stencils + riccati_stencils for x in xs})
+    row_at = dict(zip(stencil_ts, functional_rows(sol, stencil_ts)[1]))
+
+    def derivative(column: str, h: float, xs: Sequence[float]) -> float:
+        return difference_quotient([getattr(row_at[x], column) for x in xs], h)
+
+    g_margins, f_margins = [], []
+    for i, h, xs in fd_stencils:
+        t = ts[i]
+        g_scale = max(abs(series.Gprime_analytic[i]), _FOUR_PI / t)
+        f_scale = max(abs(series.Fprime_analytic[i]), _FOUR_PI)
+        g_margins.append(-abs(series.Gprime_analytic[i] - derivative("G", h, xs)) / g_scale)
+        f_margins.append(-abs(series.Fprime_analytic[i] - derivative("F", h, xs)) / f_scale)
+    r_margins = []
+    for i, h, xs in riccati_stencils:
+        t = ts[i]
+        rhs = (1.0 - _FOUR_PI / series.A1[i] - series.a_growth[i] ** 2 / 4.0) / t
+        r_margins.append(derivative("a", h, xs) - rhs)
+    fd_ts = [ts[i] for i, _, _ in fd_stencils]
+    r_ts = [ts[i] for i, _, _ in riccati_stencils]
     return [
         *checks,
         _judge("gprime_vs_fd", g_margins, fd_ts, TOL_FD_REL, identity=True),

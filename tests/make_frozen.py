@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the byte-frozen CLI outputs in tests/data from the current code.
 
-Run from the repository root:  python tests/make_frozen.py
+Run from the repository root:  python tests/make_frozen.py [--check]
 
 Each run listed in frozen_outputs.py is made in a scratch directory, and its
 stdout, without the ``# generated_at`` line, replaces its file.  For every
@@ -10,8 +10,13 @@ each changed field as old -> new, with the move in units in the last place
 of the old value, and the largest such move; a file that does not exist yet
 is written and reported as new.  A run whose exit code differs from the one
 listed writes nothing and fails the script.
+
+``--check`` prints the same report and writes nothing; it exits 1 when any
+frozen output would change or be new, and 0 when every file holds the bytes
+the current code prints.
 """
 
+import argparse
 import math
 import pathlib
 import sys
@@ -98,26 +103,43 @@ def report(name: str, old: str, new: str) -> None:
         print(f"  {label}: {a} -> {b}" + (f" ({m:.3g} ulp)" if m is not None else ""))
 
 
-def main() -> int:
+def update(outputs: dict[str, str], check: bool) -> int:
+    """Report each output against its file in DATA and, unless ``check``, write it.
+
+    Returns 1 when ``check`` finds an output that differs from its file or
+    has none, and 0 otherwise.
+    """
+    moved = False
+    for name, text in outputs.items():
+        path = DATA / name
+        if path.exists():
+            old = path.read_text()
+            report(name, old, text)
+            moved |= old != text
+        else:
+            print(f"{name}: new file")
+            moved = True
+        if not check:
+            path.write_text(text)
+    return 1 if check and moved else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the byte-frozen CLI outputs.")
+    parser.add_argument("--check", action="store_true", help="report every change, write nothing, exit 1 on any")
+    check = parser.parse_args(argv).check
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = pathlib.Path(tmp)
         write_inputs(cwd)
-        for argv, name, code in frozen_runs():
-            cp = run_cli(*argv, cwd=cwd)
+        for argv_run, name, code in frozen_runs():
+            cp = run_cli(*argv_run, cwd=cwd)
             if cp.returncode != code:
                 print(f"{name}: exit code {cp.returncode}, expected {code}; nothing written\n{cp.stderr}")
                 return 1
             outputs[name] = strip_timestamp(cp.stdout) + "\n"
-    for name, text in outputs.items():
-        path = DATA / name
-        if path.exists():
-            report(name, path.read_text(), text)
-        else:
-            print(f"{name}: new file")
-        path.write_text(text)
-    return 0
+    return update(outputs, check)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

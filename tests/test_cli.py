@@ -225,6 +225,19 @@ def test_functionals_to_directory(tmp_path):
     assert content.startswith("t,s,u,area,grad,H,R,Fhat,G,F,A1,A1tilde,a,B1,Fprime,Gprime,volume\n")
 
 
+def test_potential_to_directory(tmp_path, capsys):
+    # --out writes the table that stdout carries without it; at the parent
+    # the flag was read and ignored, and no file was made.
+    argv = ["potential", "--model", "euclidean", "--grid", "8"]
+    assert main(argv) == 0
+    table = strip_timestamp(capsys.readouterr().out) + "\n"
+    assert main([*argv, "--out", str(tmp_path / "potout")]) == 0
+    path = tmp_path / "potout" / "potential.csv"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# generated_at=") and lines[1:] == [f"wrote {path}"]
+    assert path.read_text() == table
+
+
 def test_save_report_creates_run_record(tmp_path):
     cp = run_cli(
         "verify", "--model", "schwarzschild", "--mass", "1", "--grid", "16",
@@ -406,6 +419,7 @@ def test_unreadable_profile_exits_2(capsys, tmp_path, case):
         ("verify", "--model", "schwarzschild", "--grid", "8"),
         ("verify", "--model", "schwarzschild", "--grid", "8", "--save-report"),
         ("functionals", "--model", "euclidean", "--grid", "8"),
+        ("potential", "--model", "euclidean", "--grid", "8"),
         ("mass", "--model", "euclidean"),
     ],
 )

@@ -16,8 +16,9 @@ from curvlab.potential import (
     u_value,
     volume_to_coordinate,
 )
-from curvlab.profile import perturbed_schwarzschild
+from curvlab.profile import euclidean, mollified_schwarzschild, perturbed_schwarzschild, schwarzschild, to_warped
 from curvlab.verify import schwarzschild_comparison_volume
+from coarea_quadrature import coarea_volumes_per_node
 from frozen_outputs import rneg_profile
 from growth_quadrature import growth_integrand_cumulative
 
@@ -241,6 +242,26 @@ class TestVolumes:
             for swept, t in zip(coarea_volumes(sol, ts), ts):
                 single = coarea_volumes(sol, [t])[0]
                 assert abs(swept - single) <= 1e-11 * single, (sol.profile.label, t)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda _: schwarzschild(1.0),
+        lambda _: perturbed_schwarzschild(),
+        lambda _: euclidean(),
+        lambda _: to_warped(mollified_schwarzschild(1.0, 1.0)),
+        rneg_profile,
+    ],
+    ids=["schwarzschild", "perturbed", "euclidean", "mollified", "rneg-csv"],
+)
+def test_coarea_panels_match_per_node_levels_bitwise(make, tmp_path):
+    # Each panel's nodes are solved in one sorted sweep; every level carries
+    # the bits of its own solve, so the volumes equal the per-node route's.
+    sol = solve(make(tmp_path))
+    grid = default_t_grid(sol, 32)
+    ts = [grid[i] for i in (4, 8, 16, 24, 31)]
+    assert coarea_volumes(sol, ts) == coarea_volumes_per_node(sol, ts)
 
 
 class TestSeries:

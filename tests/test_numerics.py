@@ -5,8 +5,11 @@ import pytest
 from curvlab.errors import NoBracket, NonConvergent
 from curvlab.numerics import (
     DEFAULT_TOLERANCE,
+    NodeIntegrand,
     QuadratureResult,
     Tolerance,
+    difference_quotient,
+    difference_stencil,
     differentiate,
     extrapolate_to_zero,
     find_root,
@@ -130,3 +133,47 @@ def test_quadrature_result_fields():
     assert isinstance(res, QuadratureResult)
     assert abs(res.value - 1.0) <= 1e-10
     assert res.error_estimate >= 0.0
+
+
+@pytest.mark.parametrize(
+    ("f", "a", "b", "points"),
+    [
+        (lambda s: math.exp(-s) * math.sin(3.0 * s), 0.0, 2.0, ()),
+        (lambda s: abs(s - 0.3) ** 1.5 + math.cos(s), 0.0, 1.0, (0.3, 0.7)),
+        (lambda r: 1.0 / (r + 0.5) ** 2 + math.exp(-r), 1.0, math.inf, (2.0, 5.0)),
+    ],
+    ids=["finite", "split", "semi-infinite"],
+)
+def test_node_list_quadrature_matches_scalar_bitwise(f, a, b, points):
+    # One list of 15 nodes per panel, at the points and in the order the
+    # scalar integrand is called, and the same value, error and count.
+    scalar_nodes, batches = [], []
+
+    def scalar(x):
+        scalar_nodes.append(x)
+        return f(x)
+
+    def values(xs):
+        batches.append(list(xs))
+        return [f(x) for x in xs]
+
+    tol = Tolerance(rel=1e-12, abs=1e-14)
+    ref = integrate(scalar, a, b, tol, points)
+    got = integrate(NodeIntegrand(values), a, b, tol, points)
+    assert (got.value, got.error_estimate, got.evaluations) == (ref.value, ref.error_estimate, ref.evaluations)
+    assert [len(xs) for xs in batches] == [15] * (ref.evaluations // 15)
+    assert [x for xs in batches for x in xs] == scalar_nodes
+
+
+@pytest.mark.parametrize(("t", "scale"), [(1.0, None), (250.0, None), (3.7, 1e-3), (0.02, 2.5e-4)])
+def test_differentiate_is_the_quotient_over_its_stencil(t, scale):
+    f = lambda x: math.exp(0.3 * x) / (1.0 + x * x)
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return f(x)
+
+    h, xs = difference_stencil(t, scale)
+    assert differentiate(recorded, t, scale) == difference_quotient([f(x) for x in xs], h)
+    assert tuple(seen) == xs == (t + h, t - h, t + 0.5 * h, t - 0.5 * h)

@@ -209,9 +209,14 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     # The coarea cross-check reads the series' levels and solves none of
     # them a second time.  Every sample, of a grid or of one level_integrals
     # call, is built by potential._sample, and every solve, of a grid or of
-    # one level call, runs through potential.levels.
+    # one level call, runs through potential.levels.  Off the grid, the
+    # finite-difference stencils are solved in one sweep and the coarea
+    # quadrature in one sweep per Gauss-Kronrod panel.
+    import sys
+
     import curvlab.functionals as functionals_mod
     import curvlab.potential as potential_mod
+    import curvlab.verify as verify_mod
 
     calls: dict[float, int] = {}
     real = potential_mod._sample
@@ -221,18 +226,42 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
         return real(sol, lp)
 
     solves: dict[float, int] = {}
+    sweeps: list[tuple[str, list[float]]] = []  # (caller, levels) of each levels call
+    stage = ["battery"]
     real_levels = potential_mod.levels
 
     def counting_levels(sol, ts):
         ts = list(ts)
         for t in ts:
             solves[t] = solves.get(t, 0) + 1
+        sweeps.append((stage[0], ts))
         return real_levels(sol, ts)
+
+    panels = []  # evaluations // 15 of each coarea quadrature
+    real_integrate = functionals_mod.integrate
+
+    def counting_integrate(*args, **kwargs):
+        res = real_integrate(*args, **kwargs)
+        panels.append(res.evaluations // 15)
+        return res
+
+    real_coarea = verify_mod.coarea_volumes
+
+    def staged_coarea(*args):
+        stage[0] = "coarea"
+        try:
+            return real_coarea(*args)
+        finally:
+            stage[0] = "battery"
 
     monkeypatch.setattr(potential_mod, "_sample", counting)
     monkeypatch.setattr(functionals_mod, "_sample", counting)
-    monkeypatch.setattr(potential_mod, "levels", counting_levels)
-    monkeypatch.setattr(functionals_mod, "levels", counting_levels)
+    # Every curvlab module that reads the name levels sees the counter.
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("curvlab") and getattr(mod, "levels", None) is real_levels:
+            monkeypatch.setattr(mod, "levels", counting_levels)
+    monkeypatch.setattr(functionals_mod, "integrate", counting_integrate)
+    monkeypatch.setattr(verify_mod, "coarea_volumes", staged_coarea)
     grid = default_t_grid(schw1_sol, 16)
     run_battery(schw1_sol, grid)
     # grid[0] = C/2 is also the boundary level of the deficit and of the
@@ -241,6 +270,15 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     # The G and F finite differences share their stencil levels.
     assert [t for t, k in calls.items() if k > 1] == []
     assert [solves[t] for t in grid] == [1] * len(grid)
+    # One sweep of the grid, one of every stencil level, sorted, and at most
+    # one per panel of the coarea quadrature.
+    battery = [ts for caller, ts in sweeps if caller == "battery"]
+    assert len(battery) == 2 and battery[0] == grid
+    stencil = battery[1]
+    assert stencil == sorted(set(stencil)) and not set(stencil) & set(grid)
+    assert len(stencil) > 4 * len(grid)
+    coarea = [ts for caller, ts in sweeps if caller == "coarea"]
+    assert len(panels) == 3 and 0 < len(coarea) <= sum(panels)
 
 
 def test_battery_integrates_only_the_coarea_segments(perturbed_sol, monkeypatch):
