@@ -534,13 +534,11 @@ def _round_sphere(sol: PotentialSolution, f: float) -> tuple[float, float, float
 
 def _sample(sol: PotentialSolution, lp: LevelParam) -> LevelSetSample:
     """The level_integrals payload of a solved level."""
-    p = sol.profile
     x = lp.s
-    f = p.f(x)
-    fs = p.df_ds(x)
+    f, fs, fss = sol.profile.jet(x)
     area, g, inv_grad = _round_sphere(sol, f)
     mean_h = 2.0 * fs / f
-    r_scalar = _warped_scalar_curvature(f, fs, p.d2f_ds2(x))
+    r_scalar = _warped_scalar_curvature(f, fs, fss)
     return LevelSetSample(
         t=lp.t,
         s=x,

@@ -46,6 +46,7 @@ _CONSTRUCTION_TOL = Tolerance(rel=1e-8, abs=1e-10, max_refinements=60)
 _R_ROUNDING = 8.0 * sys.float_info.epsilon
 
 ScalarFn = Callable[[float], float]
+JetFn = Callable[[float], tuple[float, float, float]]
 
 
 def _one(_: float) -> float:
@@ -99,14 +100,19 @@ class ConformalProfile:
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """Warped-product 3-metric determined by the warp factor along a radial coordinate."""
+    """Warped-product 3-metric determined by the warp factor along a radial coordinate.
+
+    ``f(x)`` is the warp factor alone; ``jet(x)`` returns ``(f, f_s, f_ss)``,
+    the warp factor and its first two arclength derivatives from one
+    evaluation, with ``jet(x)[0] == f(x)`` bit for bit.  ``jet`` is the one
+    source of f_s and f_ss: ``df_ds`` and ``d2f_ds2`` read it.
+    """
 
     label: str
     kind: ProfileKind
     x_min: float
     f: ScalarFn
-    df_ds: ScalarFn
-    d2f_ds2: ScalarFn
+    jet: JetFn
     ds_dx: ScalarFn = _one
     breakpoints: tuple[float, ...] = ()
     asymptotically_flat: bool = False
@@ -123,7 +129,7 @@ class MetricProfile:
             pole_scale = max(1.0, self.x_min)
             if abs(self.f(self.x_min)) > 1e-8 * pole_scale:
                 raise ProfileDataError("a boundaryless profile needs f(x_min) = 0 (smooth pole)")
-            if abs(self.df_ds(self.x_min + 1e-9 * pole_scale) - 1.0) > 1e-4:
+            if abs(self.jet(self.x_min + 1e-9 * pole_scale)[1] - 1.0) > 1e-4:
                 raise ProfileDataError("a boundaryless profile needs df/ds -> 1 at the pole")
         # Nonparabolicity: the capacitary integral must converge past the core.
         try:
@@ -140,11 +146,17 @@ class MetricProfile:
             # Sampling check only; the decay *order* is metadata, not enforced.
             for x in (1e2, 1e3, 1e4):
                 x = x * self.x_scale
-                if abs(self.df_ds(x) - 1.0) > 0.05:
+                fs = self.jet(x)[1]
+                if abs(fs - 1.0) > 0.05:
                     raise ProfileDataError(
-                        f"profile {self.label!r} declared asymptotically flat "
-                        f"but df/ds at x={x} is {self.df_ds(x)!r}"
+                        f"profile {self.label!r} declared asymptotically flat but df/ds at x={x} is {fs!r}"
                     )
+
+    def df_ds(self, x: float) -> float:
+        return self.jet(x)[1]
+
+    def d2f_ds2(self, x: float) -> float:
+        return self.jet(x)[2]
 
     @property
     def x_scale(self) -> float:
@@ -161,7 +173,7 @@ def scalar_curvature(p: MetricProfile, x: float) -> float:
         raise DomainEdge(f"x={x!r} below x_min={p.x_min!r}")
     if p.kind is ProfileKind.BOUNDARYLESS and x <= p.x_min:
         raise DomainEdge("scalar curvature is 0/0 at the pole; evaluate at x > x_min")
-    return _warped_scalar_curvature(p.f(x), p.df_ds(x), p.d2f_ds2(x))
+    return _warped_scalar_curvature(*p.jet(x))
 
 
 def _warped_scalar_curvature(f: float, fs: float, fss: float) -> float:
@@ -184,10 +196,10 @@ def sphere_geometry(p: MetricProfile, x: float) -> tuple[float, float]:
     """Area and mean curvature (outward normal) of the sphere at coordinate x."""
     if not p.in_domain(x):
         raise DomainEdge(f"x={x!r} below x_min={p.x_min!r}")
-    f = p.f(x)
+    f, fs, _ = p.jet(x)
     if f == 0.0:
         return 0.0, math.inf
-    return _FOUR_PI * f * f, 2.0 * p.df_ds(x) / f
+    return _FOUR_PI * f * f, 2.0 * fs / f
 
 
 def sample_scalar_curvature_sign(p: MetricProfile, n: int = 1000) -> tuple[bool, float, float]:
@@ -202,7 +214,7 @@ def sample_scalar_curvature_sign(p: MetricProfile, n: int = 1000) -> tuple[bool,
         xs.insert(0, p.x_min)
     worst_x, worst_r, ok = xs[0], math.inf, True
     for x in xs:
-        f, fs, fss = p.f(x), p.df_ds(x), p.d2f_ds2(x)
+        f, fs, fss = p.jet(x)
         r_val = _warped_scalar_curvature(f, fs, fss)
         ok = ok and r_val >= -1e-10 - _R_ROUNDING * (2.0 * (1.0 + fs * fs) / (f * f) + 4.0 * abs(fss / f))
         if r_val < worst_r:
@@ -223,8 +235,7 @@ def euclidean() -> MetricProfile:
         kind=ProfileKind.BOUNDARYLESS,
         x_min=0.0,
         f=lambda s: s,
-        df_ds=_one,
-        d2f_ds2=_zero,
+        jet=lambda s: (s, 1.0, 0.0),
         asymptotically_flat=True,
         assume_nonnegative_R=True,
         conformal=euclidean_conformal(),
@@ -257,6 +268,10 @@ def schwarzschild(m: float) -> MetricProfile:
     def w(r: float) -> float:
         return 1.0 + a / r
 
+    def jet(r: float) -> tuple[float, float, float]:
+        ra = r + a
+        return ra ** 2 / r, (r - a) / ra, 2.0 * a * r * r / ra ** 4
+
     conf = ConformalProfile(
         label=f"schwarzschild(m={m!r}) exterior",
         w=w,
@@ -272,8 +287,7 @@ def schwarzschild(m: float) -> MetricProfile:
         kind=ProfileKind.WITH_BOUNDARY,
         x_min=a,
         f=lambda r: (r + a) ** 2 / r,
-        df_ds=lambda r: (r - a) / (r + a),
-        d2f_ds2=lambda r: 2.0 * a * r * r / (r + a) ** 4,
+        jet=jet,
         ds_dx=lambda r: ((r + a) / r) ** 2,
         asymptotically_flat=True,
         assume_nonnegative_R=True,
@@ -378,13 +392,10 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
     def f(r: float) -> float:
         return r * w(r) ** 2
 
-    def df_ds(r: float) -> float:
-        return 1.0 + 2.0 * r * dw(r) / w(r)
-
-    def d2f_ds2(r: float) -> float:
+    def jet(r: float) -> tuple[float, float, float]:
         wr = w(r)
         dwr = dw(r)
-        return 2.0 / wr ** 3 * (dwr + r * d2w(r) - r * dwr * dwr / wr)
+        return r * wr ** 2, 1.0 + 2.0 * r * dwr / wr, 2.0 / wr ** 3 * (dwr + r * d2w(r) - r * dwr * dwr / wr)
 
     def ds_dx(r: float) -> float:
         return w(r) ** 2
@@ -396,8 +407,7 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
         kind=kind,
         x_min=c.r_min,
         f=f,
-        df_ds=df_ds,
-        d2f_ds2=d2f_ds2,
+        jet=jet,
         ds_dx=ds_dx,
         breakpoints=c.breakpoints,
         asymptotically_flat=flat,
@@ -411,33 +421,92 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
 # ---------------------------------------------------------------------------
 
 
-def _piecewise_polynomial(pp) -> ScalarFn:
-    """Scalar evaluator of a scipy PPoly that reproduces PPoly's arithmetic.
+def _spline_coefficients(xs: list[float], ys: list[float]) -> tuple[list[tuple[float, ...]], ...]:
+    """Per-interval ascending coefficients of f, f' and f'' of the not-a-knot cubic spline.
 
-    The interval comes from a bisect on the knots, clamped to the first and
-    last interval as PPoly extrapolates; the value is PPoly's ascending power
-    sum res = res + c_j z, z *= s over the local coordinate s.  Results are
-    bitwise those of float(pp(x)) at a fraction of the cost of a scalar call.
+    The result is bitwise scipy's ``CubicSpline(xs, ys)``: the slope system is
+    assembled as CubicSpline assembles it and solved as LAPACK ``gtsv`` solves
+    one right-hand side (elimination that swaps rows i and i+1 where
+    |d_i| < |dl_i|, then back substitution); the coefficients follow
+    CubicHermiteSpline's formulas and the derivatives PPoly.derivative's
+    factors.  Interval i is in powers of x - xs[i]: f has (c0, c1, c2, c3),
+    f' has (c1, 2 c2, 3 c3) and f'' has (2 c2, 6 c3).
     """
-    knots = tuple(float(v) for v in pp.x)
-    ascending = tuple(tuple(float(v) for v in column[::-1]) for column in pp.c.T)
-    last = len(knots) - 2
+    n = len(xs)
+    dx = [b - a for a, b in zip(xs, xs[1:])]
+    slope = [(b - a) / h for a, b, h in zip(ys, ys[1:], dx)]
+    # Sub-diagonal dl, diagonal d, super-diagonal du and right-hand side b.
+    d_lo, d_hi = xs[2] - xs[0], xs[-1] - xs[-3]
+    dl = dx[1:] + [d_hi]
+    d = [dx[1]] + [2 * (h0 + h1) for h0, h1 in zip(dx, dx[1:])] + [dx[-2]]
+    du = [d_lo] + dx[:-1]
+    # h ** 2 is libm pow, as in scipy's scalar numpy arithmetic here; h * h may round differently.
+    b = (
+        [((dx[0] + 2 * d_lo) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_lo]
+        + [3 * (h1 * m0 + h0 * m1) for h0, h1, m0, m1 in zip(dx, dx[1:], slope, slope[1:])]
+        + [(dx[-1] ** 2 * slope[-2] + (2 * d_hi + dx[-1]) * dx[-2] * slope[-1]) / d_hi]
+    )
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            temp = d[i + 1]
+            d[i], d[i + 1] = dl[i], du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    s = b
+    s[-1] /= d[-1]
+    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1] - dl[i] * s[i + 2]) / d[i]
 
-    def evaluate(x: float) -> float:
-        i = bisect_right(knots, x) - 1
-        if i < 0:
-            i = 0
-        elif i > last:
-            i = last
-        s = x - knots[i]
-        res = 0.0
-        z = 1.0
-        for c in ascending[i]:
-            res = res + c * z
-            z *= s
-        return res
+    f_c, fp_c, fpp_c = [], [], []
+    for y0, s0, s1, m, h in zip(ys, s, s[1:], slope, dx):
+        t = (s0 + s1 - 2 * m) / h
+        c3 = t / h
+        c2 = (m - s0) / h - t
+        f_c.append((y0, s0, c2, c3))
+        fp_c.append((s0, 2 * c2, 3 * c3))
+        fpp_c.append((2 * c2, 6 * c3))
+    return f_c, fp_c, fpp_c
 
-    return evaluate
+
+def _spline(xs: list[float], ys: list[float]) -> tuple[ScalarFn, JetFn]:
+    """Value and jet readers of the not-a-knot cubic spline through (xs, ys).
+
+    One bisect finds the interval, clamped to the first and the last as
+    PPoly extrapolates, and each polynomial is summed in PPoly's order,
+    ((0 + c0) + c1 d) + c2 d^2 + c3 (d^2 d), so every value is bitwise
+    scipy's.
+    """
+    f_c, fp_c, fpp_c = _spline_coefficients(xs, ys)
+    knots = tuple(xs)
+    hi = len(knots) - 1
+
+    def value(x: float) -> float:
+        i = bisect_right(knots, x, 1, hi) - 1
+        d = x - knots[i]
+        dd = d * d
+        c0, c1, c2, c3 = f_c[i]
+        return 0.0 + c0 + c1 * d + c2 * dd + c3 * (dd * d)
+
+    def jet(x: float) -> tuple[float, float, float]:
+        i = bisect_right(knots, x, 1, hi) - 1
+        d = x - knots[i]
+        dd = d * d
+        c0, c1, c2, c3 = f_c[i]
+        p0, p1, p2 = fp_c[i]
+        q0, q1 = fpp_c[i]
+        return 0.0 + c0 + c1 * d + c2 * dd + c3 * (dd * d), 0.0 + p0 + p1 * d + p2 * dd, 0.0 + q0 + q1 * d
+
+    return value, jet
 
 
 def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
@@ -445,16 +514,16 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
 
     Two layouts are accepted, selected by the header line: ``r,w`` for a
     conformal factor sampled in the isotropic radius, or ``s,f`` for a warp
-    factor sampled in arclength.  The first column must be strictly
-    increasing.  Derivatives come from a cubic spline (documented accuracy
-    downgrade versus the analytic built-ins); beyond the last sample the
-    profile continues with a C^1 analytic tail (harmonic a + b/r for ``r,w``,
-    linear for ``s,f``).
+    factor sampled in arclength.  A leading UTF-8 byte-order mark is
+    skipped.  The first column must be strictly increasing.  Derivatives
+    come from the not-a-knot cubic spline, built and evaluated in the
+    standard library with coefficients and values bitwise those of scipy's
+    ``CubicSpline`` (documented accuracy downgrade versus the analytic
+    built-ins); beyond the last sample the profile continues with a C^1
+    analytic tail (harmonic a + b/r for ``r,w``, linear for ``s,f``).
     """
-    from scipy.interpolate import CubicSpline
-
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             header, rows = fh.readline(), fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ProfileDataError(f"cannot read profile {path}: {exc}") from exc
@@ -483,13 +552,12 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
     if not all(b > a for a, b in zip(col0, col0[1:])):
         raise ProfileDataError("first CSV column must be strictly increasing")
 
-    spline = CubicSpline(col0, col1)
+    spline, spline_jet = _spline(col0, col1)
     # The spline is only C^2 across its knots: quadratures split there.
     knots = tuple(col0)
-    s0, s1, s2 = (_piecewise_polynomial(pp) for pp in (spline, spline.derivative(1), spline.derivative(2)))
     x_last = col0[-1]
     y_last = col1[-1]
-    yp_last = s1(x_last)
+    yp_last = spline_jet(x_last)[1]
 
     if header == "r,w":
         # Harmonic C^1 tail w = A + B/r matched at the last sample.
@@ -497,13 +565,13 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
         a_tail = y_last - b_tail / x_last
 
         def w(r: float) -> float:
-            return s0(r) if r <= x_last else a_tail + b_tail / r
+            return spline(r) if r <= x_last else a_tail + b_tail / r
 
         def dw(r: float) -> float:
-            return s1(r) if r <= x_last else -b_tail / (r * r)
+            return spline_jet(r)[1] if r <= x_last else -b_tail / (r * r)
 
         def d2w(r: float) -> float:
-            return s2(r) if r <= x_last else 2.0 * b_tail / (r * r * r)
+            return spline_jet(r)[2] if r <= x_last else 2.0 * b_tail / (r * r * r)
 
         conf = ConformalProfile(
             label=f"custom:{path}",
@@ -520,13 +588,12 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
         raise ProfileDataError("warp factor must be increasing at the tabulated tail")
 
     def f(s: float) -> float:
-        return s0(s) if s <= x_last else y_last + yp_last * (s - x_last)
+        return spline(s) if s <= x_last else y_last + yp_last * (s - x_last)
 
-    def fp(s: float) -> float:
-        return s1(s) if s <= x_last else yp_last
-
-    def fpp(s: float) -> float:
-        return s2(s) if s <= x_last else 0.0
+    def jet(s: float) -> tuple[float, float, float]:
+        if s <= x_last:
+            return spline_jet(s)
+        return y_last + yp_last * (s - x_last), yp_last, 0.0
 
     x_min = col0[0]
     pole = x_min == 0.0 and abs(col1[0]) <= 1e-10 * max(1.0, max(abs(y) for y in col1))
@@ -538,8 +605,7 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
         kind=kind,
         x_min=x_min,
         f=f,
-        df_ds=fp,
-        d2f_ds2=fpp,
+        jet=jet,
         breakpoints=knots,
         assume_nonnegative_R=assume_nonnegative_R,
     )

@@ -155,8 +155,8 @@ def test_unparsable_config_value_exits_2(capsys, tmp_path):
 
 
 def test_builtin_models_do_not_import_numpy():
-    # The built-in path runs on the standard library; only --model custom
-    # reaches scipy (and through it numpy).
+    # The built-in path runs on the standard library; so does --model custom
+    # (see test_csv_profiles_do_not_import_numpy).
     script = (
         "import sys\n"
         "from curvlab import cli\n"
@@ -172,6 +172,32 @@ def test_builtin_models_do_not_import_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "[]"
+
+
+def test_csv_profiles_do_not_import_numpy(tmp_path):
+    # The CSV spline is built and evaluated in the standard library, in both
+    # layouts; numpy and scipy are test-only dependencies.
+    from curvlab.profile import mollified_schwarzschild
+
+    write_inputs(tmp_path)  # rneg.csv, an s,f profile
+    c = mollified_schwarzschild(1.0, 1.0)
+    rs = [0.25 * k for k in range(41)]
+    (tmp_path / "moll.csv").write_text("r,w\n" + "".join(f"{r!r},{c.w(r)!r}\n" for r in rs))
+    script = (
+        "import contextlib, io, sys\n"
+        "from curvlab import cli\n"
+        "for name, assume in (('rneg.csv', 'false'), ('moll.csv', 'true')):\n"
+        "    argv = ['verify', '--model', 'custom', '--profile', name, '--assume-nonnegative-r', assume, '--grid', '16']\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    assert code in (0, 1), (argv, code)  # a verdict, not a usage or data error\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.splitlines()[-1] == "[]"
 

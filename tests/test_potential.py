@@ -30,6 +30,7 @@ from curvlab.profile import (
     mollified_schwarzschild,
     perturbed_schwarzschild,
     profile_from_csv,
+    sample_scalar_curvature_sign,
     schwarzschild,
     to_warped,
 )
@@ -163,8 +164,7 @@ class TestCapacityExamples:
             kind=ProfileKind.WITH_BOUNDARY,
             x_min=0.0,
             f=lambda x: x + 1.0,
-            df_ds=lambda x: 1.0,
-            d2f_ds2=lambda x: 0.0,
+            jet=lambda x: (x + 1.0, 1.0, 0.0),
         )
         sol = solve(p)
         assert sol.capacity == pytest.approx(golden["potential.flat_exterior_capacity"], rel=1e-10)
@@ -192,13 +192,17 @@ def _write_csv(path, header, rows):
 def _bump(c, w):
     """The boundaryless f = s + 5 exp(-((s - c)/w)^2), with no declared breakpoint."""
     bump = lambda s: math.exp(-(((s - c) / w) ** 2))
+    f = lambda s: s + 5.0 * bump(s)
     return MetricProfile(
         label=f"bump(c={c}, w={w})",
         kind=ProfileKind.BOUNDARYLESS,
         x_min=0.0,
-        f=lambda s: s + 5.0 * bump(s),
-        df_ds=lambda s: 1.0 - 10.0 * (s - c) / w**2 * bump(s),
-        d2f_ds2=lambda s: (20.0 * (s - c) ** 2 / w**4 - 10.0 / w**2) * bump(s),
+        f=f,
+        jet=lambda s: (
+            f(s),
+            1.0 - 10.0 * (s - c) / w**2 * bump(s),
+            (20.0 * (s - c) ** 2 / w**4 - 10.0 / w**2) * bump(s),
+        ),
     )
 
 
@@ -510,23 +514,41 @@ def test_level_beyond_the_last_anchor_raises(t):
         level(sol, t)
 
 
-def test_level_integrals_reads_the_profile_once_per_value():
-    # On warm tables the level solve reads f three times; level_integrals then
-    # reads f, df/ds and d2f/ds2 once each and computes R from those values.
-    counts = {"f": 0, "df_ds": 0, "d2f_ds2": 0}
-    p = perturbed_schwarzschild()
+def _counting_profile(p, counts):
+    """A copy of p whose f, jet, df_ds and d2f_ds2 count their calls in counts.
 
-    def counting(name):
-        real = getattr(p, name)
+    dataclasses.replace keeps the old jet unless it is wrapped too, and the
+    two derivative methods are shadowed on the copy as instance attributes.
+    """
 
+    def counting(name, real):
         def wrapped(x):
             counts[name] += 1
             return real(x)
 
         return wrapped
 
-    sol = solve(dataclasses.replace(p, **{name: counting(name) for name in counts}))
+    copy = dataclasses.replace(p, f=counting("f", p.f), jet=counting("jet", p.jet))
+    for name in ("df_ds", "d2f_ds2"):
+        object.__setattr__(copy, name, counting(name, getattr(copy, name)))
+    return copy
+
+
+def test_level_integrals_reads_the_profile_once_per_value():
+    # On warm tables the level solve reads f three times; level_integrals then
+    # reads the jet (f, df/ds, d2f/ds2) once and computes R from those values.
+    counts = dict.fromkeys(("f", "jet", "df_ds", "d2f_ds2"), 0)
+    sol = solve(_counting_profile(perturbed_schwarzschild(), counts))
     level_integrals(sol, 5.0)  # builds the tables the level solve reads
     counts.update(dict.fromkeys(counts, 0))
     level_integrals(sol, 5.0)
-    assert counts == {"f": 4, "df_ds": 1, "d2f_ds2": 1}
+    assert counts == {"f": 3, "jet": 1, "df_ds": 0, "d2f_ds2": 0}
+
+
+@pytest.mark.parametrize("make", [perturbed_schwarzschild, euclidean], ids=["boundary", "pole"])
+def test_curvature_sampler_reads_one_jet_per_point(make):
+    counts = dict.fromkeys(("f", "jet", "df_ds", "d2f_ds2"), 0)
+    p = _counting_profile(make(), counts)
+    counts.update(dict.fromkeys(counts, 0))  # the copy's validation reads the profile too
+    sample_scalar_curvature_sign(p, n=50)
+    assert counts == {"f": 0, "jet": 50, "df_ds": 0, "d2f_ds2": 0}

@@ -1,7 +1,11 @@
+import codecs
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curvlab.errors import DomainEdge, ProfileDataError
 from curvlab.profile import (
@@ -214,8 +218,7 @@ class TestInvariants:
                 kind=ProfileKind.WITH_BOUNDARY,
                 x_min=0.0,
                 f=lambda s: math.sqrt(s + 1.0),
-                df_ds=lambda s: 0.5 / math.sqrt(s + 1.0),
-                d2f_ds2=lambda s: -0.25 * (s + 1.0) ** -1.5,
+                jet=lambda s: (math.sqrt(s + 1.0), 0.5 / math.sqrt(s + 1.0), -0.25 * (s + 1.0) ** -1.5),
             )
 
     def test_boundaryless_needs_pole(self):
@@ -225,8 +228,7 @@ class TestInvariants:
                 kind=ProfileKind.BOUNDARYLESS,
                 x_min=0.0,
                 f=lambda s: s + 1.0,
-                df_ds=lambda s: 1.0,
-                d2f_ds2=lambda s: 0.0,
+                jet=lambda s: (s + 1.0, 1.0, 0.0),
             )
 
     def test_scalar_curvature_domain_edges(self):
@@ -292,22 +294,84 @@ class TestCsvIngestion:
         assert report.check("area_comparison").status is CheckStatus.EQUALITY
         assert not report.blocking()
 
-    def test_spline_evaluation_bitwise_equals_scipy(self, tmp_path):
-        # The CSV closures evaluate the spline pieces without scipy; they must
-        # reproduce scipy's scalar PPoly results bit for bit, including the
-        # extrapolation just below the first knot.
+    @pytest.mark.parametrize("header", ["s,f", "r,w"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        # Spreadsheet tools write a UTF-8 byte-order mark before the header.
+        rows = [(0.5 + k, 1.5 + k + 0.1 * math.sin(k)) for k in range(12)]
+        if header == "r,w":
+            rows = [(r, 1.0 + 0.5 / r) for r, _ in rows]
+        self._write(tmp_path / "plain.csv", header, rows)
+        (tmp_path / "bom.csv").write_bytes(codecs.BOM_UTF8 + (tmp_path / "plain.csv").read_bytes())
+        plain, bom = (profile_from_csv(str(tmp_path / n), assume_nonnegative_R=True) for n in ("plain.csv", "bom.csv"))
+        for x in (0.5, 1.7, 6.0, 11.5, 20.0):
+            assert (bom.f(x), bom.df_ds(x), bom.d2f_ds2(x)) == (plain.f(x), plain.df_ds(x), plain.d2f_ds2(x))
+
+    @given(
+        rows=st.integers(8, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        decades=st.floats(0.0, 4.0),
+        header=st.sampled_from(["s,f", "r,w"]),
+    )
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_spline_evaluation_bitwise_equals_scipy(self, tmp_path, rows, seed, decades, header):
+        # The CSV spline is built and read without scipy; its coefficients and
+        # values must be scipy's bit for bit, including the extrapolation just
+        # below the first knot.  The spacings span `decades` orders of magnitude.
         from scipy.interpolate import CubicSpline
 
-        rng = np.random.default_rng(11)
-        ss = np.sort(rng.uniform(0.5, 30.0, 40))
-        fs = 1.0 + ss + 0.05 * np.sin(ss)
-        self._write(tmp_path / "warp.csv", "s,f", [(float(s), float(f)) for s, f in zip(ss, fs)])
-        p = profile_from_csv(str(tmp_path / "warp.csv"), assume_nonnegative_R=True)
-        spline = CubicSpline(ss, fs)
-        x_min = float(ss[0])
-        points = list(ss) + list(0.5 * (ss[1:] + ss[:-1])) + list(rng.uniform(x_min, ss[-1], 500))
-        points.append(x_min * (1.0 - 1e-12))
-        for fn, pp in ((p.f, spline), (p.df_ds, spline.derivative(1)), (p.d2f_ds2, spline.derivative(2))):
-            for x in points:
-                x = float(x)
-                assert fn(x) == float(pp(x)), x
+        from curvlab.profile import _spline_coefficients
+
+        rng = random.Random(seed)
+        xs = [rng.uniform(0.5, 2.0)]
+        for _ in range(rows - 1):
+            xs.append(xs[-1] + 30.0 / rows * 10.0 ** -rng.uniform(0.0, decades))
+        amp, phase = rng.uniform(0.0, 0.05), rng.uniform(0.0, 2.0 * math.pi)
+        if header == "s,f":
+            ys = [1.0 + x + amp * math.sin(x + phase) for x in xs]
+        else:
+            ys = [1.0 + 0.5 / x + amp / (x + 1.0 + math.sin(phase)) for x in xs]
+        path = tmp_path / f"{seed}.csv"
+        self._write(path, header, zip(xs, ys))
+        p = profile_from_csv(str(path), assume_nonnegative_R=True)
+
+        spline = CubicSpline(xs, ys)
+        pps = (spline, spline.derivative(1), spline.derivative(2))
+        for got, pp in zip(_spline_coefficients(xs, ys), pps):
+            assert np.array_equal(_bits(got), _bits(pp.c[::-1].T))
+
+        points = xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])] + [rng.uniform(xs[0], xs[-1]) for _ in range(200)]
+        points.append(xs[0] * (1.0 - 1e-12))
+        # s,f splines the warp factor itself; r,w splines w and warps it.
+        if header == "s,f":
+            jets = [p.jet(x) for x in points]
+        else:
+            c = p.conformal
+            jets = [(c.w(x), c.dw(x), c.d2w(x)) for x in points]
+        for k, pp in enumerate(pps):
+            assert np.array_equal(_bits([j[k] for j in jets]), _bits(pp(points)))
+        assert np.array_equal(_bits([p.jet(x)[0] for x in points]), _bits([p.f(x) for x in points]))
+
+
+def _bits(values):
+    """The IEEE bit patterns of an array of floats, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        euclidean,
+        lambda: schwarzschild(1.3),
+        perturbed_schwarzschild,
+        lambda: to_warped(mollified_schwarzschild(1.0, 1.0)),
+    ],
+    ids=["euclidean", "schwarzschild", "perturbed", "mollified"],
+)
+@given(e=st.floats(-6.0, 6.0))
+@settings(max_examples=60, deadline=None)
+def test_jet_value_is_f_bitwise(make, e):
+    # The jet's first component is the single-value f, bit for bit.
+    p = make()
+    x = p.x_min + 10.0**e * p.x_scale
+    assert _bits(p.jet(x)[0]) == _bits(p.f(x))
+    assert (p.df_ds(x), p.d2f_ds2(x)) == p.jet(x)[1:]

@@ -61,8 +61,7 @@ def flat_exterior_report():
         kind=ProfileKind.WITH_BOUNDARY,
         x_min=0.0,
         f=lambda x: x + 1.0,
-        df_ds=lambda x: 1.0,
-        d2f_ds2=lambda x: 0.0,
+        jet=lambda x: (x + 1.0, 1.0, 0.0),
     )
     return run_battery(solve(p))
 
@@ -153,8 +152,11 @@ class TestHypothesisViolations:
             kind=ProfileKind.WITH_BOUNDARY,
             x_min=0.0,
             f=lambda s: 2.0 + s * s / (2.0 + 0.4 * s),
-            df_ds=lambda s: (4.0 * s + 0.4 * s * s) / (2.0 + 0.4 * s) ** 2,
-            d2f_ds2=lambda s: 8.0 / (2.0 + 0.4 * s) ** 3,
+            jet=lambda s: (
+                2.0 + s * s / (2.0 + 0.4 * s),
+                (4.0 * s + 0.4 * s * s) / (2.0 + 0.4 * s) ** 2,
+                8.0 / (2.0 + 0.4 * s) ** 3,
+            ),
             assume_nonnegative_R=False,
         )
         sol = solve(p)
