@@ -10,7 +10,8 @@ Subcommands wire profiles -> potential -> functionals -> verify/mass:
 
 Exit codes: 0 when every check passes or detects equality, 1 when any
 check fails or a hypothesis violation is annotated, 2 for usage/input
-errors.  Flags override values from a flat key=value config file
+errors, undecodable files and parameters that overflow float arithmetic.
+Flags override values from a flat key=value config file
 (--config).
 """
 
@@ -72,7 +73,7 @@ class RunConfig:
     grid_points: int = 256
     t_min_factor: float = 1.0
     t_max_factor: float = 1000.0
-    tolerances: Tolerance | None = None  # None = the battery's pinned defaults
+    tol: float | None = None  # base relative check tolerance; None = the battery's pinned defaults
     output_dir: str | None = None
     save_report: bool = False
 
@@ -82,6 +83,8 @@ class RunConfig:
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise UsageError(f"{name} must be finite")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise UsageError(f"--tol must be positive and finite, got {self.tol!r}")
         if self.grid_points < 8:
             raise UsageError("grid_points must be at least 8")
         if self.t_min_factor < 1.0:
@@ -106,7 +109,7 @@ class RunConfig:
             f"grid={self.grid_points}",
             f"t_min_factor={self.t_min_factor!r}",
             f"t_max_factor={self.t_max_factor!r}",
-            f"tol_rel={self.tolerances.rel!r}" if self.tolerances else "tol_rel=default",
+            f"tol_rel={self.tol!r}" if self.tol is not None else "tol_rel=default",
         ]
         return "\n".join(lines)
 
@@ -123,7 +126,7 @@ def _parse_bool(text: str) -> bool:
 def load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for ln, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -132,7 +135,7 @@ def load_config_file(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{ln}: expected key=value")
                 key, value = line.split("=", 1)
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return out
 
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t-max-factor", type=float, help="grid end as a multiple of C")
     common.add_argument("--tol", type=float, help="base relative check tolerance of the verify battery")
     common.add_argument("--out", help="output directory for CSV artifacts")
-    common.add_argument("--save-report", action="store_true", help="persist a run record")
+    common.add_argument("--save-report", action="store_const", const="true", help="persist a run record")
     common.add_argument("--config", help="flat key=value config file (flags override)")
 
     sub.add_parser("models", help="list built-in models")
@@ -181,16 +184,17 @@ _CONFIG_FIELDS = {
     "out": ("output_dir", str),
     "assume_nonnegative_r": ("assume_nonnegative_r", _parse_bool),
     "grid": ("grid_points", int),
+    "tol": ("tol", float),
+    "save_report": ("save_report", _parse_bool),
     **{key: (key, float) for key in _FLOAT_FIELDS},
 }
-_CONFIG_KEYS = frozenset(_CONFIG_FIELDS) | {"tol", "save_report"}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(file_values) - _CONFIG_KEYS)
+    unknown = sorted(set(file_values) - set(_CONFIG_FIELDS))
     if unknown:
-        accepted = ", ".join(sorted(_CONFIG_KEYS))
+        accepted = ", ".join(sorted(_CONFIG_FIELDS))
         raise UsageError(f"unknown config key(s) {', '.join(unknown)}; accepted: {accepted}")
 
     def pick(key: str, cast):
@@ -207,17 +211,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {name: pick(key, cast) for key, (name, cast) in _CONFIG_FIELDS.items()}
     if not values["model"]:
         raise UsageError("--model is required (see `curvlab models`)")
-    cfg = RunConfig(
-        **{name: value for name, value in values.items() if value is not None},
-        save_report=bool(args.save_report or _parse_bool(file_values.get("save_report", "false"))),
-    )
-    tol_rel = pick("tol", float)
-    if tol_rel is not None:
-        if not (math.isfinite(tol_rel) and tol_rel > 0.0):
-            raise UsageError(f"--tol must be positive and finite, got {tol_rel!r}")
-        # Scale the pinned default pair, so --tol 1e-8 reproduces the defaults.
-        base = DEFAULT_CHECK_TOLERANCE
-        cfg.tolerances = Tolerance(rel=tol_rel, abs=(tol_rel / base.rel) * base.abs)
+    cfg = RunConfig(**{name: value for name, value in values.items() if value is not None})
     cfg.validate()
     return cfg
 
@@ -298,7 +292,12 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
     outdir = _outdir(cfg) if cfg.output_dir or cfg.save_report else None
     sol = solve(_build_profile(cfg))
     grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
-    report = run_battery(sol, grid, tol=cfg.tolerances)
+    tol = None
+    if cfg.tol is not None:
+        # Scale the pinned default pair, so --tol 1e-8 reproduces the defaults.
+        base = DEFAULT_CHECK_TOLERANCE
+        tol = Tolerance(rel=cfg.tol, abs=(cfg.tol / base.rel) * base.abs)
+    report = run_battery(sol, grid, tol=tol)
     _stamp(out)
     buffer = io.StringIO()
     write_report_text(report, buffer)
@@ -368,6 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         raise UsageError(f"unknown command {args.command!r}")
     except CurvlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # Parameters so extreme that float arithmetic overflows or divides by zero.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

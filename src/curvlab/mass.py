@@ -62,8 +62,8 @@ def adm_flux_at(c: ConformalProfile, r: float) -> float:
     """Flux integrand of the ADM surface integral at radius r: -2 r^2 w^3 w'."""
     if r <= _min_radius(c):
         raise OutOfRange(f"flux radius {r!r} not beyond the matching radius {_min_radius(c)!r}")
-    w = c.w(r)
-    return -2.0 * r * r * w ** 3 * c.dw(r)
+    w, dw, _ = c.jet(r)
+    return -2.0 * r * r * w ** 3 * dw
 
 
 def default_surface_radii(c: ConformalProfile) -> list[float]:

@@ -4,6 +4,9 @@ A profile is parametrised by a monotone radial coordinate x with arclength
 element ds = ds_dx(x) dx; built-ins supply closed-form warp data.  For
 conformally flat metrics w(|x|)^4 g_eucl the warped-product description is
 f = r w^2 with ds = w^2 dr, so the isotropic radius r is the coordinate.
+Both kinds of profile give their derivatives through one ``jet``: (f, f_s,
+f_ss) of a warped profile, (w, w', w'') of a conformal one, each with its
+first component bitwise the scalar reader (``f`` or ``w``).
 All geometric formulas below use arclength derivatives:
 
     area(x)   = 4 pi f^2
@@ -53,10 +56,6 @@ def _one(_: float) -> float:
     return 1.0
 
 
-def _zero(_: float) -> float:
-    return 0.0
-
-
 class ProfileKind(str, Enum):
     WITH_BOUNDARY = "with_boundary"
     BOUNDARYLESS = "boundaryless"
@@ -64,16 +63,18 @@ class ProfileKind(str, Enum):
 
 @dataclass(frozen=True)
 class ConformalProfile:
-    """Conformally flat metric g = w(r)^4 g_eucl given by w and two derivatives.
+    """Conformally flat metric g = w(r)^4 g_eucl given by w and its jet.
 
-    For a harmonically flat end declare ``harmonic_radius``: beyond it w must
-    equal 1 + mass_tag/(2 r) exactly.
+    ``w(r)`` is the conformal factor alone; ``jet(r)`` returns
+    ``(w, w', w'')``, the factor and its first two radial derivatives from
+    one evaluation, with ``jet(r)[0] == w(r)`` bit for bit.  ``jet`` is the
+    one source of w' and w''.  For a harmonically flat end declare
+    ``harmonic_radius``: beyond it w must equal 1 + mass_tag/(2 r) exactly.
     """
 
     label: str
     w: ScalarFn
-    dw: ScalarFn
-    d2w: ScalarFn
+    jet: JetFn
     r_min: float = 0.0
     mass_tag: float | None = None
     harmonic_radius: float | None = None
@@ -185,11 +186,10 @@ def conformal_scalar_curvature(c: ConformalProfile, r: float) -> float:
     """Scalar curvature of w^4 g_eucl: R = -8 w^-5 Delta_eucl w."""
     if r < c.r_min:
         raise DomainEdge(f"r={r!r} below r_min={c.r_min!r}")
-    if r == 0.0:
-        lap = 3.0 * c.d2w(0.0)  # radial limit of w'' + 2 w'/r at a smooth centre
-    else:
-        lap = c.d2w(r) + 2.0 * c.dw(r) / r
-    return -8.0 * c.w(r) ** -5 * lap
+    w, dw, d2w = c.jet(r)
+    # At a smooth centre w'' + 2 w'/r tends to 3 w''.
+    lap = 3.0 * d2w if r == 0.0 else d2w + 2.0 * dw / r
+    return -8.0 * w ** -5 * lap
 
 
 def sphere_geometry(p: MetricProfile, x: float) -> tuple[float, float]:
@@ -247,8 +247,7 @@ def euclidean_conformal() -> ConformalProfile:
     return ConformalProfile(
         label="euclidean",
         w=_one,
-        dw=_zero,
-        d2w=_zero,
+        jet=lambda r: (1.0, 0.0, 0.0),
         mass_tag=0.0,
         harmonic_radius=1.0,
         assume_nonnegative_R=True,
@@ -265,23 +264,10 @@ def schwarzschild(m: float) -> MetricProfile:
         raise ProfileDataError("mass must be positive")
     a = 0.5 * m
 
-    def w(r: float) -> float:
-        return 1.0 + a / r
-
     def jet(r: float) -> tuple[float, float, float]:
         ra = r + a
         return ra ** 2 / r, (r - a) / ra, 2.0 * a * r * r / ra ** 4
 
-    conf = ConformalProfile(
-        label=f"schwarzschild(m={m!r}) exterior",
-        w=w,
-        dw=lambda r: -a / (r * r),
-        d2w=lambda r: 2.0 * a / (r * r * r),
-        r_min=a,
-        mass_tag=m,
-        harmonic_radius=a,
-        assume_nonnegative_R=True,
-    )
     return MetricProfile(
         label=f"schwarzschild(m={m!r})",
         kind=ProfileKind.WITH_BOUNDARY,
@@ -291,7 +277,6 @@ def schwarzschild(m: float) -> MetricProfile:
         ds_dx=lambda r: ((r + a) / r) ** 2,
         asymptotically_flat=True,
         assume_nonnegative_R=True,
-        conformal=conf,
     )
 
 
@@ -310,21 +295,15 @@ def mollified_schwarzschild(m: float, r0: float) -> ConformalProfile:
             return 1.0 + m / (2.0 * r)
         return 1.0 + m * (3.0 * r0 * r0 - r * r) / (4.0 * r0 ** 3)
 
-    def dw(r: float) -> float:
+    def jet(r: float) -> tuple[float, float, float]:
         if r >= r0:
-            return -m / (2.0 * r * r)
-        return -m * r / (2.0 * r0 ** 3)
-
-    def d2w(r: float) -> float:
-        if r >= r0:
-            return m / (r * r * r)
-        return -m / (2.0 * r0 ** 3)
+            return 1.0 + m / (2.0 * r), -m / (2.0 * r * r), m / (r * r * r)
+        return 1.0 + m * (3.0 * r0 * r0 - r * r) / (4.0 * r0 ** 3), -m * r / (2.0 * r0 ** 3), -m / (2.0 * r0 ** 3)
 
     return ConformalProfile(
         label=f"mollified_schwarzschild(m={m!r}, r0={r0!r})",
         w=w,
-        dw=dw,
-        d2w=d2w,
+        jet=jet,
         r_min=0.0,
         mass_tag=m,
         harmonic_radius=r0,
@@ -350,14 +329,12 @@ def perturbed_schwarzschild(m: float = 1.0, amplitude: float = 0.3, offset: floa
     def w(r: float) -> float:
         return 1.0 + alpha / r + beta / (r + c0)
 
-    def dw(r: float) -> float:
-        return -alpha / (r * r) - beta / (r + c0) ** 2
-
-    def d2w(r: float) -> float:
-        return 2.0 * alpha / (r * r * r) + 2.0 * beta / (r + c0) ** 3
+    def jet(r: float) -> tuple[float, float, float]:
+        return w(r), -alpha / (r * r) - beta / (r + c0) ** 2, 2.0 * alpha / (r * r * r) + 2.0 * beta / (r + c0) ** 3
 
     def minimality(r: float) -> float:
-        return w(r) + 2.0 * r * dw(r)
+        wr, dwr, _ = jet(r)
+        return wr + 2.0 * r * dwr
 
     hi = max(alpha, c0)
     while minimality(hi) <= 0.0:
@@ -368,8 +345,8 @@ def perturbed_schwarzschild(m: float = 1.0, amplitude: float = 0.3, offset: floa
     r_b = find_root(minimality, lo, hi, Tolerance(rel=1e-15, abs=1e-15))
     # Newton polish: the battery gates on H(boundary) ~ 0 at 1e-8.
     for _ in range(3):
-        d_min = 3.0 * dw(r_b) + 2.0 * r_b * d2w(r_b)
-        step = minimality(r_b) / d_min
+        wr, dwr, d2wr = jet(r_b)
+        step = (wr + 2.0 * r_b * dwr) / (3.0 * dwr + 2.0 * r_b * d2wr)
         if not math.isfinite(step):
             break
         r_b -= step
@@ -377,8 +354,7 @@ def perturbed_schwarzschild(m: float = 1.0, amplitude: float = 0.3, offset: floa
     conf = ConformalProfile(
         label=f"perturbed_schwarzschild(m={m!r}, amplitude={amplitude!r}, offset={offset!r})",
         w=w,
-        dw=dw,
-        d2w=d2w,
+        jet=jet,
         r_min=r_b,
         assume_nonnegative_R=True,
     )
@@ -387,15 +363,14 @@ def perturbed_schwarzschild(m: float = 1.0, amplitude: float = 0.3, offset: floa
 
 def to_warped(c: ConformalProfile) -> MetricProfile:
     """Warped-product description of w^4 g_eucl: f = r w^2, ds = w^2 dr."""
-    w, dw, d2w = c.w, c.dw, c.d2w
+    w, w_jet = c.w, c.jet
 
     def f(r: float) -> float:
         return r * w(r) ** 2
 
     def jet(r: float) -> tuple[float, float, float]:
-        wr = w(r)
-        dwr = dw(r)
-        return r * wr ** 2, 1.0 + 2.0 * r * dwr / wr, 2.0 / wr ** 3 * (dwr + r * d2w(r) - r * dwr * dwr / wr)
+        wr, dwr, d2wr = w_jet(r)
+        return r * wr ** 2, 1.0 + 2.0 * r * dwr / wr, 2.0 / wr ** 3 * (dwr + r * d2wr - r * dwr * dwr / wr)
 
     def ds_dx(r: float) -> float:
         return w(r) ** 2
@@ -567,17 +542,15 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
         def w(r: float) -> float:
             return spline(r) if r <= x_last else a_tail + b_tail / r
 
-        def dw(r: float) -> float:
-            return spline_jet(r)[1] if r <= x_last else -b_tail / (r * r)
-
-        def d2w(r: float) -> float:
-            return spline_jet(r)[2] if r <= x_last else 2.0 * b_tail / (r * r * r)
+        def w_jet(r: float) -> tuple[float, float, float]:
+            if r <= x_last:
+                return spline_jet(r)
+            return a_tail + b_tail / r, -b_tail / (r * r), 2.0 * b_tail / (r * r * r)
 
         conf = ConformalProfile(
             label=f"custom:{path}",
             w=w,
-            dw=dw,
-            d2w=d2w,
+            jet=w_jet,
             r_min=col0[0],
             breakpoints=knots,
             assume_nonnegative_R=assume_nonnegative_R,

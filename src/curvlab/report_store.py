@@ -96,7 +96,7 @@ def load(path: str | Path) -> RunRecord:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReportStoreError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if len(lines) < 8 or lines[0] != f"schema={_SCHEMA}":

@@ -44,6 +44,13 @@ VERIFY_REPORTS = [
     ),
     # The equality case of every boundary comparison.
     (("--model", "schwarzschild", "--mass", "1"), "schwarzschild_verify.txt", 0),
+    # The r,w spline path: w, w' and w'' of a tabulated conformal factor and
+    # its harmonic tail; R < 0 is annotated near the pole.
+    (
+        ("--model", "custom", "--profile", "moll.csv", "--assume-nonnegative-r", "true", "--grid", "32"),
+        "moll_csv_verify_grid32.txt",
+        1,
+    ),
 ]
 
 # (args, file) of `mass`: both estimators and the worst volume sample.
@@ -53,10 +60,20 @@ MASS_REPORTS = [
 
 
 def write_inputs(directory: pathlib.Path) -> None:
-    """Write rneg.csv: ten s,f rows of f = 2 + s^2/(2 + 0.4 s) on [0, 60], a profile with R < 0."""
+    """Write the CSV profiles the verify runs read.
+
+    rneg.csv: ten s,f rows of f = 2 + s^2/(2 + 0.4 s) on [0, 60], a profile
+    with R < 0.  moll.csv: r,w rows at r = 0.25 k, k = 0..40, of the w of
+    mollified_schwarzschild(1, 1), written in its closed form
+    1 + (3 - r^2)/4 inside r = 1 and 1 + 1/(2 r) outside, which is the same
+    float as the model's w at every row.
+    """
     ss = [60.0 * k / 9 for k in range(10)]
     lines = ["s,f"] + [f"{s!r},{2.0 + s * s / (2.0 + 0.4 * s)!r}" for s in ss]
     (directory / "rneg.csv").write_text("\n".join(lines) + "\n")
+    rs = [0.25 * k for k in range(41)]
+    ws = [1.0 + 1.0 / (2.0 * r) if r >= 1.0 else 1.0 + (3.0 - r * r) / 4.0 for r in rs]
+    (directory / "moll.csv").write_text("r,w\n" + "".join(f"{r!r},{w!r}\n" for r, w in zip(rs, ws)))
 
 
 def rneg_profile(directory: pathlib.Path):

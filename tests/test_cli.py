@@ -154,6 +154,39 @@ def test_unparsable_config_value_exits_2(capsys, tmp_path):
     assert "grid" in err
 
 
+def test_config_file_with_byte_order_mark(capsys, tmp_path):
+    # Spreadsheet and Windows editors write a UTF-8 byte-order mark first.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfmodel=euclidean\ngrid=8\n")
+    assert main(["potential", "--config", str(cfg)]) == 0
+    table = strip_timestamp(capsys.readouterr().out)
+    assert main(["potential", "--model", "euclidean", "--grid", "8"]) == 0
+    assert table == strip_timestamp(capsys.readouterr().out)
+
+
+def test_undecodable_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("model=euclidean\n# r\u00e9glage\n".encode("latin-1"))
+    err = _usage_error(capsys, "potential", "--config", str(cfg))
+    assert "cannot read config" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--model", "schwarzschild", "--mass", "1e300"),
+        ("verify", "--model", "mollified-schwarzschild", "--mass", "1", "--r0", "1e-300"),
+        ("mass", "--model", "mollified-schwarzschild", "--mass", "1e200", "--r0", "1"),
+    ],
+    ids=["overflow", "zero-division", "mass-overflow"],
+)
+def test_arithmetic_error_exits_2(capsys, argv):
+    # Finite parameters so extreme that float arithmetic overflows or divides
+    # by zero get one error line, not a traceback.
+    err = _usage_error(capsys, *argv)
+    assert err.count("\n") == 1
+
+
 def test_builtin_models_do_not_import_numpy():
     # The built-in path runs on the standard library; so does --model custom
     # (see test_csv_profiles_do_not_import_numpy).
@@ -181,10 +214,10 @@ def test_csv_profiles_do_not_import_numpy(tmp_path):
     # layouts; numpy and scipy are test-only dependencies.
     from curvlab.profile import mollified_schwarzschild
 
-    write_inputs(tmp_path)  # rneg.csv, an s,f profile
+    write_inputs(tmp_path)  # rneg.csv, an s,f profile, and moll.csv, an r,w one
     c = mollified_schwarzschild(1.0, 1.0)
     rs = [0.25 * k for k in range(41)]
-    (tmp_path / "moll.csv").write_text("r,w\n" + "".join(f"{r!r},{c.w(r)!r}\n" for r in rs))
+    assert (tmp_path / "moll.csv").read_text() == "r,w\n" + "".join(f"{r!r},{c.w(r)!r}\n" for r in rs)
     script = (
         "import contextlib, io, sys\n"
         "from curvlab import cli\n"
@@ -295,6 +328,17 @@ def test_save_report_beside_a_record_of_the_previous_version(tmp_path):
     (new,) = set(stale.glob("run-*.txt")) - {old}
     assert load(new).version == __version__ != "0.1.0"
     assert load(new).reports == current.reports
+
+
+def test_save_report_over_an_undecodable_record_exits_2(tmp_path, capsys):
+    argv = ["verify", "--model", "euclidean", "--grid", "8", "--out", str(tmp_path), "--save-report"]
+    assert main(argv) == 0
+    (record,) = tmp_path.glob("run-*.txt")
+    record.write_bytes(record.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot read" in err and err.count("\n") == 1
 
 
 def test_rneg_csv_fails_exactly_the_g_signs_and_riccati(tmp_path, capsys):

@@ -76,6 +76,11 @@ class TestSchwarzschild:
         with pytest.raises(ProfileDataError):
             schwarzschild(-1.0)
 
+    def test_warped_only(self):
+        # The closed-form warp is the model; mass reads conformal profiles of
+        # boundaryless models only, so no conformal twin is built.
+        assert schwarzschild(1.0).conformal is None
+
 
 class TestMollified:
     def test_conformal_factor_glue(self, golden):
@@ -87,12 +92,13 @@ class TestMollified:
 
     def test_glue_is_c1(self):
         c = mollified_schwarzschild(1.0, 1.0)
-        assert c.dw(1.0 - 1e-12) == pytest.approx(c.dw(1.0 + 1e-12), abs=1e-10)
+        assert c.jet(1.0 - 1e-12)[1] == pytest.approx(c.jet(1.0 + 1e-12)[1], abs=1e-10)
 
     def test_interior_laplacian_constant(self, golden):
         c = mollified_schwarzschild(1.0, 1.0)
         for r in (0.0, 0.3, 0.9):
-            lap = 3.0 * c.d2w(0.0) if r == 0.0 else c.d2w(r) + 2.0 * c.dw(r) / r
+            _, dw, d2w = c.jet(r)
+            lap = 3.0 * d2w if r == 0.0 else d2w + 2.0 * dw / r
             assert lap == pytest.approx(golden["profile.moll11_lap_interior"], rel=1e-13)
 
     def test_scalar_curvature_interior(self, golden):
@@ -124,8 +130,7 @@ class TestToWarped:
         conf = ConformalProfile(
             label="schw exterior",
             w=lambda r: 1.0 + a / r,
-            dw=lambda r: -a / (r * r),
-            d2w=lambda r: 2.0 * a / r**3,
+            jet=lambda r: (1.0 + a / r, -a / (r * r), 2.0 * a / r**3),
             r_min=a,
             mass_tag=m,
             harmonic_radius=a,
@@ -345,8 +350,7 @@ class TestCsvIngestion:
         if header == "s,f":
             jets = [p.jet(x) for x in points]
         else:
-            c = p.conformal
-            jets = [(c.w(x), c.dw(x), c.d2w(x)) for x in points]
+            jets = [p.conformal.jet(x) for x in points]
         for k, pp in enumerate(pps):
             assert np.array_equal(_bits([j[k] for j in jets]), _bits(pp(points)))
         assert np.array_equal(_bits([p.jet(x)[0] for x in points]), _bits([p.f(x) for x in points]))
@@ -375,3 +379,32 @@ def test_jet_value_is_f_bitwise(make, e):
     x = p.x_min + 10.0**e * p.x_scale
     assert _bits(p.jet(x)[0]) == _bits(p.f(x))
     assert (p.df_ds(x), p.d2f_ds2(x)) == p.jet(x)[1:]
+
+
+def _moll_csv_conformal(directory):
+    """The conformal profile of the frozen runs' moll.csv, whose last row is r = 10."""
+    from frozen_outputs import write_inputs
+
+    write_inputs(directory)
+    return profile_from_csv(str(directory / "moll.csv"), assume_nonnegative_R=True).conformal
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda _: euclidean_conformal(),
+        lambda _: mollified_schwarzschild(1.0, 1.0),
+        lambda _: perturbed_schwarzschild().conformal,
+        _moll_csv_conformal,
+    ],
+    ids=["euclidean", "mollified", "perturbed", "r,w-csv"],
+)
+def test_conformal_jet_value_is_w_bitwise(tmp_path, make):
+    # The conformal jet's first component is the single-value w, bit for bit,
+    # on both sides of each branch: the mollified glue at r0 = 1 and the
+    # CSV's last row at r = 10, where the harmonic tail takes over.
+    c = make(tmp_path)
+    rs = [c.r_min + 10.0**k for k in range(-6, 7)]
+    rs += [math.nextafter(b, toward) for b in (1.0, 10.0) for toward in (0.0, math.inf)]
+    for r in rs:
+        assert _bits(c.jet(r)[0]) == _bits(c.w(r)), r

@@ -63,6 +63,15 @@ def test_corrupted_file_surfaces_error(tmp_path, schw_record):
         save(schw_record, tmp_path)  # never silently overwrites
 
 
+def test_undecodable_file_surfaces_error(tmp_path, schw_record):
+    path = save(schw_record, tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"schwarzschild", b"schwarzschild\xe9"))
+    with pytest.raises(ReportStoreError, match="cannot read"):
+        load(path)
+    with pytest.raises(ReportStoreError):
+        save(schw_record, tmp_path)
+
+
 def test_diff_of_identical_records_is_empty(schw_record):
     assert diff(schw_record, schw_record) == ""
 
