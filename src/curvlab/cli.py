@@ -10,7 +10,9 @@ Subcommands wire profiles -> potential -> functionals -> verify/mass:
 
 Exit codes: 0 when every check passes or detects equality, 1 when any
 check fails or a hypothesis violation is annotated, 2 for usage/input
-errors, undecodable files and parameters that overflow float arithmetic.
+errors, undecodable files, output files that cannot be written and
+parameters that overflow float arithmetic.  Output files are written
+before stdout, so a run that exits 2 on a write prints nothing.
 Flags override values from a flat key=value config file
 (--config).
 """
@@ -24,6 +26,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import IO, Callable
 
 from . import __version__
 from .errors import CurvlabError
@@ -241,6 +244,15 @@ def _outdir(cfg: RunConfig) -> Path:
     return path
 
 
+def _write_file(path: Path, write: Callable[[IO[str]], None]) -> None:
+    """Write one output file through ``write``; a file that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_models(out: io.TextIOBase) -> int:
     for name, description in _MODELS.items():
         out.write(f"{name}: {description}\n")
@@ -260,13 +272,13 @@ def cmd_potential(cfg: RunConfig, out: io.TextIOBase) -> int:
         "t,s,u,grad\n",
         *rows,
     ]
-    _stamp(out)
     if outdir:
         path = outdir / "potential.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(table)
+        _write_file(path, lambda fh: fh.writelines(table))
+        _stamp(out)
         out.write(f"wrote {path}\n")
     else:
+        _stamp(out)
         out.writelines(table)
     return 0
 
@@ -278,8 +290,7 @@ def cmd_functionals(cfg: RunConfig, out: io.TextIOBase) -> int:
     series = build_series(sol, grid)
     if outdir:
         path = outdir / "functionals.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            write_series_csv(series, fh)
+        _write_file(path, lambda fh: write_series_csv(series, fh))
         _stamp(out)
         out.write(f"wrote {path}\n")
     else:
@@ -298,15 +309,14 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
         base = DEFAULT_CHECK_TOLERANCE
         tol = Tolerance(rel=cfg.tol, abs=(cfg.tol / base.rel) * base.abs)
     report = run_battery(sol, grid, tol=tol)
-    _stamp(out)
     buffer = io.StringIO()
     write_report_text(report, buffer)
-    out.write(buffer.getvalue())
+    # Write the files before printing, so a failed write leaves no report on stdout.
+    written = []
     if cfg.output_dir:
         path = outdir / "verify.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            write_report_csv(report, fh)
-        out.write(f"wrote {path}\n")
+        _write_file(path, lambda fh: write_report_csv(report, fh))
+        written.append(f"wrote {path}\n")
     if cfg.save_report:
         record = make_record(
             cfg.echo(),
@@ -314,8 +324,10 @@ def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
             __version__,
             datetime.now(timezone.utc).isoformat(),
         )
-        path = save(record, outdir)
-        out.write(f"saved {path}\n")
+        written.append(f"saved {save(record, outdir)}\n")
+    _stamp(out)
+    out.write(buffer.getvalue())
+    out.writelines(written)
     return 1 if report.blocking() else 0
 
 
@@ -325,6 +337,9 @@ def cmd_mass(cfg: RunConfig, out: io.TextIOBase) -> int:
     outdir = _outdir(cfg) if cfg.output_dir else None
     sol = solve(_build_profile(cfg))
     report = mass_report(sol.profile.conformal, sol)
+    if outdir:
+        path = outdir / "mass.csv"
+        _write_file(path, lambda fh: write_mass_csv(report, fh))
     _stamp(out)
     out.write(f"profile={report.profile_label}\n")
     out.write(f"mass_tag={report.mass_tag!r}\n")
@@ -333,9 +348,6 @@ def cmd_mass(cfg: RunConfig, out: io.TextIOBase) -> int:
     worst = min(m for _, m in report.samples)
     out.write(f"min_m_est={worst!r}\n")
     if outdir:
-        path = outdir / "mass.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            write_mass_csv(report, fh)
         out.write(f"wrote {path}\n")
     if report.mass_tag is not None and report.mass_tag > 0.0:
         agree = abs(report.m_surface - report.m_volume) <= 0.01 * report.mass_tag

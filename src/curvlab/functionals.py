@@ -46,7 +46,7 @@ from .potential import (
     levels,
     t_of_level,
     u_value,
-    volume_to_coordinate,
+    volumes,
 )
 
 __all__ = [
@@ -108,18 +108,21 @@ def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
     m1 = 1.0 - cap / (2.0 * t)
     m3 = 1.0 - 3.0 * cap / (2.0 * t)
     q = _q(ls.u, ls.grad, ls.mean_curvature)
-    a1_val = t * t / (cap * cap) * p ** 4 * i2
-    a1_prime_val = 2.0 * t / (cap * cap) * p ** 3 * m1 * i2 - p * p / cap * ih
+    p3 = p ** 3
+    p4 = p ** 4
+    a1_val = t * t / (cap * cap) * p4 * i2
+    a1_prime_val = 2.0 * t / (cap * cap) * p3 * m1 * i2 - p * p / cap * ih
+    # Fields in declaration order: Fhat, G, Gprime, F, Fprime, A1, A1prime, a, B1.
     return FunctionalRow(
-        Fhat=nan,
-        G=-math.pi * cap * cap / t + 0.25 * t * p ** 4 * i2,
-        Gprime=math.pi * cap * cap / (t * t) + 0.25 * p ** 3 * m3 * i2 - cap / (4.0 * t) * p * p * ih,
-        F=_FOUR_PI * t + t ** 3 / (cap * cap) * p ** 3 * m3 * i2 - t * t / cap * p * p * ih,
-        Fprime=ls.area * (0.5 * ls.scalar_R + 0.75 * q * q),
-        A1=a1_val,
-        A1prime=a1_prime_val,
-        a=t * a1_prime_val / a1_val,
-        B1=ls.area * 1.5 * q * q,
+        nan,
+        -math.pi * cap * cap / t + 0.25 * t * p4 * i2,
+        math.pi * cap * cap / (t * t) + 0.25 * p3 * m3 * i2 - cap / (4.0 * t) * p * p * ih,
+        _FOUR_PI * t + t ** 3 / (cap * cap) * p3 * m3 * i2 - t * t / cap * p * p * ih,
+        ls.area * (0.5 * ls.scalar_R + 0.75 * q * q),
+        a1_val,
+        a1_prime_val,
+        t * a1_prime_val / a1_val,
+        ls.area * 1.5 * q * q,
     )
 
 
@@ -219,7 +222,7 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         B1=cols.B1,
         Fprime_analytic=cols.Fprime,
         Gprime_analytic=cols.Gprime,
-        volume=tuple(volume_to_coordinate(sol, s) for s in geometry.s),
+        volume=tuple(volumes(sol, geometry.s)),
         boundary_sample=boundary_sample,
     )
 

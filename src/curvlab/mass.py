@@ -27,7 +27,7 @@ from typing import IO, Sequence
 
 from .errors import OutOfRange, ProfileDataError, WrongKind
 from .numerics import extrapolate_to_zero, geometric_grid
-from .potential import PotentialSolution, SolutionKind, grad_value, levels, u_value, volume_to_coordinate
+from .potential import PotentialSolution, SolutionKind, grad_value, levels, u_value, volumes
 from .profile import ConformalProfile
 
 __all__ = [
@@ -96,11 +96,8 @@ def mass_from_volume(
     if not sol.profile.asymptotically_flat:
         raise ProfileDataError("the volume estimator needs an asymptotically flat profile")
     ts = [float(t) for t in (t_samples if t_samples is not None else default_volume_samples())]
-    samples: list[tuple[float, float]] = []
-    for t, s, _ in levels(sol, ts):
-        vol = volume_to_coordinate(sol, s)
-        m_est = (vol - _FOUR_PI * t ** 3 / 3.0) / (_FOUR_PI * t * t)
-        samples.append((t, m_est))
+    ss = [lp.s for lp in levels(sol, ts)]
+    samples = [(t, (vol - _FOUR_PI * t ** 3 / 3.0) / (_FOUR_PI * t * t)) for t, vol in zip(ts, volumes(sol, ss))]
 
     t_max = max(t for t, _ in samples)
     fit = [(t, m) for t, m in samples if t >= 0.1 * t_max]

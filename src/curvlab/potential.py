@@ -12,7 +12,11 @@ canonical anchors x_ref * 2^k and between them.  On each dyadic interval
 between two anchors the integrand ds_dx/f^2 is tabulated once as a
 piecewise Chebyshev interpolant whose antiderivative is exact, so T(x) is
 the anchor value minus one Clenshaw sum: O(1) per query, with no per-query
-quadrature inside the level solve or the integrands built on u.  One
+quadrature inside the level solve or the integrands built on u.
+``_clenshaw(panel, x)`` is the one table-read kernel: a read bisects the
+panel starts of its table and sums that panel, and a reader of a table that
+holds one panel (on the built-ins, every interval no profile breakpoint
+splits) binds it once and skips the bisect, with the same bits.  One
 semi-infinite adaptive integral fixes the far anchor T(x_ref 2^_FAR_K);
 every anchor below it telescopes down through the tables, T(x_ref 2^k) =
 T(x_ref 2^(k+1)) + the total of table k, so the tables are the one source
@@ -24,6 +28,9 @@ evaluation order.
 
 The sub-level volume V(x) = Int_{x_min}^x 4 pi f^2 ds is read from tables
 of 4 pi f^2 ds_dx on the same intervals, built and summed by the same code.
+``volumes`` reads a sequence of x and keeps the interval, its anchor and its
+table reader while the next x stays inside them, as ``levels`` keeps its
+bracket; each V(x) depends on x alone.
 
 A level solve brackets T(x) = target between two consecutive anchors.  T
 decays like 1/x on every profile end, so the bracket walk starts at
@@ -32,8 +39,8 @@ and 1/T is nearly linear on the bracket (exactly, where T = 1/(x + a)).
 Newton runs on 1/T - 1/target from its linear interpolation and reads T
 from the bracket's table: 1.5 to 3.5 table reads per level.  ``levels``
 solves a sequence of t in one pass and locates the bracket and its table
-once per anchor interval the sequence stays in, so an ordered grid of 4096
-levels walks 11 to 13 brackets; the bracket is a function of the target
+reader once per anchor interval the sequence stays in, so an ordered grid
+of 4096 levels walks 11 to 13 brackets; the bracket is a function of the target
 alone, so every level is bitwise the one a solve of t alone returns.
 """
 
@@ -44,6 +51,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import NonConvergent, OutOfRange
@@ -63,6 +71,7 @@ __all__ = [
     "level_integrals",
     "u_value",
     "grad_value",
+    "volumes",
     "volume_to_coordinate",
     "default_t_grid",
 ]
@@ -204,18 +213,23 @@ class _DyadicTables:
             k += 1
         return k
 
-    def _read(self, x: float) -> tuple[float, float]:
-        """(anchor value at the left end of the interval holding x > 0, integral from there to x)."""
-        k = self._interval(x)
-        if x == self.anchor_x(k):
-            return self.anchor_value(k), 0.0
-        return self.anchor_value(k), _panel_sum(self._table(k), x)
+    def _sum_reader(self, k: int) -> Callable[[float], float]:
+        """The integral of table k from x_ref 2^k to x, for x strictly inside interval k.
+
+        A table that holds one panel (every interval no breakpoint splits,
+        unless the tolerance bisected it) binds that panel, and its reads skip
+        the bisect; both branches return the bits of ``_panel_sum``.
+        """
+        table = self._table(k)
+        panels = table[1]
+        if len(panels) == 1:
+            return partial(_clenshaw, panels[0])
+        return partial(_panel_sum, table)
 
 
-def _panel_sum(table: tuple, x: float) -> float:
-    """Integral of a table from its left end to x, strictly inside its interval: one Clenshaw sum."""
-    starts, panels, _ = table
-    start, half, before, c0, rest = panels[bisect_right(starts, x) - 1]
+def _clenshaw(panel: tuple, x: float) -> float:
+    """Integral of a table from its left end to x inside one of its panels: the one table-read kernel."""
+    start, half, before, c0, rest = panel
     z = (x - start) / half - 1.0
     # Clenshaw sum of the integrated Chebyshev series at z.
     z2 = 2.0 * z
@@ -223,6 +237,12 @@ def _panel_sum(table: tuple, x: float) -> float:
     for c in rest:
         b1, b2 = z2 * b1 - b2 + c, b1
     return before + half * (z * b1 - b2 + c0)
+
+
+def _panel_sum(table: tuple, x: float) -> float:
+    """Integral of a table from its left end to x, strictly inside its interval: bisect, then Clenshaw."""
+    starts, panels, _ = table
+    return _clenshaw(panels[bisect_right(starts, x) - 1], x)
 
 
 class _TailCache(_DyadicTables):
@@ -316,11 +336,11 @@ class _TailCache(_DyadicTables):
 
     def reader(self, lo: float, t_lo: float, hi: float, t_hi: float) -> Callable[[float], float]:
         """T on a bracket [lo, hi], bitwise equal to ``value``: the anchors at the ends, its table between."""
-        table = self._table(self._interval(lo))
+        integral = self._sum_reader(self._interval(lo))
 
         def read(x: float) -> float:
             if lo < x < hi:
-                return t_lo - _panel_sum(table, x)
+                return t_lo - integral(x)
             return t_lo if x == lo else t_hi
 
         return read
@@ -332,8 +352,10 @@ class _TailCache(_DyadicTables):
             return self.total()
         if x <= 0.0:
             raise OutOfRange(f"tail integral needs x > 0, got {x!r}")
-        anchor, integral = self._read(x)
-        return anchor - integral
+        k = self._interval(x)
+        if x == self.anchor_x(k):
+            return self.anchor_value(k)
+        return self.anchor_value(k) - _panel_sum(self._table(k), x)
 
 
 class _VolumeCache(_DyadicTables):
@@ -367,15 +389,6 @@ class _VolumeCache(_DyadicTables):
             value = integrate(self._integrand, p.x_min, self.anchor_x(k), _VOLUME_TOL, points=p.breakpoints).value
         self._anchors[k] = value
         return value
-
-    def value(self, x: float) -> float:
-        x_min = self._p.x_min
-        if x <= x_min:
-            if x < x_min * (1.0 - 1e-12) - 1e-300:
-                raise OutOfRange(f"volume upper coordinate {x!r} below x_min={x_min!r}")
-            return 0.0
-        anchor, integral = self._read(x)
-        return anchor + integral
 
 
 @dataclass
@@ -453,6 +466,8 @@ def levels(sol: PotentialSolution, ts: Iterable[float]) -> list[LevelParam]:
     p = sol.profile
     f, ds_dx = p.f, p.ds_dx
     boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
+    # Targets at or above this T lie on the boundary itself.
+    at_boundary = tail.total() * (1.0 - 4e-16) if boundary else None
     bracket = None  # (lo, T(lo), hi, T(hi)) of the last bracketed level
     out = []
     for t in ts:
@@ -460,7 +475,7 @@ def levels(sol: PotentialSolution, ts: Iterable[float]) -> list[LevelParam]:
         # T = (1 - u)/c in closed form (c = C with a boundary, 1 without):
         # forming 1 - u from u would cancel digits at large t.
         target = 2.0 / (2.0 * t + sol.capacity) if boundary else 1.0 / t
-        if boundary and target >= tail.total() * (1.0 - 4e-16):
+        if boundary and target >= at_boundary:
             out.append(LevelParam(t, p.x_min, u_target))
             continue
         # T(lo) > target >= T(hi); at T(hi) = target the start is hi itself.
@@ -534,28 +549,54 @@ def _round_sphere(sol: PotentialSolution, f: float) -> tuple[float, float, float
 
 def _sample(sol: PotentialSolution, lp: LevelParam) -> LevelSetSample:
     """The level_integrals payload of a solved level."""
-    x = lp.s
+    t, x, u = lp
     f, fs, fss = sol.profile.jet(x)
     area, g, inv_grad = _round_sphere(sol, f)
     mean_h = 2.0 * fs / f
-    r_scalar = _warped_scalar_curvature(f, fs, fss)
+    # Fields in declaration order: t, s, u, area, grad, mean_curvature,
+    # scalar_R, int_grad_sq, int_grad_H, int_inv_grad.
     return LevelSetSample(
-        t=lp.t,
-        s=x,
-        u=lp.u,
-        area=area,
-        grad=g,
-        mean_curvature=mean_h,
-        scalar_R=r_scalar,
-        int_grad_sq=area * g * g,
-        int_grad_H=area * g * mean_h,
-        int_inv_grad=inv_grad,
+        t, x, u, area, g, mean_h, _warped_scalar_curvature(f, fs, fss), area * g * g, area * g * mean_h, inv_grad
     )
+
+
+def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:
+    """Radial volume integrals Int 4 pi f^2 ds over [x_min, x] for each x of xs, in order.
+
+    V(x) is the anchor at the left end of the dyadic interval holding x plus
+    the integral of that interval's table up to x.  The interval, its anchor
+    and its table reader are kept while the next x stays inside them, so an
+    ordered sequence locates one interval per anchor interval it covers; each
+    V(x) depends on x alone, so its bits do not depend on the order.
+    """
+    vol = sol._volume
+    x_min = sol.profile.x_min
+    lo = hi = math.nan  # the kept interval [lo, hi): none yet
+    integral = None
+    out = []
+    for x in xs:
+        if x <= x_min:
+            if x < x_min * (1.0 - 1e-12) - 1e-300:
+                raise OutOfRange(f"volume upper coordinate {x!r} below x_min={x_min!r}")
+            out.append(0.0)
+            continue
+        if not lo <= x < hi:
+            k = vol._interval(x)
+            lo, hi = vol.anchor_x(k), vol.anchor_x(k + 1)
+            anchor = vol.anchor_value(k)
+            integral = None  # the table is built by the first x strictly inside
+        if x == lo:
+            out.append(anchor)
+            continue
+        if integral is None:
+            integral = vol._sum_reader(k)
+        out.append(anchor + integral(x))
+    return out
 
 
 def volume_to_coordinate(sol: PotentialSolution, x: float) -> float:
     """Radial volume integral Int 4 pi f^2 ds over [x_min, x], from the volume tables."""
-    return sol._volume.value(x)
+    return volumes(sol, (x,))[0]
 
 
 def default_t_grid(

@@ -16,9 +16,14 @@ DATA = pathlib.Path(__file__).parent / "data"
 FUNCTIONALS_HEAD = (("--model", "euclidean", "--grid", "8"), "euclid_functionals_head.csv")
 
 # (args, file) of `functionals`, whole: the boundary functional columns
-# (G through Gprime), which are nan in the Euclidean head.
+# (G through Gprime), which are nan in the Euclidean head, and the volume
+# column of a boundaryless profile that is not in closed form.
 FUNCTIONALS_TABLES = [
     (("--model", "perturbed-schwarzschild", "--grid", "16"), "perturbed_functionals_grid16.csv"),
+    (
+        ("--model", "mollified-schwarzschild", "--mass", "1.3", "--r0", "0.7", "--grid", "64"),
+        "mollified_functionals_grid64.csv",
+    ),
 ]
 
 # (args, file) of `potential`: every level solve lands on these bits.

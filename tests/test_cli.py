@@ -337,8 +337,31 @@ def test_save_report_over_an_undecodable_record_exits_2(tmp_path, capsys):
     record.write_bytes(record.read_bytes() + b"\xff\n")
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and "cannot read" in err and err.count("\n") == 1
+    # The record is saved before the report is printed: a failed save leaves
+    # no report on stdout to read as a finished run.
+    assert not any(line.startswith("check ") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    ("argv", "name"),
+    [
+        (["potential", "--model", "euclidean", "--grid", "8"], "potential.csv"),
+        (["functionals", "--model", "euclidean", "--grid", "8"], "functionals.csv"),
+        (["verify", "--model", "euclidean", "--grid", "8"], "verify.csv"),
+        (["mass", "--model", "euclidean"], "mass.csv"),
+    ],
+    ids=["potential", "functionals", "verify", "mass"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, name):
+    # A directory where the output file goes: one error line, exit 2 (not 1,
+    # the failed-check code), and nothing on stdout.
+    (tmp_path / name).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write ") and name in err and err.count("\n") == 1
 
 
 def test_rneg_csv_fails_exactly_the_g_signs_and_riccati(tmp_path, capsys):

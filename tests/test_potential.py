@@ -10,7 +10,7 @@ from curvlab.numerics import Tolerance, differentiate, integrate
 from curvlab.potential import (
     _TAIL_TOL,
     SolutionKind,
-    _panel_sum,
+    _clenshaw,
     _TailCache,
     default_t_grid,
     grad_value,
@@ -309,12 +309,12 @@ def test_volume_table_matches_adaptive_quadrature(tmp_path):
     # tighter than the anchor tolerance, on 300 log-spaced coordinates.
     ref_tol = Tolerance(rel=2e-13, abs=0.0, max_refinements=60)
     for p, kinks in _tail_profiles(tmp_path):
-        vol = solve(p)._volume
+        sol = solve(p)
         lo = p.x_min * (1.0 + 1e-3) if p.x_min > 0.0 else 1e-3
         for x in np.geomspace(lo, 1e4 * p.x_scale, 300):
             x = float(x)
-            ref = integrate(vol._integrand, p.x_min, x, ref_tol, points=kinks).value
-            assert abs(vol.value(x) - ref) <= 1e-12 * ref, (p.label, x)
+            ref = integrate(sol._volume._integrand, p.x_min, x, ref_tol, points=kinks).value
+            assert abs(volume_to_coordinate(sol, x) - ref) <= 1e-12 * ref, (p.label, x)
 
 
 def test_volume_is_independent_of_query_order(tmp_path):
@@ -413,17 +413,21 @@ def test_levels_brackets_once_per_anchor_interval(monkeypatch, p):
     assert counts["bracket"] >= 4095, p.label
 
 
-def _count_panel_sums(monkeypatch, tables=None):
-    """Count the table reads of the one panel sum; append each table read to ``tables``."""
+def _count_table_reads(monkeypatch, panels=None):
+    """Count the table reads of the one Clenshaw kernel; append each panel read to ``panels``.
+
+    Both the bisecting read and a reader's bound panel call the kernel, so a
+    reader made after the patch counts too.
+    """
     calls = [0]
 
-    def counting(table, x):
+    def counting(panel, x):
         calls[0] += 1
-        if tables is not None:
-            tables.append(table)
-        return _panel_sum(table, x)
+        if panels is not None:
+            panels.append(panel)
+        return _clenshaw(panel, x)
 
-    monkeypatch.setattr("curvlab.potential._panel_sum", counting)
+    monkeypatch.setattr("curvlab.potential._clenshaw", counting)
     return calls
 
 
@@ -435,13 +439,21 @@ def _count_panel_sums(monkeypatch, tables=None):
 def test_level_solve_reads_the_table_few_times(monkeypatch, p, bound):
     # 1/T is linear in x for T = 1/(x + a), so Newton on 1/T from its linear
     # start needs one or two reads there.  Newton on T from a start linear
-    # in T read about 5.9 times per level on all three.
-    calls = _count_panel_sums(monkeypatch)
+    # in T read about 5.9 times per level on all three.  A level that lands
+    # on an anchor (the boundary, and t = 1/2 on Euclidean space, where
+    # T(1/2) = 2 exactly) needs no read; every other one reads at least once.
+    calls = _count_table_reads(monkeypatch)
     sol = solve(p)
     grid = default_t_grid(sol, 256)
+    reads = []
     for t in grid:
-        level(sol, t)
-    assert calls[0] / len(grid) <= bound
+        before = calls[0]
+        s = level(sol, t).s
+        reads.append((s, calls[0] - before))
+    anchors = {sol._tail.anchor_x(k) for k in sol._tail._anchors}
+    solved = [n for s, n in reads if s not in anchors]
+    assert len(solved) >= len(grid) - 1 and min(solved) >= 1
+    assert sum(n for _, n in reads) / len(grid) <= bound
 
 
 @pytest.mark.parametrize(
@@ -486,8 +498,8 @@ def test_table_reads_use_the_interval_holding_x(monkeypatch):
     # returns the same bits.  floor(log2(x / x_ref)) alone put 38 of these
     # 102 points, all just below an anchor, into the table above at z < -1.
     builtins = [euclidean(), schwarzschild(1.0), perturbed_schwarzschild(), to_warped(mollified_schwarzschild(1.0, 1.0))]
-    tables = []
-    _count_panel_sums(monkeypatch, tables)
+    panels = []
+    _count_table_reads(monkeypatch, panels)
     for p in builtins:
         sol = solve(p)
         tail = sol._tail
@@ -501,9 +513,12 @@ def test_table_reads_use_the_interval_holding_x(monkeypatch):
                 j = k if x >= x_k else k - 1
                 lo, hi = tail.anchor_x(j), tail.anchor_x(j + 1)
                 read = tail.reader(lo, tail.anchor_value(j), hi, tail.anchor_value(j + 1))
-                tables.clear()
+                panels.clear()
                 value = tail.value(x)
-                assert tables == ([] if x == x_k else [tail._table(j)]), (p.label, k, x)
+                if x == x_k:
+                    assert panels == [], (p.label, k, x)
+                else:
+                    assert len(panels) == 1 and any(panels[0] is q for q in tail._table(j)[1]), (p.label, k, x)
                 assert value.hex() == read(x).hex(), (p.label, k, x)
 
 

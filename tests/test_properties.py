@@ -6,12 +6,22 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvlab.functionals import functional_row
 from curvlab.numerics import Tolerance, differentiate, find_root, integrate
-from curvlab.potential import LevelSetSample, default_t_grid, level, levels, solve, t_of_level, u_value
+from curvlab.potential import (
+    LevelSetSample,
+    default_t_grid,
+    level,
+    levels,
+    solve,
+    t_of_level,
+    u_value,
+    volume_to_coordinate,
+    volumes,
+)
 from curvlab.profile import _warped_scalar_curvature, mollified_schwarzschild, perturbed_schwarzschild, to_warped
 
 from frozen_outputs import rneg_profile
@@ -111,6 +121,25 @@ def rneg(tmp_path_factory):
     return rneg_profile(tmp_path_factory.mktemp("rneg"))
 
 
+def _model_profile(rneg, model):
+    """The profile a draw of _models names: perturbed and rneg.csv have a boundary, mollified has none."""
+    if model[0] == "perturbed":
+        return perturbed_schwarzschild(*model[1:])
+    if model[0] == "mollified":
+        return to_warped(mollified_schwarzschild(*model[1:]))
+    return rneg
+
+
+def _ordered(xs, order, data):
+    if order == "increasing":
+        return sorted(xs)
+    if order == "decreasing":
+        return sorted(xs, reverse=True)
+    if order == "shuffled":
+        return data.draw(st.permutations(xs))
+    return data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=2 * len(xs)))
+
+
 @given(
     model=_models,
     n=st.integers(1, 24),
@@ -125,26 +154,63 @@ def test_levels_match_single_level_solves(rneg, model, n, t_min_factor, t_max_fa
     # level must still carry the bits of a solve of its t alone on a fresh
     # solution, in any order.  t_min_factor = 1 starts the grid at the
     # boundary level C/2 on the boundary profiles.
-    if model[0] == "perturbed":
-        p = perturbed_schwarzschild(*model[1:])
-    elif model[0] == "mollified":
-        p = to_warped(mollified_schwarzschild(*model[1:]))
-    else:
-        p = rneg
-    grid = default_t_grid(solve(p), n, t_min_factor, t_max_factor)
-    if order == "decreasing":
-        ts = grid[::-1]
-    elif order == "shuffled":
-        ts = data.draw(st.permutations(grid))
-    elif order == "repeated":
-        ts = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=2 * n))
-    else:
-        ts = grid
+    p = _model_profile(rneg, model)
+    ts = _ordered(default_t_grid(solve(p), n, t_min_factor, t_max_factor), order, data)
     swept = levels(solve(p), ts)
     assert [lp.t for lp in swept] == ts
     for lp in swept:
         alone = level(solve(p), lp.t)
         assert (lp.s.hex(), lp.u.hex()) == (alone.s.hex(), alone.u.hex()), (p.label, lp.t)
+
+
+@given(
+    model=_models,
+    order=st.sampled_from(["increasing", "decreasing", "shuffled", "repeated"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_volumes_match_single_reads(rneg, model, order, data):
+    # volumes keeps its interval, anchor and table reader while the next x
+    # stays inside them; each volume must still carry the bits of a read of
+    # its x alone on a fresh solution, in any order.  The points include
+    # x_min, the anchors (read without a table) and their neighbours, the
+    # intervals below x_ref = 1 on mollified and rneg.csv, and rneg.csv's
+    # tables that its knots split into several panels.
+    p = _model_profile(rneg, model)
+    vol = solve(p)._volume
+    k_min = -6 if vol._k_floor is None else vol._k_floor
+    anchors = [vol.anchor_x(k) for k in range(k_min, 12)]
+    near = st.sampled_from(anchors).flatmap(
+        lambda x: st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
+    )
+    inside = st.floats(math.log(anchors[0]), math.log(anchors[-1])).map(math.exp)
+    point = st.one_of(st.just(p.x_min), near, inside).filter(lambda x: x >= p.x_min)
+    xs = _ordered(data.draw(st.lists(point, min_size=1, max_size=24)), order, data)
+    swept = volumes(solve(p), xs)
+    assert len(swept) == len(xs)
+    for x, v in zip(xs, swept):
+        alone = volume_to_coordinate(solve(p), x)
+        assert v.hex() == alone.hex(), (p.label, x)
+
+
+@given(model=_models, k=st.integers(-6, 11), fractions=st.lists(st.floats(0.0, 1.0), max_size=12))
+@example(model=("perturbed", 1.0, 0.3, 1.0), k=3, fractions=[0.5])  # a one-panel table: the bound panel
+@example(model=("rneg",), k=5, fractions=[0.5])  # six panels between the knots: the bisect
+@settings(max_examples=60, deadline=None)
+def test_tail_reader_matches_value(rneg, model, k, fractions):
+    # A bracket's reader binds the panel of a table that holds one and
+    # bisects a table of several; on either branch it returns the bits of
+    # value(x) on a fresh solution over the whole bracket, ends included.
+    p = _model_profile(rneg, model)
+    tail = solve(p)._tail
+    if tail._k_floor is not None:
+        k = max(k, tail._k_floor)
+    lo, hi = tail.anchor_x(k), tail.anchor_x(k + 1)
+    read = tail.reader(lo, tail.anchor_value(k), hi, tail.anchor_value(k + 1))
+    xs = [lo, math.nextafter(lo, hi), math.nextafter(hi, lo), hi] + [lo + f * (hi - lo) for f in fractions]
+    fresh = solve(p)._tail
+    for x in xs:
+        assert read(x).hex() == fresh.value(x).hex(), (p.label, k, x)
 
 
 @given(
