@@ -15,11 +15,17 @@ parameters that overflow float arithmetic.  Output files are written
 before stdout, so a run that exits 2 on a write prints nothing.
 Flags override values from a flat key=value config file
 (--config).
+
+``main(argv)`` may be called repeatedly in one process.  The argparse
+tree is built once per process, on the first call, and every call parses
+its argv into a fresh namespace and does all of its own numerical work;
+nothing that depends on argv is kept between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -176,6 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", parents=[common], help="run the inequality battery")
     sub.add_parser("mass", parents=[common], help="run both ADM mass estimators")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads argv with, built on first use and kept for the process."""
+    return build_parser()
 
 
 # Each config key is a flag's name, and its argparse dest: key -> (RunConfig
@@ -361,8 +373,7 @@ def cmd_mass(cfg: RunConfig, out: io.TextIOBase) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = sys.stdout
     try:
         if args.command == "models":

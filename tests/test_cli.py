@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curvlab import __version__
-from curvlab.cli import main
+from curvlab.cli import build_parser, main
 from curvlab.report_store import load, make_record, save
 from frozen_outputs import (
     DATA,
@@ -17,6 +17,7 @@ from frozen_outputs import (
     POTENTIAL_TABLES,
     ROOT,
     VERIFY_REPORTS,
+    frozen_runs,
     run_cli,
     strip_timestamp,
     write_inputs,
@@ -521,3 +522,98 @@ def test_out_below_a_file_exits_2_before_any_output(capsys, tmp_path, argv):
     blocker.write_text("")
     err = _usage_error(capsys, *argv, "--out", str(blocker / "sub"))
     assert "cannot create output directory" in err
+
+
+@pytest.mark.parametrize("mass", ["10", "50", "99"])
+def test_heavy_mollified_model_runs(capsys, mass):
+    # A harmonic end of mass m has f_s - 1 ~ -m/r, twice w - 1: to_warped
+    # declared these ends flat from w at r >= 1e3 and the profile refused
+    # them from f_s at x = 100, so every subcommand exited 2.  The mass
+    # subcommand exits 1 on its own gate: its two estimators disagree
+    # beyond 1 % at these masses.
+    model = ["--model", "mollified-schwarzschild", "--mass", mass, "--r0", "1"]
+    assert main(["verify", *model, "--grid", "32"]) == 0
+    assert main(["mass", *model]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("warning: the two estimators disagree beyond 1%\n")
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Count the parser trees built from an empty per-process parser cache."""
+    from curvlab import cli
+
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(None)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    yield builds
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once_per_process(parser_builds, capsys, tmp_path):
+    for argv in (
+        ["models"],
+        ["potential", "--model", "euclidean", "--grid", "8"],
+        ["functionals", "--model", "euclidean", "--grid", "8"],
+        ["verify", "--model", "euclidean", "--grid", "16"],
+        ["mass", "--model", "mollified-schwarzschild", "--mass", "1", "--r0", "1"],
+    ):
+        assert main(argv) == 0, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--bogus"])
+    assert exc.value.code == 2
+    assert main(["verify", "--model", "euclidean", "--grid", "4"]) == 2
+    # A config file's values hold for its own run only.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=euclidean\ngrid=8\n")
+    capsys.readouterr()
+    assert main(["potential", "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4 + 8 and rows[-9] == "t,s,u,grad"
+    assert main(["potential", "--model", "euclidean", "--t-max-factor", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4 + 256
+    assert main(["potential"]) == 2
+    assert "--model is required" in capsys.readouterr().err
+    assert len(parser_builds) == 1
+    assert build_parser() is not build_parser()
+
+
+def _replay_frozen_runs(capsys, runs) -> None:
+    for argv, name, code in runs:
+        assert main(list(argv)) == code, name
+        assert strip_timestamp(capsys.readouterr().out) + "\n" == (DATA / name).read_text(), name
+
+
+def test_frozen_runs_replay_in_one_process(capsys, tmp_path, monkeypatch):
+    # Every frozen run, in listed order and then reversed, through one
+    # process's main: no call leaves state that moves another's bytes.
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    runs = list(frozen_runs())
+    _replay_frozen_runs(capsys, runs)
+    _replay_frozen_runs(capsys, runs[::-1])
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [(("--help",), 0), (("verify", "--help"), 0), (("verify", "--bogus"), 2)],
+    ids=["help", "verify-help", "usage-error"],
+)
+def test_cached_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch, argv, code):
+    # argparse wraps help to the terminal width; pin it on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    cp = run_cli(*argv)
+    assert main(["models"]) == 0  # the parser is built, so the request below reuses it
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == cp.returncode == code
+    assert (captured.out, captured.err) == (cp.stdout, cp.stderr)

@@ -158,6 +158,43 @@ class TestToWarped:
         )
 
 
+class TestAsymptoticFlatness:
+    # One rule: |f_s - 1| <= 0.05 at x = (1e4, 1e5, 1e6) * x_scale.  to_warped
+    # declares an end flat by it and MetricProfile checks a declaration by it.
+
+    @given(e=st.floats(-3.0, 4.0), r0=st.floats(0.1, 10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_to_warped_declares_by_the_checked_rule(self, e, r0):
+        p = to_warped(mollified_schwarzschild(10.0**e, r0))
+        flat = all(abs(p.df_ds(x) - 1.0) <= 0.05 for x in (1e4, 1e5, 1e6))
+        assert p.asymptotically_flat == flat
+
+    @pytest.mark.parametrize("m", [1e-6, 1.0, 99.0, 1e6])
+    def test_schwarzschild_is_flat(self, m):
+        assert schwarzschild(m).asymptotically_flat
+
+    @pytest.mark.parametrize(
+        "jet",
+        [
+            lambda s: (0.8 * s + math.sqrt(s), 0.8 + 0.5 / math.sqrt(s), -0.25 * s**-1.5),
+            lambda s: (s, 1.0 if s < 1e5 else math.nan, 0.0),
+        ],
+        ids=["cone", "nan"],
+    )
+    def test_declared_flat_end_that_is_not_is_refused(self, jet):
+        # f_s -> 0.8 is a cone, not a flat end; a sample that is not a number
+        # is no evidence of one.
+        with pytest.raises(ProfileDataError, match="declared asymptotically flat"):
+            MetricProfile(
+                label="cone",
+                kind=ProfileKind.WITH_BOUNDARY,
+                x_min=1.0,
+                f=lambda s: jet(s)[0],
+                jet=jet,
+                asymptotically_flat=True,
+            )
+
+
 class TestPerturbed:
     def test_minimal_boundary(self):
         p = perturbed_schwarzschild()
