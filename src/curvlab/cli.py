@@ -11,28 +11,28 @@ Subcommands wire profiles -> potential -> functionals -> verify/mass:
 Exit codes: 0 when every check passes or detects equality, 1 when any
 check fails or a hypothesis violation is annotated, 2 for usage/input
 errors, undecodable files, output files that cannot be written and
-parameters that overflow float arithmetic.  Output files are written
-before stdout, so a run that exits 2 on a write prints nothing.
-Flags override values from a flat key=value config file
-(--config).
+parameters that overflow float arithmetic.  Flags override values from a
+flat key=value config file (--config).
 
-``main(argv)`` may be called repeatedly in one process.  The argparse
-tree is built once per process, on the first call, and every call parses
-its argv into a fresh namespace and does all of its own numerical work;
-nothing that depends on argv is kept between calls.
+A command computes its whole output before anything is written.  ``main``
+then makes the --out directory, if a file goes there, writes every file,
+and only then prints the ``# generated_at=`` stamp, the body (ending in
+``mass``'s warning, if any) and one ``wrote``/``saved`` line per file; a
+run that exits 2 prints nothing.  ``main(argv)`` may be called repeatedly
+in one process: the argparse tree is built once, on the first call, and
+each call parses its argv afresh and keeps nothing that depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, Callable, NamedTuple
 
 from . import __version__
 from .errors import CurvlabError
@@ -41,27 +41,42 @@ from .mass import mass_report, write_mass_csv
 from .numerics import Tolerance
 from .potential import default_t_grid, grad_value, levels, solve
 from .profile import (
-    MetricProfile,
-    euclidean,
-    mollified_schwarzschild,
-    perturbed_schwarzschild,
-    profile_from_csv,
-    schwarzschild,
-    to_warped,
+    euclidean, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv, schwarzschild, to_warped
 )
 from .report_store import make_record, save
 from .verify import DEFAULT_CHECK_TOLERANCE, run_battery, write_report_csv, write_report_text
 
 __all__ = ["main", "RunConfig", "build_parser"]
 
-_MODELS = {
-    "schwarzschild": "with boundary; exact equality case of every comparison (needs --mass)",
-    "euclidean": "boundaryless flat space; equality case of the boundaryless comparisons",
-    "mollified-schwarzschild": "boundaryless, R >= 0, harmonically flat end (needs --mass, --r0)",
-    "perturbed-schwarzschild": "with boundary, R > 0, strict inequalities (optional --mass/--amplitude/--offset)",
-    "custom": "tabulated CSV profile (needs --profile and --assume-nonnegative-r)",
-}
 
+class _Model(NamedTuple):
+    description: str
+    build: Callable  # RunConfig -> MetricProfile, by this module's names, which perfbench's tracer rebinds
+    conformal: bool = False  # a boundaryless conformal model: `mass` runs on it
+
+
+_MODELS = {
+    "schwarzschild": _Model(
+        "with boundary; exact equality case of every comparison (needs --mass)",
+        lambda cfg: schwarzschild(cfg.mass),
+    ),
+    "euclidean": _Model(
+        "boundaryless flat space; equality case of the boundaryless comparisons",
+        lambda cfg: euclidean(), conformal=True,
+    ),
+    "mollified-schwarzschild": _Model(
+        "boundaryless, R >= 0, harmonically flat end (needs --mass, --r0)",
+        lambda cfg: to_warped(mollified_schwarzschild(cfg.mass, cfg.r0)), conformal=True,
+    ),
+    "perturbed-schwarzschild": _Model(
+        "with boundary, R > 0, strict inequalities (optional --mass/--amplitude/--offset)",
+        lambda cfg: perturbed_schwarzschild(cfg.mass, cfg.amplitude, cfg.offset),
+    ),
+    "custom": _Model(
+        "tabulated CSV profile (needs --profile and --assume-nonnegative-r)",
+        lambda cfg: profile_from_csv(cfg.profile, cfg.assume_nonnegative_r),
+    ),
+}
 
 _FLOAT_FIELDS = ("mass", "r0", "amplitude", "offset", "t_min_factor", "t_max_factor")
 
@@ -77,13 +92,13 @@ class RunConfig:
     r0: float = 1.0
     amplitude: float = 0.3
     offset: float = 1.0
-    profile_path: str | None = None
+    profile: str | None = None
     assume_nonnegative_r: bool | None = None
-    grid_points: int = 256
+    grid: int = 256
     t_min_factor: float = 1.0
     t_max_factor: float = 1000.0
     tol: float | None = None  # base relative check tolerance; None = the battery's pinned defaults
-    output_dir: str | None = None
+    out: str | None = None
     save_report: bool = False
 
     def validate(self) -> None:
@@ -94,42 +109,38 @@ class RunConfig:
                 raise UsageError(f"{name} must be finite")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
             raise UsageError(f"--tol must be positive and finite, got {self.tol!r}")
-        if self.grid_points < 8:
-            raise UsageError("grid_points must be at least 8")
+        if self.grid < 8:
+            raise UsageError("grid must be at least 8")
         if self.t_min_factor < 1.0:
             raise UsageError("t_min_factor must be >= 1")
         if self.t_max_factor <= self.t_min_factor:
             raise UsageError("t_max_factor must exceed t_min_factor")
-        if self.model == "custom":
-            if not self.profile_path:
-                raise UsageError("--model custom needs --profile <csv>")
-            if self.assume_nonnegative_r is None:
-                raise UsageError("--model custom needs --assume-nonnegative-r true|false")
+        if self.model == "custom" and not self.profile:
+            raise UsageError("--model custom needs --profile <csv>")
+        if self.model == "custom" and self.assume_nonnegative_r is None:
+            raise UsageError("--model custom needs --assume-nonnegative-r true|false")
 
     def echo(self) -> str:
-        lines = [
+        return "\n".join([
             f"model={self.model}",
             f"mass={self.mass!r}",
             f"r0={self.r0!r}",
             f"amplitude={self.amplitude!r}",
             f"offset={self.offset!r}",
-            f"profile={self.profile_path or ''}",
+            f"profile={self.profile or ''}",
             f"assume_nonnegative_r={self.assume_nonnegative_r}",
-            f"grid={self.grid_points}",
+            f"grid={self.grid}",
             f"t_min_factor={self.t_min_factor!r}",
             f"t_max_factor={self.t_max_factor!r}",
             f"tol_rel={self.tol!r}" if self.tol is not None else "tol_rel=default",
-        ]
-        return "\n".join(lines)
+        ])
 
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise UsageError(f"expected true/false, got {text!r}")
+    if lowered not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return lowered in ("true", "1", "yes")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -140,10 +151,13 @@ def load_config_file(path: str) -> dict[str, str]:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
+                key, sep, value = line.partition("=")
+                key = key.strip()
+                if not sep or not key:
                     raise UsageError(f"{path}:{ln}: expected key=value")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
+                if key in out:
+                    raise UsageError(f"{path}:{ln}: {key} is given twice")
+                out[key] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return out
@@ -176,11 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--save-report", action="store_const", const="true", help="persist a run record")
     common.add_argument("--config", help="flat key=value config file (flags override)")
 
-    sub.add_parser("models", help="list built-in models")
-    sub.add_parser("potential", parents=[common], help="emit the u / |grad u| / capacity table")
-    sub.add_parser("functionals", parents=[common], help="emit the functional series CSV")
-    sub.add_parser("verify", parents=[common], help="run the inequality battery")
-    sub.add_parser("mass", parents=[common], help="run both ADM mass estimators")
+    for name, (run, help_text) in _COMMANDS.items():
+        parents = [] if name == "models" else [common]
+        sub.add_parser(name, parents=parents, help=help_text).set_defaults(run=run)
     return parser
 
 
@@ -190,23 +202,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# Each config key is a flag's name, and its argparse dest: key -> (RunConfig
-# field, parser of the config-file text).  A flag overrides the file; a key
-# given by neither keeps the RunConfig default.
+# Each config key is a flag's name, its argparse dest and its RunConfig
+# field: key -> parser of the config-file text.  A flag overrides the file;
+# a key given by neither keeps the RunConfig default.
 _CONFIG_FIELDS = {
-    "model": ("model", str),
-    "profile": ("profile_path", str),
-    "out": ("output_dir", str),
-    "assume_nonnegative_r": ("assume_nonnegative_r", _parse_bool),
-    "grid": ("grid_points", int),
-    "tol": ("tol", float),
-    "save_report": ("save_report", _parse_bool),
-    **{key: (key, float) for key in _FLOAT_FIELDS},
+    "model": str,
+    "profile": str,
+    "out": str,
+    "assume_nonnegative_r": _parse_bool,
+    "grid": int,
+    "tol": float,
+    "save_report": _parse_bool,
+    **dict.fromkeys(_FLOAT_FIELDS, float),
 }
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = load_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - set(_CONFIG_FIELDS))
     if unknown:
         accepted = ", ".join(sorted(_CONFIG_FIELDS))
@@ -214,8 +226,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     def pick(key: str, cast):
         value = getattr(args, key)
-        if value is None:
-            value = file_values.get(key)
+        value = file_values.get(key) if value is None else value
         if value is None:
             return None
         try:
@@ -223,171 +234,135 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise UsageError(f"bad value for {key}: {value!r}") from exc
 
-    values = {name: pick(key, cast) for key, (name, cast) in _CONFIG_FIELDS.items()}
+    values = {key: pick(key, cast) for key, cast in _CONFIG_FIELDS.items()}
     if not values["model"]:
         raise UsageError("--model is required (see `curvlab models`)")
-    cfg = RunConfig(**{name: value for name, value in values.items() if value is not None})
+    cfg = RunConfig(**{key: value for key, value in values.items() if value is not None})
     cfg.validate()
     return cfg
 
 
-def _build_profile(cfg: RunConfig) -> MetricProfile:
-    if cfg.model == "schwarzschild":
-        return schwarzschild(cfg.mass)
-    if cfg.model == "euclidean":
-        return euclidean()
-    if cfg.model == "mollified-schwarzschild":
-        return to_warped(mollified_schwarzschild(cfg.mass, cfg.r0))
-    if cfg.model == "perturbed-schwarzschild":
-        return perturbed_schwarzschild(cfg.mass, cfg.amplitude, cfg.offset)
-    return profile_from_csv(cfg.profile_path, cfg.assume_nonnegative_r)
+# A command returns (exit code, stdout lines, outputs); an output writes one file and returns its announcement.
+_Output = Callable[[Path], str]
+_Result = tuple[int, list[str], list[_Output]]
 
 
-def _stamp(out: io.TextIOBase) -> None:
-    out.write(f"# generated_at={datetime.now(timezone.utc).isoformat()}\n")
+class _Lines(list):
+    """A text stream that keeps what is written to it, as stdout lines, without copying."""
+    write = list.append
+    writelines = list.extend
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.output_dir) if cfg.output_dir else Path(".")
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot create output directory {path}: {exc}") from exc
-    return path
+def _file(name: str, write: Callable[[IO[str]], None]) -> _Output:
+    """The output that writes ``name`` through ``write``; a file that cannot be written is a usage error."""
+    def output(outdir: Path) -> str:
+        path = outdir / name
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                write(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
+        return f"wrote {path}\n"
+
+    return output
 
 
-def _write_file(path: Path, write: Callable[[IO[str]], None]) -> None:
-    """Write one output file through ``write``; a file that cannot be written is a usage error."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            write(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+def _table(cfg: RunConfig, name: str, write: Callable[[IO[str]], None]) -> _Result:
+    """A table goes to the file ``name`` under --out, and to stdout without it."""
+    if cfg.out:
+        return 0, [], [_file(name, write)]
+    lines = _Lines()
+    write(lines)
+    return 0, lines, []
 
 
-def cmd_models(out: io.TextIOBase) -> int:
-    for name, description in _MODELS.items():
-        out.write(f"{name}: {description}\n")
-    return 0
+def _solve_grid(cfg: RunConfig):
+    sol = solve(_MODELS[cfg.model].build(cfg))
+    return sol, default_t_grid(sol, cfg.grid, cfg.t_min_factor, cfg.t_max_factor)
 
 
-def cmd_potential(cfg: RunConfig, out: io.TextIOBase) -> int:
-    outdir = _outdir(cfg) if cfg.output_dir else None
-    sol = solve(_build_profile(cfg))
-    grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
+def _models(cfg: None) -> _Result:
+    return 0, [f"{name}: {model.description}\n" for name, model in _MODELS.items()], []
+
+
+def _potential(cfg: RunConfig) -> _Result:
+    sol, grid = _solve_grid(cfg)
     # Solve every level before writing, so a failed level leaves no partial table.
     rows = [f"{lp.t!r},{lp.s!r},{lp.u!r},{grad_value(sol, lp.s)!r}\n" for lp in levels(sol, grid)]
     cap = sol.capacity
-    table = [
-        f"# profile={sol.profile.label}\n",
-        f"# capacity={cap!r}\n" if cap is not None else "# capacity=nan (boundaryless)\n",
-        "t,s,u,grad\n",
-        *rows,
-    ]
-    if outdir:
-        path = outdir / "potential.csv"
-        _write_file(path, lambda fh: fh.writelines(table))
-        _stamp(out)
-        out.write(f"wrote {path}\n")
-    else:
-        _stamp(out)
-        out.writelines(table)
-    return 0
+    capacity = f"# capacity={cap!r}\n" if cap is not None else "# capacity=nan (boundaryless)\n"
+    table = [f"# profile={sol.profile.label}\n", capacity, "t,s,u,grad\n", *rows]
+    return _table(cfg, "potential.csv", lambda fh: fh.writelines(table))
 
 
-def cmd_functionals(cfg: RunConfig, out: io.TextIOBase) -> int:
-    outdir = _outdir(cfg) if cfg.output_dir else None
-    sol = solve(_build_profile(cfg))
-    grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
-    series = build_series(sol, grid)
-    if outdir:
-        path = outdir / "functionals.csv"
-        _write_file(path, lambda fh: write_series_csv(series, fh))
-        _stamp(out)
-        out.write(f"wrote {path}\n")
-    else:
-        _stamp(out)
-        write_series_csv(series, out)
-    return 0
+def _functionals(cfg: RunConfig) -> _Result:
+    series = build_series(*_solve_grid(cfg))
+    return _table(cfg, "functionals.csv", lambda fh: write_series_csv(series, fh))
 
 
-def cmd_verify(cfg: RunConfig, out: io.TextIOBase) -> int:
-    outdir = _outdir(cfg) if cfg.output_dir or cfg.save_report else None
-    sol = solve(_build_profile(cfg))
-    grid = default_t_grid(sol, cfg.grid_points, cfg.t_min_factor, cfg.t_max_factor)
-    tol = None
-    if cfg.tol is not None:
-        # Scale the pinned default pair, so --tol 1e-8 reproduces the defaults.
-        base = DEFAULT_CHECK_TOLERANCE
-        tol = Tolerance(rel=cfg.tol, abs=(cfg.tol / base.rel) * base.abs)
+def _verify(cfg: RunConfig) -> _Result:
+    sol, grid = _solve_grid(cfg)
+    # Scale the pinned default pair, so --tol 1e-8 reproduces the defaults.
+    base = DEFAULT_CHECK_TOLERANCE
+    tol = Tolerance(rel=cfg.tol, abs=(cfg.tol / base.rel) * base.abs) if cfg.tol is not None else None
     report = run_battery(sol, grid, tol=tol)
-    buffer = io.StringIO()
-    write_report_text(report, buffer)
-    # Write the files before printing, so a failed write leaves no report on stdout.
-    written = []
-    if cfg.output_dir:
-        path = outdir / "verify.csv"
-        _write_file(path, lambda fh: write_report_csv(report, fh))
-        written.append(f"wrote {path}\n")
+    lines = _Lines()
+    write_report_text(report, lines)
+    outputs = []
+    if cfg.out:
+        outputs.append(_file("verify.csv", lambda fh: write_report_csv(report, fh)))
     if cfg.save_report:
-        record = make_record(
-            cfg.echo(),
-            buffer.getvalue(),
-            __version__,
-            datetime.now(timezone.utc).isoformat(),
-        )
-        written.append(f"saved {save(record, outdir)}\n")
-    _stamp(out)
-    out.write(buffer.getvalue())
-    out.writelines(written)
-    return 1 if report.blocking() else 0
+        record = make_record(cfg.echo(), "".join(lines), __version__, datetime.now(timezone.utc).isoformat())
+        outputs.append(lambda outdir: f"saved {save(record, outdir)}\n")
+    return (1 if report.blocking() else 0), lines, outputs
 
 
-def cmd_mass(cfg: RunConfig, out: io.TextIOBase) -> int:
-    if cfg.model not in ("euclidean", "mollified-schwarzschild"):
-        raise UsageError("the mass subcommand needs a boundaryless conformal model: euclidean or mollified-schwarzschild")
-    outdir = _outdir(cfg) if cfg.output_dir else None
-    sol = solve(_build_profile(cfg))
+def _mass(cfg: RunConfig) -> _Result:
+    if not _MODELS[cfg.model].conformal:
+        names = " or ".join(name for name, model in _MODELS.items() if model.conformal)
+        raise UsageError(f"the mass subcommand needs a boundaryless conformal model: {names}")
+    sol = solve(_MODELS[cfg.model].build(cfg))
     report = mass_report(sol.profile.conformal, sol)
-    if outdir:
-        path = outdir / "mass.csv"
-        _write_file(path, lambda fh: write_mass_csv(report, fh))
-    _stamp(out)
-    out.write(f"profile={report.profile_label}\n")
-    out.write(f"mass_tag={report.mass_tag!r}\n")
-    out.write(f"m_surface={report.m_surface!r}\n")
-    out.write(f"m_volume={report.m_volume!r}\n")
     worst = min(m for _, m in report.samples)
-    out.write(f"min_m_est={worst!r}\n")
-    if outdir:
-        out.write(f"wrote {path}\n")
-    if report.mass_tag is not None and report.mass_tag > 0.0:
-        agree = abs(report.m_surface - report.m_volume) <= 0.01 * report.mass_tag
-        if not agree:
-            out.write("warning: the two estimators disagree beyond 1%\n")
-            return 1
-    if worst < -1e-9:
-        out.write("warning: a volume mass sample is negative beyond tolerance\n")
-        return 1
-    return 0
+    body = [
+        f"profile={report.profile_label}\n",
+        f"mass_tag={report.mass_tag!r}\n",
+        f"m_surface={report.m_surface!r}\n",
+        f"m_volume={report.m_volume!r}\n",
+        f"min_m_est={worst!r}\n",
+    ]
+    tag, warnings = report.mass_tag, []
+    if tag is not None and tag > 0.0 and not abs(report.m_surface - report.m_volume) <= 0.01 * tag:
+        warnings.append("warning: the two estimators disagree beyond 1%\n")
+    elif worst < -1e-9:
+        warnings.append("warning: a volume mass sample is negative beyond tolerance\n")
+    outputs = [_file("mass.csv", lambda fh: write_mass_csv(report, fh))] if cfg.out else []
+    return (1 if warnings else 0), body + warnings, outputs
+
+
+# Each subcommand: name -> (command, help).  `models` alone takes no flags, config or stamp.
+_COMMANDS = {
+    "models": (_models, "list built-in models"),
+    "potential": (_potential, "emit the u / |grad u| / capacity table"),
+    "functionals": (_functionals, "emit the functional series CSV"),
+    "verify": (_verify, "run the inequality battery"),
+    "mass": (_mass, "run both ADM mass estimators"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    out = sys.stdout
     try:
-        if args.command == "models":
-            return cmd_models(out)
-        cfg = resolve_config(args)
-        if args.command == "potential":
-            return cmd_potential(cfg, out)
-        if args.command == "functionals":
-            return cmd_functionals(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "mass":
-            return cmd_mass(cfg, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        cfg = resolve_config(args) if "config" in args else None  # `models` has no flags
+        code, body, outputs = args.run(cfg)
+        announced = []
+        if outputs:
+            outdir = Path(cfg.out or ".")
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot create output directory {outdir}: {exc}") from exc
+            announced = [output(outdir) for output in outputs]
     except CurvlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -395,6 +370,10 @@ def main(argv: list[str] | None = None) -> int:
         # Parameters so extreme that float arithmetic overflows or divides by zero.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    stamp = [f"# generated_at={datetime.now(timezone.utc).isoformat()}\n"] if cfg is not None else []
+    for chunk in (stamp, body, announced):
+        sys.stdout.writelines(chunk)
+    return code
 
 
 if __name__ == "__main__":

@@ -163,10 +163,15 @@ class MetricProfile:
     @property
     def x_scale(self) -> float:
         """Characteristic coordinate scale (anchors, default grids)."""
-        return max(self.x_min, 1.0)
+        return _x_scale(self.x_min)
 
     def in_domain(self, x: float) -> bool:
         return x >= self.x_min - 1e-12 * max(1.0, self.x_min)
+
+
+def _x_scale(x_min: float) -> float:
+    """The characteristic coordinate scale of a profile whose coordinate starts at ``x_min``."""
+    return max(x_min, 1.0)
 
 
 def _flat_end_violation(jet: JetFn, x_scale: float) -> tuple[float, float] | None:
@@ -397,8 +402,7 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
         return w(r) ** 2
 
     kind = ProfileKind.BOUNDARYLESS if c.r_min == 0.0 else ProfileKind.WITH_BOUNDARY
-    # max(r_min, 1) is the profile's x_scale.
-    flat = _flat_end_violation(jet, max(c.r_min, 1.0)) is None
+    flat = _flat_end_violation(jet, _x_scale(c.r_min)) is None
     return MetricProfile(
         label=c.label,
         kind=kind,

@@ -12,6 +12,9 @@ import sys
 ROOT = pathlib.Path(__file__).parent.parent
 DATA = pathlib.Path(__file__).parent / "data"
 
+# The file of `models`: every model's description, in the listed order.
+MODELS_LIST = "models.txt"
+
 # (args, file) of `functionals`: the head of its CSV on the Euclidean closed form.
 FUNCTIONALS_HEAD = (("--model", "euclidean", "--grid", "8"), "euclid_functionals_head.csv")
 
@@ -102,6 +105,7 @@ def strip_timestamp(text: str) -> str:
 
 def frozen_runs():
     """(full argv, file, exit code) of every frozen run; verify runs need write_inputs in cwd."""
+    yield ("models",), MODELS_LIST, 0
     args, name = FUNCTIONALS_HEAD
     yield ("functionals", *args), name, 0
     for args, name in FUNCTIONALS_TABLES:

@@ -14,6 +14,7 @@ from frozen_outputs import (
     FUNCTIONALS_HEAD,
     FUNCTIONALS_TABLES,
     MASS_REPORTS,
+    MODELS_LIST,
     POTENTIAL_TABLES,
     ROOT,
     VERIFY_REPORTS,
@@ -31,10 +32,10 @@ def test_help():
 
 
 def test_models_lists_builtins():
+    # Every model's description, in the listed order, with no stamp.
     cp = run_cli("models")
     assert cp.returncode == 0
-    for name in ("schwarzschild", "euclidean", "mollified-schwarzschild", "custom"):
-        assert name in cp.stdout
+    assert cp.stdout == (DATA / MODELS_LIST).read_text()
 
 
 def test_verify_schwarzschild_equalities():
@@ -102,6 +103,7 @@ def test_custom_negative_curvature_exits_1(tmp_path):
 def test_grid_too_small_exits_2():
     cp = run_cli("verify", "--model", "schwarzschild", "--mass", "1", "--grid", "4")
     assert cp.returncode == 2
+    assert cp.stderr == "error: grid must be at least 8\n"  # the key a user types
 
 
 def test_missing_model_exits_2():
@@ -153,6 +155,25 @@ def test_unparsable_config_value_exits_2(capsys, tmp_path):
     cfg.write_text("model=euclidean\ngrid=sixteen\n")
     err = _usage_error(capsys, "potential", "--config", str(cfg))
     assert "grid" in err
+
+
+@pytest.mark.parametrize("key", ["save_report", "assume_nonnegative_r"])
+def test_bad_boolean_config_value_names_its_key(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model=euclidean\n{key}=maybe\n")
+    assert _usage_error(capsys, "potential", "--config", str(cfg)) == f"error: bad value for {key}: 'maybe'\n"
+
+
+def test_config_line_without_a_key_names_its_line(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=euclidean\n=5\n")
+    assert _usage_error(capsys, "potential", "--config", str(cfg)) == f"error: {cfg}:2: expected key=value\n"
+
+
+def test_config_key_given_twice_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=euclidean\ngrid=8\n# finer\ngrid = 16\n")
+    assert _usage_error(capsys, "potential", "--config", str(cfg)) == f"error: {cfg}:4: grid is given twice\n"
 
 
 def test_config_file_with_byte_order_mark(capsys, tmp_path):
@@ -522,6 +543,55 @@ def test_out_below_a_file_exits_2_before_any_output(capsys, tmp_path, argv):
     blocker.write_text("")
     err = _usage_error(capsys, *argv, "--out", str(blocker / "sub"))
     assert "cannot create output directory" in err
+
+
+_OUT_RUNS = [run for run in frozen_runs() if run[0] != ("models",)]
+
+
+@pytest.mark.parametrize(("argv", "name", "code"), _OUT_RUNS, ids=[name for _, name, _ in _OUT_RUNS])
+def test_out_writes_every_file_before_stdout(capsys, tmp_path, monkeypatch, argv, name, code):
+    # Each frozen run, repeated with --out (verify also with --save-report):
+    # the same exit code, then stdout is the stamp, the frozen body (empty
+    # for the tables, which go to their files) and one line per file.
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    command = argv[0]
+    save = ["--save-report"] if command == "verify" else []
+    assert main([*argv, "--out", "out", *save]) == code
+    stamp, *lines = capsys.readouterr().out.splitlines(True)
+    assert stamp.startswith("# generated_at=")
+    frozen = (DATA / name).read_text()
+    table = command in ("potential", "functionals")
+    announced = [f"wrote out/{command}.csv\n"]
+    if command == "verify":
+        (record,) = (tmp_path / "out").glob("run-*.txt")
+        announced.append(f"saved out/{record.name}\n")
+        csv_rows = (tmp_path / "out" / "verify.csv").read_text().splitlines()[1:]
+        assert len(csv_rows) == sum(line.startswith("check ") for line in frozen.splitlines())
+    assert "".join(lines) == ("" if table else frozen) + "".join(announced)
+    if table:
+        assert (tmp_path / "out" / f"{command}.csv").read_text() == frozen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mass", "--model", "schwarzschild"),
+        ("potential", "--model", "euclidean", "--t-min-factor", "1e300", "--t-max-factor", "1e301", "--grid", "8"),
+    ],
+    ids=["usage-error", "failed-level"],
+)
+def test_run_that_exits_2_makes_no_output_directory(capsys, tmp_path, argv):
+    # The directory is made only once every output is ready to be written.
+    _usage_error(capsys, *argv, "--out", str(tmp_path / "new"))
+    assert not (tmp_path / "new").exists()
+
+
+def test_mass_warning_comes_before_the_wrote_line(capsys, tmp_path):
+    out = tmp_path / "heavy"
+    assert main(["mass", "--model", "mollified-schwarzschild", "--mass", "50", "--r0", "1", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["warning: the two estimators disagree beyond 1%", f"wrote {out / 'mass.csv'}"]
 
 
 @pytest.mark.parametrize("mass", ["10", "50", "99"])
