@@ -22,8 +22,8 @@ from .errors import (
     WrongKind,
 )
 from .functionals import FunctionalSeries, build_series, write_series_csv
-from .mass import MassReport, adm_surface, expansion_residuals, mass_from_volume, mass_report
-from .numerics import QuadratureResult, Tolerance, differentiate, find_root, integrate
+from .mass import MassReport, adm_surface, mass_from_volume, mass_report
+from .numerics import QuadratureResult, Tolerance, find_root, integrate
 from .potential import (
     LevelParam,
     LevelSetSample,
@@ -39,7 +39,6 @@ from .profile import (
     ConformalProfile,
     MetricProfile,
     ProfileKind,
-    conformal_scalar_curvature,
     euclidean,
     euclidean_conformal,
     mollified_schwarzschild,
@@ -68,7 +67,6 @@ __all__ = [
     "Tolerance",
     "QuadratureResult",
     "integrate",
-    "differentiate",
     "find_root",
     "ProfileKind",
     "MetricProfile",
@@ -80,7 +78,6 @@ __all__ = [
     "perturbed_schwarzschild",
     "to_warped",
     "scalar_curvature",
-    "conformal_scalar_curvature",
     "sphere_geometry",
     "profile_from_csv",
     "SolutionKind",
@@ -102,7 +99,6 @@ __all__ = [
     "MassReport",
     "adm_surface",
     "mass_from_volume",
-    "expansion_residuals",
     "mass_report",
     "RunRecord",
     "make_record",

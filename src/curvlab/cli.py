@@ -29,7 +29,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, NamedTuple
@@ -85,8 +84,7 @@ class UsageError(CurvlabError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     model: str
     mass: float = 1.0
     r0: float = 1.0
@@ -108,7 +106,7 @@ class RunConfig:
             if not math.isfinite(getattr(self, name)):
                 raise UsageError(f"{name} must be finite")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise UsageError(f"--tol must be positive and finite, got {self.tol!r}")
+            raise UsageError(f"tol must be positive and finite, got {self.tol!r}")
         if self.grid < 8:
             raise UsageError("grid must be at least 8")
         if self.t_min_factor < 1.0:
@@ -116,9 +114,9 @@ class RunConfig:
         if self.t_max_factor <= self.t_min_factor:
             raise UsageError("t_max_factor must exceed t_min_factor")
         if self.model == "custom" and not self.profile:
-            raise UsageError("--model custom needs --profile <csv>")
+            raise UsageError("model=custom needs profile=<csv>")
         if self.model == "custom" and self.assume_nonnegative_r is None:
-            raise UsageError("--model custom needs --assume-nonnegative-r true|false")
+            raise UsageError("model=custom needs assume_nonnegative_r=true|false")
 
     def echo(self) -> str:
         return "\n".join([
@@ -236,7 +234,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     values = {key: pick(key, cast) for key, cast in _CONFIG_FIELDS.items()}
     if not values["model"]:
-        raise UsageError("--model is required (see `curvlab models`)")
+        raise UsageError("model is required (see `curvlab models`)")
     cfg = RunConfig(**{key: value for key, value in values.items() if value is not None})
     cfg.validate()
     return cfg

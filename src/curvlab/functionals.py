@@ -31,7 +31,6 @@ volumes that coarea_volumes cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import IO, NamedTuple, Sequence
 
@@ -163,8 +162,7 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     return list(accumulate(integrate(nodes, lo, hi, _COAREA_TOL, points=kinks).value for lo, hi in segments))
 
 
-@dataclass
-class FunctionalSeries:
+class FunctionalSeries(NamedTuple):
     """Parallel columns of every functional over a t-grid (nan where
     undefined) and, for a boundary solution, the sample of the boundary level
     t = C/2 (None without one)."""

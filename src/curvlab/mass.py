@@ -22,12 +22,11 @@ the desk-scale positive mass inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .errors import OutOfRange, ProfileDataError, WrongKind
 from .numerics import extrapolate_to_zero, geometric_grid
-from .potential import PotentialSolution, SolutionKind, grad_value, levels, u_value, volumes
+from .potential import PotentialSolution, SolutionKind, levels, volumes
 from .profile import ConformalProfile
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "adm_surface",
     "adm_flux_at",
     "mass_from_volume",
-    "expansion_residuals",
     "mass_report",
     "default_surface_radii",
     "default_volume_samples",
@@ -45,8 +43,7 @@ __all__ = [
 _FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class MassReport:
+class MassReport(NamedTuple):
     profile_label: str
     mass_tag: float | None
     m_surface: float
@@ -115,32 +112,6 @@ def mass_from_volume(
     dxs = [x - x_mean for x in xs]
     slope = math.fsum(d * (m - m_mean) for d, m in zip(dxs, ms)) / math.fsum(d * d for d in dxs)
     return m_mean - slope * x_mean, samples
-
-
-def expansion_residuals(
-    sol: PotentialSolution,
-    radii: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Residuals r * [(1-u)^4 / |grad u|^2 - 1 - 2m/r] of the far-field expansion.
-
-    Bounded and decaying like O(r^{-1+alpha}); the decay exponent is
-    asserted loosely (<= -0.9) since alpha can be chosen arbitrarily small.
-    """
-    if sol.kind is not SolutionKind.GREEN_BOUNDARYLESS:
-        raise WrongKind("expansion residuals need a boundaryless solution")
-    conf = sol.profile.conformal
-    if conf is None or conf.mass_tag is None:
-        raise ProfileDataError("expansion residuals need a conformal profile with a mass tag")
-    m = conf.mass_tag
-    out: list[tuple[float, float]] = []
-    for r in radii:
-        r = float(r)
-        if r <= sol.profile.x_min:
-            raise OutOfRange(f"radius {r!r} inside the profile domain start")
-        one_minus_u = 1.0 - u_value(sol, r)
-        g = grad_value(sol, r)
-        out.append((r, r * (one_minus_u ** 4 / (g * g) - 1.0 - 2.0 * m / r)))
-    return out
 
 
 def mass_report(c: ConformalProfile, sol: PotentialSolution) -> MassReport:

@@ -4,9 +4,10 @@ geometric grids.
 The adaptive Gauss-Kronrod loop evaluates each panel's 15 nodes in one call
 on the node list.  ``integrate`` runs a plain integrand on that loop one node
 at a time, and a :class:`NodeIntegrand` one panel at a time, with the same
-abscissae, summation order, error estimate and evaluation count.  The finite
-difference of ``differentiate`` is split the same way: its abscissae
-(``difference_stencil``) and their combination (``difference_quotient``).
+abscissae, summation order, error estimate and evaluation count.  The
+Richardson-extrapolated central difference is split the same way: its
+abscissae (``difference_stencil``) and their combination
+(``difference_quotient``), so a caller evaluates a batch of stencils at once.
 
 Every routine takes an explicit :class:`Tolerance`, so callers own their
 accuracy budget.  Nothing here keeps state between calls; all functions are
@@ -18,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import NoBracket, NonConvergent
 
@@ -30,7 +31,6 @@ __all__ = [
     "integrate",
     "difference_stencil",
     "difference_quotient",
-    "differentiate",
     "find_root",
     "extrapolate_to_zero",
     "geometric_grid",
@@ -93,8 +93,7 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Integral value with an error estimate and the evaluation count."""
 
     value: float
@@ -169,8 +168,7 @@ def _adaptive(values, lo: float, hi: float, tol: Tolerance, points: Sequence[flo
         seq += 1
 
 
-@dataclass(frozen=True)
-class NodeIntegrand:
+class NodeIntegrand(NamedTuple):
     """An integrand given on node lists: ``values(xs)`` returns f at each x of xs, in order.
 
     :func:`integrate` hands it the 15 nodes of each Gauss-Kronrod panel in
@@ -242,7 +240,7 @@ def integrate(
 
 
 def difference_stencil(t: float, scale: float | None = None) -> tuple[float, tuple[float, float, float, float]]:
-    """The step h of :func:`differentiate` at t and its abscissae (t + h, t - h, t + h/2, t - h/2).
+    """The step h of a central difference at t and its abscissae (t + h, t - h, t + h/2, t - h/2).
 
     h is ``scale``, or 1e-4*max(1, |t|) by default, which balances
     truncation against cancellation in double precision.
@@ -254,21 +252,14 @@ def difference_stencil(t: float, scale: float | None = None) -> tuple[float, tup
 
 
 def difference_quotient(fs: Sequence[float], h: float) -> float:
-    """Central difference with one Richardson step from f at the abscissae of difference_stencil."""
+    """Central difference with one Richardson step from f at the abscissae of difference_stencil.
+
+    The error is O(h^4) for smooth f.
+    """
     f_p, f_m, f_p2, f_m2 = fs
     d_h = (f_p - f_m) / (2.0 * h)
     d_h2 = (f_p2 - f_m2) / h
     return (4.0 * d_h2 - d_h) / 3.0
-
-
-def differentiate(f: Callable[[float], float], t: float, scale: float | None = None) -> float:
-    """Derivative of f at t: central difference with one Richardson step.
-
-    Error is O(scale^4) for smooth f; f is evaluated at the four abscissae
-    of :func:`difference_stencil`, t +- scale and t +- scale/2.
-    """
-    h, xs = difference_stencil(t, scale)
-    return difference_quotient([f(x) for x in xs], h)
 
 
 def find_root(

@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
@@ -72,7 +71,6 @@ __all__ = [
     "u_value",
     "grad_value",
     "volumes",
-    "volume_to_coordinate",
     "default_t_grid",
 ]
 
@@ -391,17 +389,36 @@ class _VolumeCache(_DyadicTables):
         return value
 
 
-@dataclass
 class PotentialSolution:
-    """Solved radial potential: normalisation constant, capacity, level maps."""
+    """Solved radial potential: normalisation constant, capacity, level maps.
 
-    profile: MetricProfile
-    kind: SolutionKind
-    c_norm: float
-    capacity: float | None
-    grad_vanishes_at_infinity: bool
-    _tail: _TailCache = field(repr=False, compare=False, default=None)
-    _volume: _VolumeCache = field(repr=False, compare=False, default=None)
+    ``_tail`` and ``_volume`` are the caches every level and volume read
+    goes through; they are left out of the repr.
+    """
+
+    __slots__ = ("profile", "kind", "c_norm", "capacity", "grad_vanishes_at_infinity", "_tail", "_volume")
+
+    def __init__(
+        self,
+        profile: MetricProfile,
+        kind: SolutionKind,
+        c_norm: float,
+        capacity: float | None,
+        grad_vanishes_at_infinity: bool,
+        _tail: _TailCache,
+        _volume: _VolumeCache,
+    ) -> None:
+        self.profile = profile
+        self.kind = kind
+        self.c_norm = c_norm
+        self.capacity = capacity
+        self.grad_vanishes_at_infinity = grad_vanishes_at_infinity
+        self._tail = _tail
+        self._volume = _volume
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:5])
+        return f"PotentialSolution({shown})"
 
 
 def solve(p: MetricProfile) -> PotentialSolution:
@@ -592,11 +609,6 @@ def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:
             integral = vol._sum_reader(k)
         out.append(anchor + integral(x))
     return out
-
-
-def volume_to_coordinate(sol: PotentialSolution, x: float) -> float:
-    """Radial volume integral Int 4 pi f^2 ds over [x_min, x], from the volume tables."""
-    return volumes(sol, (x,))[0]
 
 
 def default_t_grid(

@@ -38,7 +38,6 @@ __all__ = [
     "perturbed_schwarzschild",
     "to_warped",
     "scalar_curvature",
-    "conformal_scalar_curvature",
     "sphere_geometry",
     "sample_scalar_curvature_sign",
     "profile_from_csv",
@@ -202,16 +201,6 @@ def scalar_curvature(p: MetricProfile, x: float) -> float:
 def _warped_scalar_curvature(f: float, fs: float, fss: float) -> float:
     """R = 2 (1 - f_s^2)/f^2 - 4 f_ss/f from the profile values at one point."""
     return 2.0 * (1.0 - fs * fs) / (f * f) - 4.0 * fss / f
-
-
-def conformal_scalar_curvature(c: ConformalProfile, r: float) -> float:
-    """Scalar curvature of w^4 g_eucl: R = -8 w^-5 Delta_eucl w."""
-    if r < c.r_min:
-        raise DomainEdge(f"r={r!r} below r_min={c.r_min!r}")
-    w, dw, d2w = c.jet(r)
-    # At a smooth centre w'' + 2 w'/r tends to 3 w''.
-    lap = 3.0 * d2w if r == 0.0 else d2w + 2.0 * dw / r
-    return -8.0 * w ** -5 * lap
 
 
 def sphere_geometry(p: MetricProfile, x: float) -> tuple[float, float]:

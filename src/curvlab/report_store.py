@@ -8,10 +8,9 @@ no-ops and changed configurations get fresh files.
 
 from __future__ import annotations
 
-import hashlib
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ReportStoreError, SchemaMismatch
 
@@ -20,8 +19,7 @@ __all__ = ["RunRecord", "make_record", "save", "load", "diff"]
 _SCHEMA = "1"
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     run_id: str
     created_at: str
     version: str
@@ -30,6 +28,10 @@ class RunRecord:
 
 
 def _run_id(config_echo: str, version: str) -> str:
+    # Imported here, the one place that hashes: hashlib maps OpenSSL's
+    # libcrypto, which a run that saves and loads no record never needs.
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(config_echo.encode("utf-8"))
     digest.update(b"\n")

@@ -17,9 +17,8 @@ signals them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .errors import GridTooCoarse
 from .functionals import FunctionalSeries, build_series, coarea_volumes, functional_rows
@@ -56,8 +55,7 @@ class CheckStatus(str, Enum):
     SKIPPED = "Skipped"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: CheckStatus
     worst_margin: float
@@ -66,8 +64,7 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     profile_label: str
     kind: str
     capacity: float

@@ -17,7 +17,6 @@ import pytest
 
 from curvlab.functionals import build_series, functional_row
 from curvlab.mass import adm_surface, mass_from_volume
-from curvlab.numerics import differentiate
 from curvlab.potential import default_t_grid, level_integrals, solve
 from curvlab.profile import (
     euclidean,
@@ -28,6 +27,7 @@ from curvlab.profile import (
     to_warped,
 )
 from curvlab.verify import schwarzschild_comparison_volume
+from differences import differentiate
 from growth_quadrature import growth_integrand_cumulative
 
 FOUR_PI = 4.0 * math.pi

@@ -1,8 +1,12 @@
-"""The public surface: every exported name resolves, and the per-level
+"""The public surface: every exported name resolves; the per-level
 functional accessors stay gone (one route: functional_row on a level set,
-build_series over a grid)."""
+build_series over a grid), and so do the helpers only tests called, which
+live in the tests now; and the only dataclasses are the three records that
+validate themselves."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -25,7 +29,16 @@ DELETED = (
     "boundary_deficit",
     "volume_sublevel",
     "coarea_volume",
+    "differentiate",
+    "volume_to_coordinate",
+    "conformal_scalar_curvature",
+    "expansion_residuals",
 )
+
+# They validate in __post_init__, and the profiles are copied with
+# dataclasses.replace.  Every other record is a NamedTuple or a __slots__
+# class, which costs a fraction of a dataclass to create at import.
+DATACLASSES = {"Tolerance", "MetricProfile", "ConformalProfile"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -37,7 +50,16 @@ def test_every_exported_name_resolves(name):
         assert hasattr(module, attr), f"{name}.{attr}"
 
 
-@pytest.mark.parametrize("name", ["curvlab", "curvlab.functionals"])
+@pytest.mark.parametrize("name", MODULES)
 def test_per_level_accessors_are_gone(name):
     module = importlib.import_module(name)
     assert not [attr for attr in DELETED if hasattr(module, attr)]
+
+
+def test_only_self_validating_records_are_dataclasses():
+    found = set()
+    for name in MODULES:
+        for cls in vars(importlib.import_module(name)).values():
+            if inspect.isclass(cls) and cls.__module__.startswith("curvlab") and dataclasses.is_dataclass(cls):
+                found.add(cls.__qualname__)
+    assert found == DATACLASSES

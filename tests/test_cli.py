@@ -124,7 +124,19 @@ def _usage_error(capsys, *argv: str) -> str:
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_bad_tol_exits_2(capsys, tol):
     err = _usage_error(capsys, "verify", "--model", "schwarzschild", "--grid", "16", "--tol", tol)
-    assert "--tol" in err
+    assert err == f"error: tol must be positive and finite, got {float(tol)!r}\n"  # the key, as for grid
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        ((), "model is required (see `curvlab models`)"),
+        (("--model", "custom", "--assume-nonnegative-r", "true"), "model=custom needs profile=<csv>"),
+        (("--model", "custom", "--profile", "p.csv"), "model=custom needs assume_nonnegative_r=true|false"),
+    ],
+)
+def test_config_errors_name_config_keys(capsys, flags, message):
+    assert _usage_error(capsys, "verify", "--grid", "16", *flags) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -650,7 +662,7 @@ def test_parser_is_built_once_per_process(parser_builds, capsys, tmp_path):
     assert main(["potential", "--model", "euclidean", "--t-max-factor", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4 + 256
     assert main(["potential"]) == 2
-    assert "--model is required" in capsys.readouterr().err
+    assert "model is required" in capsys.readouterr().err
     assert len(parser_builds) == 1
     assert build_parser() is not build_parser()
 

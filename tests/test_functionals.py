@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from curvlab.functionals import SERIES_CSV_HEADER, build_series, coarea_volumes, functional_row, write_series_csv
-from curvlab.numerics import differentiate
 from curvlab.potential import (
     _VolumeCache,
     default_t_grid,
@@ -14,11 +13,12 @@ from curvlab.potential import (
     level_integrals,
     solve,
     u_value,
-    volume_to_coordinate,
+    volumes,
 )
 from curvlab.profile import euclidean, mollified_schwarzschild, perturbed_schwarzschild, schwarzschild, to_warped
 from curvlab.verify import schwarzschild_comparison_volume
 from coarea_quadrature import coarea_volumes_per_node
+from differences import differentiate
 from frozen_outputs import rneg_profile
 from growth_quadrature import growth_integrand_cumulative
 
@@ -205,15 +205,15 @@ class TestGrowthQuadrature:
 
 class TestVolumes:
     def test_euclid_ball(self, euclid_sol, golden):
-        assert volume_to_coordinate(euclid_sol, level(euclid_sol, 2.0).s) == pytest.approx(
+        assert volumes(euclid_sol, [level(euclid_sol, 2.0).s])[0] == pytest.approx(
             golden["functionals.euclid_volume_t2"], rel=1e-10
         )
 
     def test_schwarzschild_matches_closed_form(self, schw1_sol, schw2_sol, golden):
-        assert volume_to_coordinate(schw1_sol, level(schw1_sol, 3.0).s) == pytest.approx(
+        assert volumes(schw1_sol, [level(schw1_sol, 3.0).s])[0] == pytest.approx(
             golden["functionals.schw1_volume_closed_t3"], rel=1e-9
         )
-        assert volume_to_coordinate(schw2_sol, level(schw2_sol, 7.0).s) == pytest.approx(
+        assert volumes(schw2_sol, [level(schw2_sol, 7.0).s])[0] == pytest.approx(
             golden["functionals.schw2_volume_closed_t7"], rel=1e-9
         )
         # and the closed form itself against the oracle
@@ -225,14 +225,14 @@ class TestVolumes:
         )
 
     def test_mollified_expansion_leading_terms(self, moll11_sol, golden):
-        vol = volume_to_coordinate(moll11_sol, level(moll11_sol, 100.0).s)
+        vol = volumes(moll11_sol, [level(moll11_sol, 100.0).s])[0]
         assert vol == pytest.approx(golden["functionals.moll11_volume_exact_t100"], rel=1e-8)
         lead = golden["functionals.moll11_volume_leading_t100"]
         assert abs(vol - lead) <= 0.02 * lead
 
     def test_coarea_cross_check(self, schw1_sol, euclid_sol, moll11_sol):
         for sol, t in ((schw1_sol, 3.0), (euclid_sol, 5.0), (moll11_sol, 5.0)):
-            radial = volume_to_coordinate(sol, level(sol, t).s)
+            radial = volumes(sol, [level(sol, t).s])[0]
             coarea = coarea_volumes(sol, [t])[0]
             assert abs(radial - coarea) <= 1e-8 * radial
 

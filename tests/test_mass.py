@@ -5,13 +5,26 @@ from curvlab.errors import OutOfRange, WrongKind
 from curvlab.mass import (
     adm_flux_at,
     adm_surface,
-    expansion_residuals,
     mass_from_volume,
     mass_report,
     write_mass_csv,
 )
-from curvlab.potential import solve
+from curvlab.potential import grad_value, solve, u_value
 from curvlab.profile import euclidean_conformal, mollified_schwarzschild, to_warped
+
+
+def expansion_residuals(sol, radii):
+    """Residuals r * [(1-u)^4 / |grad u|^2 - 1 - 2m/r] of the far-field expansion of a boundaryless solution.
+
+    Bounded and decaying like O(r^{-1+alpha}); the decay exponent is
+    asserted loosely (<= -0.9) since alpha can be chosen arbitrarily small.
+    """
+    m = sol.profile.conformal.mass_tag
+    out = []
+    for r in radii:
+        g = grad_value(sol, r)
+        out.append((r, r * ((1.0 - u_value(sol, r)) ** 4 / (g * g) - 1.0 - 2.0 * m / r)))
+    return out
 
 
 class TestAdmSurface:

@@ -10,12 +10,12 @@ from curvlab.numerics import (
     Tolerance,
     difference_quotient,
     difference_stencil,
-    differentiate,
     extrapolate_to_zero,
     find_root,
     geometric_grid,
     integrate,
 )
+from differences import differentiate
 
 
 def test_tolerance_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvlab.errors import NonConvergent, OutOfRange
-from curvlab.numerics import Tolerance, differentiate, integrate
+from curvlab.numerics import Tolerance, integrate
 from curvlab.potential import (
     _TAIL_TOL,
     SolutionKind,
@@ -21,7 +21,7 @@ from curvlab.potential import (
     solve,
     t_of_level,
     u_value,
-    volume_to_coordinate,
+    volumes,
 )
 from curvlab.profile import (
     MetricProfile,
@@ -35,6 +35,7 @@ from curvlab.profile import (
     to_warped,
 )
 
+from differences import differentiate
 from frozen_outputs import write_inputs
 
 FOUR_PI = 4.0 * math.pi
@@ -172,7 +173,7 @@ class TestCapacityExamples:
 
 def test_volume_euclid_ball(euclid_sol, golden):
     x = level(euclid_sol, 2.0).s
-    assert volume_to_coordinate(euclid_sol, x) == pytest.approx(
+    assert volumes(euclid_sol, [x])[0] == pytest.approx(
         golden["functionals.euclid_volume_t2"], rel=1e-10
     )
 
@@ -314,7 +315,7 @@ def test_volume_table_matches_adaptive_quadrature(tmp_path):
         for x in np.geomspace(lo, 1e4 * p.x_scale, 300):
             x = float(x)
             ref = integrate(sol._volume._integrand, p.x_min, x, ref_tol, points=kinks).value
-            assert abs(volume_to_coordinate(sol, x) - ref) <= 1e-12 * ref, (p.label, x)
+            assert abs(volumes(sol, [x])[0] - ref) <= 1e-12 * ref, (p.label, x)
 
 
 def test_volume_is_independent_of_query_order(tmp_path):
@@ -327,8 +328,8 @@ def test_volume_is_independent_of_query_order(tmp_path):
         shuffled = xs[:]
         rng.shuffle(shuffled)
         sorted_sol, shuffled_sol = solve(p), solve(p)
-        in_order = {x: volume_to_coordinate(sorted_sol, x) for x in xs}
-        out_of_order = {x: volume_to_coordinate(shuffled_sol, x) for x in shuffled}
+        in_order = {x: volumes(sorted_sol, [x])[0] for x in xs}
+        out_of_order = {x: volumes(shuffled_sol, [x])[0] for x in shuffled}
         assert all(in_order[x].hex() == out_of_order[x].hex() for x in xs), p.label
 
 

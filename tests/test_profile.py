@@ -12,7 +12,6 @@ from curvlab.profile import (
     ConformalProfile,
     MetricProfile,
     ProfileKind,
-    conformal_scalar_curvature,
     euclidean,
     euclidean_conformal,
     mollified_schwarzschild,
@@ -26,6 +25,14 @@ from curvlab.profile import (
 )
 
 FOUR_PI = 4.0 * math.pi
+
+
+def conformal_scalar_curvature(c, r):
+    """Scalar curvature of w^4 g_eucl: R = -8 w^-5 Delta_eucl w."""
+    w, dw, d2w = c.jet(r)
+    # At a smooth centre w'' + 2 w'/r tends to 3 w''.
+    lap = 3.0 * d2w if r == 0.0 else d2w + 2.0 * dw / r
+    return -8.0 * w ** -5 * lap
 
 
 class TestEuclidean:

@@ -1,5 +1,8 @@
 import io
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ from curvlab.errors import ReportStoreError, SchemaMismatch
 from curvlab.potential import default_t_grid
 from curvlab.report_store import diff, load, make_record, save
 from curvlab.verify import run_battery, write_report_text
+from frozen_outputs import ROOT
 
 
 def _report_text(sol, grid_points=32):
@@ -25,6 +29,7 @@ def schw_record(schw1_sol):
 def test_round_trip(tmp_path, schw_record):
     path = save(schw_record, tmp_path)
     loaded = load(path)
+    assert loaded == schw_record
     assert loaded.run_id == schw_record.run_id
     assert loaded.config_echo == schw_record.config_echo
     assert loaded.reports == schw_record.reports
@@ -51,6 +56,41 @@ def test_run_id_deterministic(schw1_sol):
     a = make_record("cfg", text, "0.1.0", "2026-01-01")
     b = make_record("cfg", text, "0.1.0", "2026-06-30")  # created_at not hashed
     assert a.run_id == b.run_id
+
+
+def test_run_id_is_pinned():
+    # The first 16 hex digits of sha256(config echo + "\n" + version); a
+    # change here would give every saved record a new file name.
+    assert make_record("model=schwarzschild\nmass=1.0", "", "0.1.0", "t0").run_id == "8557e761286f3e3f"
+    assert make_record("model=schwarzschild\nmass=1.0\n", "r", "0.2.0", "t1").run_id == "d6a9d77363987dc4"
+
+
+# Prints which of hashlib and _hashlib (OpenSSL's libcrypto) are loaded
+# after the import, after a verify, and after a verify with --save-report.
+_HASHLIB_PROBE = """
+import contextlib, io, sys
+import curvlab.cli
+def loaded():
+    return [name for name in ("hashlib", "_hashlib") if name in sys.modules]
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert curvlab.cli.main(["verify", "--model", "schwarzschild", "--grid", "16"]) == 0
+    seen.append(loaded())
+    assert curvlab.cli.main(["verify", "--model", "schwarzschild", "--grid", "16", "--save-report", "--out", sys.argv[1]]) == 0
+seen.append(loaded())
+print(seen)
+"""
+
+
+def test_hashlib_is_loaded_only_to_hash_a_record(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    cp = subprocess.run(
+        [sys.executable, "-c", _HASHLIB_PROBE, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[[], [], ['hashlib', '_hashlib']]\n"
+    assert len(list(tmp_path.glob("run-*.txt"))) == 1
 
 
 def test_corrupted_file_surfaces_error(tmp_path, schw_record):
