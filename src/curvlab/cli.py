@@ -299,10 +299,15 @@ def _functionals(cfg: RunConfig) -> _Result:
 
 
 def _verify(cfg: RunConfig) -> _Result:
-    sol, grid = _solve_grid(cfg)
     # Scale the pinned default pair, so --tol 1e-8 reproduces the defaults.
     base = DEFAULT_CHECK_TOLERANCE
-    tol = Tolerance(rel=cfg.tol, abs=(cfg.tol / base.rel) * base.abs) if cfg.tol is not None else None
+    tol = None
+    if cfg.tol is not None:
+        try:
+            tol = Tolerance(rel=cfg.tol, abs=(cfg.tol / base.rel) * base.abs)
+        except ValueError as exc:  # the scaled abs overflows
+            raise UsageError(f"tol={cfg.tol!r} is too large: {exc}") from exc
+    sol, grid = _solve_grid(cfg)
     report = run_battery(sol, grid, tol=tol)
     lines = _Lines()
     write_report_text(report, lines)

@@ -79,8 +79,10 @@ class Tolerance:
     max_refinements: int = 60
 
     def __post_init__(self) -> None:
-        if self.rel < 0.0 or self.abs < 0.0:
-            raise ValueError("tolerances must be non-negative")
+        for name in ("rel", "abs"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.rel + self.abs <= 0.0:
             raise ValueError("rel + abs must be positive")
         if self.max_refinements < 1:

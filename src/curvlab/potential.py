@@ -13,10 +13,14 @@ between two anchors the integrand ds_dx/f^2 is tabulated once as a
 piecewise Chebyshev interpolant whose antiderivative is exact, so T(x) is
 the anchor value minus one Clenshaw sum: O(1) per query, with no per-query
 quadrature inside the level solve or the integrands built on u.
-``_clenshaw(panel, x)`` is the one table-read kernel: a read bisects the
-panel starts of its table and sums that panel, and a reader of a table that
-holds one panel (on the built-ins, every interval no profile breakpoint
-splits) binds it once and skips the bisect, with the same bits.  One
+``_clenshaw(panel, x)`` is the one table-read kernel, and every read calls
+it directly: ``levels`` and ``volumes`` pass the one panel of a table that
+holds one (on the built-ins, every interval no profile breakpoint splits),
+bound once per table, and otherwise panels[bisect_right(starts, x) - 1];
+both give the same bits.  A panel stores its coefficients paired, so the
+kernel's loop takes two Clenshaw terms per pass with the operations of
+one.  The tables read f and ds_dx at each node through one
+``MetricProfile.metric`` call.  One
 semi-infinite adaptive integral fixes the far anchor T(x_ref 2^_FAR_K);
 every anchor below it telescopes down through the tables, T(x_ref 2^k) =
 T(x_ref 2^(k+1)) + the total of table k, so the tables are the one source
@@ -29,19 +33,20 @@ evaluation order.
 The sub-level volume V(x) = Int_{x_min}^x 4 pi f^2 ds is read from tables
 of 4 pi f^2 ds_dx on the same intervals, built and summed by the same code.
 ``volumes`` reads a sequence of x and keeps the interval, its anchor and its
-table reader while the next x stays inside them, as ``levels`` keeps its
-bracket; each V(x) depends on x alone.
+table while the next x stays inside them, as ``levels`` keeps its bracket;
+each V(x) depends on x alone.
 
 A level solve brackets T(x) = target between two consecutive anchors.  T
 decays like 1/x on every profile end, so the bracket walk starts at
 floor(log2 T(x_ref) - log2 target) and usually reads two or three anchors;
 and 1/T is nearly linear on the bracket (exactly, where T = 1/(x + a)).
 Newton runs on 1/T - 1/target from its linear interpolation and reads T
-from the bracket's table: 1.5 to 3.5 table reads per level.  ``levels``
-solves a sequence of t in one pass and locates the bracket and its table
-reader once per anchor interval the sequence stays in, so an ordered grid
-of 4096 levels walks 11 to 13 brackets; the bracket is a function of the target
-alone, so every level is bitwise the one a solve of t alone returns.
+from the bracket's table: 1.5 to 3.5 table reads per level, and one
+``metric`` call per step for f and ds_dx.  ``levels`` solves a sequence of
+t in one pass and locates the bracket and its table once per anchor
+interval the sequence stays in, so an ordered grid of 4096 levels walks 11
+to 13 brackets; the bracket is a function of the target alone, so every
+level is bitwise the one a solve of t alone returns.
 """
 
 from __future__ import annotations
@@ -50,8 +55,7 @@ import math
 import operator
 from bisect import bisect_right
 from enum import Enum
-from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import NonConvergent, OutOfRange
 from .numerics import Tolerance, geometric_grid, integrate
@@ -82,7 +86,7 @@ _VOLUME_TOL = Tolerance(rel=1e-11, abs=1e-13, max_refinements=60)
 # accepted once the two trailing coefficients of its integrated series,
 # times its half-width, are below _TABLE_REL times the scale its table
 # measures it against (_DyadicTables._scale).
-_CHEB_N = 25
+_CHEB_N = 25  # odd, so c_{N-1}, ..., c_1 pair up in a panel
 _CHEB_NODES = tuple(math.cos(math.pi * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N))
 _CHEB_COS = tuple(
     tuple(math.cos(math.pi * m * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N)) for m in range(_CHEB_N)
@@ -140,7 +144,8 @@ class _DyadicTables:
     integral from the left end of the interval to the right end of the
     panel; the scale must be known before table k is built.  Each panel stores
     its left edge, half-width, the integral of the panels before it, and
-    its integrated coefficients as (c0, (cN, ..., c1)) in Clenshaw order.
+    its integrated coefficients in Clenshaw order, paired for ``_clenshaw``:
+    c0, c_N, ((c_{N-1}, c_{N-2}), ..., (c_2, c_1)).
     Anchors and tables are built on first use and depend on k alone.
     Subclasses supply ``_integrand``, ``anchor_value`` and ``_scale``.
     """
@@ -191,7 +196,12 @@ class _DyadicTables:
             piece = half * sum(ints)
             if (abs(ints[-1]) + abs(ints[-2])) * half <= _TABLE_REL * self._scale(k, acc + piece):
                 starts.append(a)
-                panels.append((a, half, acc, ints[0], tuple(reversed(ints[1:]))))
+                rest = ints[_CHEB_N - 1 : 0 : -1]  # c_{N-1}, ..., c_1
+                # Through a list, so the tuple is allocated at its size: a
+                # tuple(zip(...)) is resized from 10 slots, and once freed it
+                # sits on a free list no allocation here takes from.
+                pairs = tuple(list(zip(rest[::2], rest[1::2])))
+                panels.append((a, half, acc, ints[0], ints[_CHEB_N], pairs))
                 acc += piece
                 continue
             mid = 0.5 * (a + b)
@@ -211,36 +221,20 @@ class _DyadicTables:
             k += 1
         return k
 
-    def _sum_reader(self, k: int) -> Callable[[float], float]:
-        """The integral of table k from x_ref 2^k to x, for x strictly inside interval k.
-
-        A table that holds one panel (every interval no breakpoint splits,
-        unless the tolerance bisected it) binds that panel, and its reads skip
-        the bisect; both branches return the bits of ``_panel_sum``.
-        """
-        table = self._table(k)
-        panels = table[1]
-        if len(panels) == 1:
-            return partial(_clenshaw, panels[0])
-        return partial(_panel_sum, table)
-
 
 def _clenshaw(panel: tuple, x: float) -> float:
     """Integral of a table from its left end to x inside one of its panels: the one table-read kernel."""
-    start, half, before, c0, rest = panel
+    start, half, before, c0, b1, pairs = panel
     z = (x - start) / half - 1.0
-    # Clenshaw sum of the integrated Chebyshev series at z.
+    # Clenshaw sum of the integrated Chebyshev series at z, two terms per
+    # pass: the first statement forms the next b1 in b2, the second the one
+    # after it in b1, the operations of b1, b2 = z2 b1 - b2 + c, b1.
     z2 = 2.0 * z
-    b1 = b2 = 0.0
-    for c in rest:
-        b1, b2 = z2 * b1 - b2 + c, b1
+    b2 = 0.0
+    for c, d in pairs:
+        b2 = z2 * b1 - b2 + c
+        b1 = z2 * b2 - b1 + d
     return before + half * (z * b1 - b2 + c0)
-
-
-def _panel_sum(table: tuple, x: float) -> float:
-    """Integral of a table from its left end to x, strictly inside its interval: bisect, then Clenshaw."""
-    starts, panels, _ = table
-    return _clenshaw(panels[bisect_right(starts, x) - 1], x)
 
 
 class _TailCache(_DyadicTables):
@@ -261,8 +255,8 @@ class _TailCache(_DyadicTables):
         self._total: float | None = None
 
     def _integrand(self, x: float) -> float:
-        fx = self._p.f(x)
-        return self._p.ds_dx(x) / (fx * fx)
+        fx, dsx = self._p.metric(x)
+        return dsx / (fx * fx)
 
     def _scale(self, k: int, through: float) -> float:
         return self.anchor_value(k + 1)
@@ -332,17 +326,6 @@ class _TailCache(_DyadicTables):
                 t_k, t_up = t_up, self.anchor_value(k + 1)
         return self.anchor_x(k), t_k, self.anchor_x(k + 1), t_up
 
-    def reader(self, lo: float, t_lo: float, hi: float, t_hi: float) -> Callable[[float], float]:
-        """T on a bracket [lo, hi], bitwise equal to ``value``: the anchors at the ends, its table between."""
-        integral = self._sum_reader(self._interval(lo))
-
-        def read(x: float) -> float:
-            if lo < x < hi:
-                return t_lo - integral(x)
-            return t_lo if x == lo else t_hi
-
-        return read
-
     def value(self, x: float) -> float:
         if self._x_floor is not None and x <= self._x_floor:
             if x < self._x_floor * (1.0 - 1e-12) - 1e-300:
@@ -353,7 +336,8 @@ class _TailCache(_DyadicTables):
         k = self._interval(x)
         if x == self.anchor_x(k):
             return self.anchor_value(k)
-        return self.anchor_value(k) - _panel_sum(self._table(k), x)
+        starts, panels, _ = self._table(k)
+        return self.anchor_value(k) - _clenshaw(panels[bisect_right(starts, x) - 1], x)
 
 
 class _VolumeCache(_DyadicTables):
@@ -368,8 +352,8 @@ class _VolumeCache(_DyadicTables):
     """
 
     def _integrand(self, x: float) -> float:
-        fx = self._p.f(x)
-        return _FOUR_PI * fx * fx * self._p.ds_dx(x)
+        fx, dsx = self._p.metric(x)
+        return _FOUR_PI * fx * fx * dsx
 
     def _scale(self, k: int, through: float) -> float:
         return self.anchor_value(k) + through
@@ -454,12 +438,13 @@ def solve(p: MetricProfile) -> PotentialSolution:
 
 def level_value(sol: PotentialSolution, t: float) -> float:
     """The u-level labelled by t."""
+    # The guards are negated comparisons, so that a NaN t fails them too.
     if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
         cap = sol.capacity
-        if t < 0.5 * cap * (1.0 - 1e-12):
-            raise OutOfRange(f"t={t!r} below C/2={0.5 * cap!r}")
+        if not t >= 0.5 * cap * (1.0 - 1e-12):
+            raise OutOfRange(f"t={t!r} is not at or above C/2={0.5 * cap!r}")
         return (1.0 - cap / (2.0 * t)) / (1.0 + cap / (2.0 * t))
-    if t <= 0.0:
+    if not t > 0.0:
         raise OutOfRange(f"t={t!r} must be positive for a boundaryless solution")
     return 1.0 - 1.0 / t
 
@@ -475,13 +460,18 @@ def levels(sol: PotentialSolution, ts: Iterable[float]) -> list[LevelParam]:
     """Locate the level sets labelled by ts, in order; each round-trips t -> s -> t to rel 1e-10.
 
     Each level solves T(x) = (1 - u)/c by safeguarded Newton (T' = -ds_dx/f^2
-    is analytic).  The bracket of the previous level and its table reader are
-    kept while the next target stays inside it, so an ordered grid locates
-    one bracket per anchor interval it covers.
+    is analytic; one ``metric`` call per step gives f and ds_dx).  The bracket
+    of the previous level and its table are kept while the next target stays
+    inside it, so an ordered grid locates one bracket per anchor interval it
+    covers.  T is read with the bits of ``_TailCache.value``: the anchor
+    values at the bracket's ends, and between them T(lo) minus one
+    ``_clenshaw`` call on the table's one panel or on the panel the bisect
+    finds.
     """
     tail = sol._tail
     p = sol.profile
-    f, ds_dx = p.f, p.ds_dx
+    metric = p.metric
+    clenshaw = _clenshaw  # looked up per call, so a kernel patched before it sees every read
     boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
     # Targets at or above this T lie on the boundary itself.
     at_boundary = tail.total() * (1.0 - 4e-16) if boundary else None
@@ -500,21 +490,31 @@ def levels(sol: PotentialSolution, ts: Iterable[float]) -> list[LevelParam]:
         # tail.bracket would return.
         if bracket is None or not bracket[1] > target >= bracket[3]:
             bracket = tail.bracket(target)
-            read = tail.reader(*bracket)
-        lo, t_lo, hi, t_hi = bracket
+            starts, panels, _ = tail._table(tail._interval(bracket[0]))
+            panel = panels[0] if len(panels) == 1 else None  # None: bisect
+        a, t_lo, b, t_hi = bracket  # the anchors; Newton narrows lo and hi
+        lo, hi = a, b
         # Newton on g = 1/T - 1/target (T's step times T/target) from the linear
         # interpolation of 1/T; its weight rounds to at most 1, so x <= hi.
         x = lo + (1.0 / target - 1.0 / t_lo) / (1.0 / t_hi - 1.0 / t_lo) * (hi - lo)
         stop = 1e-14 * target
         for _ in range(80):
-            t_x = read(x)
+            if a < x < b:
+                t_x = t_lo - clenshaw(panel or panels[bisect_right(starts, x) - 1], x)
+            else:
+                t_x = t_lo if x == a else t_hi
             resid = t_x - target
-            fx = f(x)
-            x_new = x + resid * fx * fx / ds_dx(x) * (t_x / target)
+            fx, dsx = metric(x)
+            x_new = x + resid * fx * fx / dsx * (t_x / target)
             if abs(resid) <= stop:
                 # Inside the stop band: take one more step and keep the closer point.
-                if x_new != x and lo <= x_new <= hi and abs(read(x_new) - target) < abs(resid):
-                    x = x_new
+                if x_new != x and lo <= x_new <= hi:
+                    if a < x_new < b:
+                        t_new = t_lo - clenshaw(panel or panels[bisect_right(starts, x_new) - 1], x_new)
+                    else:
+                        t_new = t_lo if x_new == a else t_hi
+                    if abs(t_new - target) < abs(resid):
+                        x = x_new
                 break
             if resid > 0.0:
                 lo = x
@@ -581,15 +581,17 @@ def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:
     """Radial volume integrals Int 4 pi f^2 ds over [x_min, x] for each x of xs, in order.
 
     V(x) is the anchor at the left end of the dyadic interval holding x plus
-    the integral of that interval's table up to x.  The interval, its anchor
-    and its table reader are kept while the next x stays inside them, so an
-    ordered sequence locates one interval per anchor interval it covers; each
-    V(x) depends on x alone, so its bits do not depend on the order.
+    one ``_clenshaw`` read of that interval's table up to x, on its one panel
+    or on the panel the bisect finds.  The interval, its anchor and its table
+    are kept while the next x stays inside them, so an ordered sequence
+    locates one interval per anchor interval it covers; each V(x) depends on
+    x alone, so its bits do not depend on the order.
     """
     vol = sol._volume
     x_min = sol.profile.x_min
+    clenshaw = _clenshaw
     lo = hi = math.nan  # the kept interval [lo, hi): none yet
-    integral = None
+    panels = None
     out = []
     for x in xs:
         if x <= x_min:
@@ -601,13 +603,14 @@ def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:
             k = vol._interval(x)
             lo, hi = vol.anchor_x(k), vol.anchor_x(k + 1)
             anchor = vol.anchor_value(k)
-            integral = None  # the table is built by the first x strictly inside
+            panels = None  # the table is built by the first x strictly inside
         if x == lo:
             out.append(anchor)
             continue
-        if integral is None:
-            integral = vol._sum_reader(k)
-        out.append(anchor + integral(x))
+        if panels is None:
+            starts, panels, _ = vol._table(k)
+            panel = panels[0] if len(panels) == 1 else None  # None: bisect
+        out.append(anchor + clenshaw(panel or panels[bisect_right(starts, x) - 1], x))
     return out
 
 

@@ -49,6 +49,7 @@ _R_ROUNDING = 8.0 * sys.float_info.epsilon
 
 ScalarFn = Callable[[float], float]
 JetFn = Callable[[float], tuple[float, float, float]]
+MetricFn = Callable[[float], tuple[float, float]]
 
 
 def _one(_: float) -> float:
@@ -107,6 +108,13 @@ class MetricProfile:
     evaluation, with ``jet(x)[0] == f(x)`` bit for bit.  ``jet`` is the one
     source of f_s and f_ss: ``df_ds`` and ``d2f_ds2`` read it.
 
+    ``metric(x)`` returns ``(f(x), ds_dx(x))`` bit for bit from one
+    evaluation, for the readers that need both at a point (the level solve
+    and the tail and volume tables).  A constructor that shares work between
+    the two passes its fused reader; without one, ``metric`` calls ``f`` and
+    ``ds_dx``, or ``f`` alone when ``ds_dx`` is the default 1.
+    ``dataclasses.replace`` keeps the old ``metric`` unless it is given one.
+
     ``asymptotically_flat`` declares f_s -> 1 at infinity; a declaration
     that fails the sampling rule of ``_flat_end_violation`` is refused.
     """
@@ -121,10 +129,13 @@ class MetricProfile:
     asymptotically_flat: bool = False
     assume_nonnegative_R: bool | None = None
     conformal: ConformalProfile | None = field(default=None, repr=False, compare=False)
+    metric: MetricFn | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.x_min < 0.0:
             raise ProfileDataError("x_min must be non-negative")
+        if self.metric is None:
+            object.__setattr__(self, "metric", _metric(self.f, self.ds_dx))
         if self.kind is ProfileKind.WITH_BOUNDARY:
             if self.f(self.x_min) <= 0.0:
                 raise ProfileDataError("a boundary profile needs f(x_min) > 0")
@@ -166,6 +177,13 @@ class MetricProfile:
 
     def in_domain(self, x: float) -> bool:
         return x >= self.x_min - 1e-12 * max(1.0, self.x_min)
+
+
+def _metric(f: ScalarFn, ds_dx: ScalarFn) -> MetricFn:
+    """``x -> (f(x), ds_dx(x))``, with the default ds_dx = 1 returned as a constant."""
+    if ds_dx is _one:
+        return lambda x: (f(x), 1.0)
+    return lambda x: (f(x), ds_dx(x))
 
 
 def _x_scale(x_min: float) -> float:
@@ -215,7 +233,10 @@ def sphere_geometry(p: MetricProfile, x: float) -> tuple[float, float]:
 
 def sample_scalar_curvature_sign(p: MetricProfile, n: int = 1000) -> tuple[bool, float, float]:
     """Sample R on a log-spaced grid; returns (all >= -1e-10, worst_x, worst_R), each sample
-    allowed its rounding budget 8 eps (2 (1 + f_s^2)/f^2 + 4 |f_ss/f|), which grows like 1/f^2."""
+    allowed its rounding budget 8 eps (2 (1 + f_s^2)/f^2 + 4 |f_ss/f|), which grows like 1/f^2.
+
+    The budget is never negative and is NaN only where R is, so a sample
+    with R >= 0 passes whatever its budget: only the others work it out."""
     hi = 1e4 * p.x_scale
     lo = max(p.x_min, 1e-4 * p.x_scale)
     if p.kind is ProfileKind.BOUNDARYLESS:
@@ -227,7 +248,8 @@ def sample_scalar_curvature_sign(p: MetricProfile, n: int = 1000) -> tuple[bool,
     for x in xs:
         f, fs, fss = p.jet(x)
         r_val = _warped_scalar_curvature(f, fs, fss)
-        ok = ok and r_val >= -1e-10 - _R_ROUNDING * (2.0 * (1.0 + fs * fs) / (f * f) + 4.0 * abs(fss / f))
+        if not r_val >= 0.0:
+            ok = ok and r_val >= -1e-10 - _R_ROUNDING * (2.0 * (1.0 + fs * fs) / (f * f) + 4.0 * abs(fss / f))
         if r_val < worst_r:
             worst_r = r_val
             worst_x = x
@@ -279,6 +301,10 @@ def schwarzschild(m: float) -> MetricProfile:
         ra = r + a
         return ra ** 2 / r, (r - a) / ra, 2.0 * a * r * r / ra ** 4
 
+    def metric(r: float) -> tuple[float, float]:
+        ra = r + a
+        return ra ** 2 / r, (ra / r) ** 2
+
     return MetricProfile(
         label=f"schwarzschild(m={m!r})",
         kind=ProfileKind.WITH_BOUNDARY,
@@ -288,6 +314,7 @@ def schwarzschild(m: float) -> MetricProfile:
         ds_dx=lambda r: ((r + a) / r) ** 2,
         asymptotically_flat=True,
         assume_nonnegative_R=True,
+        metric=metric,
     )
 
 
@@ -390,6 +417,10 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
     def ds_dx(r: float) -> float:
         return w(r) ** 2
 
+    def metric(r: float) -> tuple[float, float]:
+        w2 = w(r) ** 2
+        return r * w2, w2
+
     kind = ProfileKind.BOUNDARYLESS if c.r_min == 0.0 else ProfileKind.WITH_BOUNDARY
     flat = _flat_end_violation(jet, _x_scale(c.r_min)) is None
     return MetricProfile(
@@ -403,6 +434,7 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
         asymptotically_flat=flat,
         assume_nonnegative_R=c.assume_nonnegative_R,
         conformal=c,
+        metric=metric,
     )
 
 

@@ -100,7 +100,7 @@ def _judge(
     worst_t = ts[margins.index(worst)]
     if worst < -tol:
         status = CheckStatus.FAIL
-    elif not identity and max(abs(m) for m in margins) <= EQUALITY_FACTOR * tol:
+    elif not identity and max(map(abs, margins)) <= EQUALITY_FACTOR * tol:
         status = CheckStatus.EQUALITY
     else:
         status = CheckStatus.PASS

@@ -127,6 +127,12 @@ def test_bad_tol_exits_2(capsys, tol):
     assert err == f"error: tol must be positive and finite, got {float(tol)!r}\n"  # the key, as for grid
 
 
+def test_tol_whose_absolute_part_overflows_exits_2(capsys):
+    # The absolute tolerance scales as tol / 1e-8 * 1e-9, which is inf here.
+    err = _usage_error(capsys, "verify", "--model", "schwarzschild", "--grid", "16", "--tol", "1e301")
+    assert err == "error: tol=1e+301 is too large: abs must be finite and non-negative, got inf\n"
+
+
 @pytest.mark.parametrize(
     ("flags", "message"),
     [

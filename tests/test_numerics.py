@@ -27,6 +27,15 @@ def test_tolerance_validation():
         Tolerance(max_refinements=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["rel", "abs"])
+def test_tolerance_rejects_non_finite(name, value):
+    # nan < 0.0 is false, so a sign test alone let NaN through; a battery run
+    # with rel = abs = nan then read every check as Pass.
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        Tolerance(**{name: value})
+
+
 def test_integrate_inverse_square_tail():
     res = integrate(lambda s: s**-2, 1.0, math.inf)
     assert abs(res.value - 1.0) <= 1e-10

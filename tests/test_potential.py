@@ -8,9 +8,11 @@ import pytest
 from curvlab.errors import NonConvergent, OutOfRange
 from curvlab.numerics import Tolerance, integrate
 from curvlab.potential import (
+    _CHEB_N,
     _TAIL_TOL,
     SolutionKind,
     _clenshaw,
+    _DyadicTables,
     _TailCache,
     default_t_grid,
     grad_value,
@@ -37,6 +39,7 @@ from curvlab.profile import (
 
 from differences import differentiate
 from frozen_outputs import write_inputs
+from tail_reads import bracket_reads
 
 FOUR_PI = 4.0 * math.pi
 
@@ -134,6 +137,14 @@ class TestLevels:
             level(schw1_sol, 0.4)
         with pytest.raises(OutOfRange):
             level(euclid_sol, 0.0)
+        # A NaN t fails the range guard on both kinds, not the level solve.
+        for sol in (schw1_sol, euclid_sol):
+            with pytest.raises(OutOfRange, match="t=nan"):
+                level_value(sol, math.nan)
+            with pytest.raises(OutOfRange, match="t=nan"):
+                level(sol, math.nan)
+            with pytest.raises(OutOfRange, match="t=nan"):
+                levels(sol, [1.0, math.nan])
 
     def test_wrong_kind(self, euclid_sol):
         assert euclid_sol.capacity is None
@@ -417,8 +428,9 @@ def test_levels_brackets_once_per_anchor_interval(monkeypatch, p):
 def _count_table_reads(monkeypatch, panels=None):
     """Count the table reads of the one Clenshaw kernel; append each panel read to ``panels``.
 
-    Both the bisecting read and a reader's bound panel call the kernel, so a
-    reader made after the patch counts too.
+    Every table read calls the kernel, on a bound panel or a bisected one,
+    and ``levels`` and ``volumes`` look it up at each call, so a patch made
+    before the call counts every read.
     """
     calls = [0]
 
@@ -495,9 +507,10 @@ def test_level_solve_residual(tmp_path):
 
 def test_table_reads_use_the_interval_holding_x(monkeypatch):
     # Beside every anchor the built-ins build, value(x) reads table k for
-    # x_ref 2^k <= x < x_ref 2^(k+1), and the solve's reader of that interval
-    # returns the same bits.  floor(log2(x / x_ref)) alone put 38 of these
-    # 102 points, all just below an anchor, into the table above at z < -1.
+    # x_ref 2^k <= x < x_ref 2^(k+1), and the level solve's kernel reads of
+    # that interval, on its bound panel and on the bisected one, return the
+    # same bits.  floor(log2(x / x_ref)) alone put 38 of these 102 points,
+    # all just below an anchor, into the table above at z < -1.
     builtins = [euclidean(), schwarzschild(1.0), perturbed_schwarzschild(), to_warped(mollified_schwarzschild(1.0, 1.0))]
     panels = []
     _count_table_reads(monkeypatch, panels)
@@ -512,15 +525,14 @@ def test_table_reads_use_the_interval_holding_x(monkeypatch):
                 if x <= p.x_min:
                     continue
                 j = k if x >= x_k else k - 1
-                lo, hi = tail.anchor_x(j), tail.anchor_x(j + 1)
-                read = tail.reader(lo, tail.anchor_value(j), hi, tail.anchor_value(j + 1))
                 panels.clear()
                 value = tail.value(x)
                 if x == x_k:
                     assert panels == [], (p.label, k, x)
                 else:
                     assert len(panels) == 1 and any(panels[0] is q for q in tail._table(j)[1]), (p.label, k, x)
-                assert value.hex() == read(x).hex(), (p.label, k, x)
+                for read in bracket_reads(tail, j, x):
+                    assert value.hex() == read.hex(), (p.label, k, x)
 
 
 @pytest.mark.parametrize("t", [1e30, 1e300])
@@ -530,41 +542,101 @@ def test_level_beyond_the_last_anchor_raises(t):
         level(sol, t)
 
 
-def _counting_profile(p, counts):
-    """A copy of p whose f, jet, df_ds and d2f_ds2 count their calls in counts.
+_READS = ("f", "ds_dx", "metric", "jet", "df_ds", "d2f_ds2")
 
-    dataclasses.replace keeps the old jet unless it is wrapped too, and the
-    two derivative methods are shadowed on the copy as instance attributes.
+
+def _counting_profile(p, counts, events=None):
+    """A copy of p whose readers count their calls in counts; metric calls also append ("M", x) to events.
+
+    dataclasses.replace keeps the old jet and metric unless they are wrapped
+    too, and the two derivative methods are shadowed on the copy as instance
+    attributes.
     """
 
     def counting(name, real):
         def wrapped(x):
             counts[name] += 1
+            if events is not None and name == "metric":
+                events.append(("M", x))
             return real(x)
 
         return wrapped
 
-    copy = dataclasses.replace(p, f=counting("f", p.f), jet=counting("jet", p.jet))
+    copy = dataclasses.replace(p, **{name: counting(name, getattr(p, name)) for name in ("f", "ds_dx", "metric", "jet")})
     for name in ("df_ds", "d2f_ds2"):
         object.__setattr__(copy, name, counting(name, getattr(copy, name)))
     return copy
 
 
 def test_level_integrals_reads_the_profile_once_per_value():
-    # On warm tables the level solve reads f three times; level_integrals then
-    # reads the jet (f, df/ds, d2f/ds2) once and computes R from those values.
-    counts = dict.fromkeys(("f", "jet", "df_ds", "d2f_ds2"), 0)
+    # On warm tables the level solve reads (f, ds_dx) through metric once per
+    # Newton step, three times here; level_integrals then reads the jet
+    # (f, df/ds, d2f/ds2) once and computes R from those values.
+    counts = dict.fromkeys(_READS, 0)
     sol = solve(_counting_profile(perturbed_schwarzschild(), counts))
     level_integrals(sol, 5.0)  # builds the tables the level solve reads
     counts.update(dict.fromkeys(counts, 0))
     level_integrals(sol, 5.0)
-    assert counts == {"f": 3, "jet": 1, "df_ds": 0, "d2f_ds2": 0}
+    assert counts == {"f": 0, "ds_dx": 0, "metric": 3, "jet": 1, "df_ds": 0, "d2f_ds2": 0}
 
 
 @pytest.mark.parametrize("make", [perturbed_schwarzschild, euclidean], ids=["boundary", "pole"])
 def test_curvature_sampler_reads_one_jet_per_point(make):
-    counts = dict.fromkeys(("f", "jet", "df_ds", "d2f_ds2"), 0)
+    counts = dict.fromkeys(_READS, 0)
     p = _counting_profile(make(), counts)
     counts.update(dict.fromkeys(counts, 0))  # the copy's validation reads the profile too
     sample_scalar_curvature_sign(p, n=50)
-    assert counts == {"f": 0, "jet": 50, "df_ds": 0, "d2f_ds2": 0}
+    assert counts == {"f": 0, "ds_dx": 0, "metric": 0, "jet": 50, "df_ds": 0, "d2f_ds2": 0}
+
+
+def test_level_sweep_reads_metric_once_per_newton_step(monkeypatch):
+    # On warm tables a Newton step reads T at x, through the table kernel or,
+    # at a bracket end, as its anchor value, and then (f, ds_dx) at that x
+    # through one metric call; f and ds_dx are never called.  A level may
+    # end with one more kernel read in the stop band, which takes no step.
+    counts = dict.fromkeys(_READS, 0)
+    events = []
+    sol = solve(_counting_profile(perturbed_schwarzschild(), counts, events))
+    grid = default_t_grid(sol, 4096)
+    levels(sol, grid)  # builds the tables
+    real = _clenshaw
+
+    def logging(panel, x):
+        events.append(("T", x))
+        return real(panel, x)
+
+    monkeypatch.setattr("curvlab.potential._clenshaw", logging)
+    counts.update(dict.fromkeys(counts, 0))
+    events.clear()
+    levels(sol, grid)
+    anchors = {sol._tail.anchor_x(k) for k in sol._tail._anchors}
+    steps = [i for i, (kind, _) in enumerate(events) if kind == "M"]
+    assert counts == {"f": 0, "ds_dx": 0, "metric": len(steps), "jet": 0, "df_ds": 0, "d2f_ds2": 0}
+    assert len(steps) >= len(grid) - 1  # every level but the boundary's takes a step
+    for i in steps:
+        x = events[i][1]
+        assert events[i - 1] == ("T", x) or x in anchors, i
+    stop_band = [i for i, (kind, x) in enumerate(events) if kind == "T" and events[i + 1 : i + 2] != [("M", x)]]
+    assert len(stop_band) <= len(grid)
+
+
+@pytest.mark.parametrize(("which", "k"), [("_tail", 12), ("_volume", 3)])
+def test_tables_read_metric_once_per_node(monkeypatch, which, k):
+    # Building a table reads (f, ds_dx) through one metric call at each
+    # Chebyshev node of each panel it tries, and f and ds_dx never.  The
+    # solve already built the tail tables below _FAR_K = 12.
+    counts = dict.fromkeys(_READS, 0)
+    tables = getattr(solve(_counting_profile(perturbed_schwarzschild(), counts)), which)
+    tables._scale(k, 0.0)  # the anchors table k is measured against
+    nodes = [0]
+    real = _DyadicTables._chebyshev
+
+    def counting(self, lo, hi):
+        nodes[0] += _CHEB_N
+        return real(self, lo, hi)
+
+    monkeypatch.setattr(_DyadicTables, "_chebyshev", counting)
+    counts.update(dict.fromkeys(counts, 0))
+    tables._table(k)
+    assert nodes[0] >= _CHEB_N
+    assert counts == {"f": 0, "ds_dx": 0, "metric": nodes[0], "jet": 0, "df_ds": 0, "d2f_ds2": 0}

@@ -1,4 +1,5 @@
 import codecs
+import dataclasses
 import math
 import random
 
@@ -452,3 +453,132 @@ def test_conformal_jet_value_is_w_bitwise(tmp_path, make):
     rs += [math.nextafter(b, toward) for b in (1.0, 10.0) for toward in (0.0, math.inf)]
     for r in rs:
         assert _bits(c.jet(r)[0]) == _bits(c.w(r)), r
+
+
+def _metric_profiles(directory):
+    """(profile, points) of every profile constructor, with points beside each branch change.
+
+    The points straddle the mollified glue at r0 = 1 and the last knot of
+    each CSV (s = 60 on rneg.csv, r = 10 on moll.csv).  Two profiles are
+    built here without a fused reader, one with the default ds_dx = 1.
+    """
+    from frozen_outputs import write_inputs
+
+    write_inputs(directory)
+    plain = MetricProfile(
+        label="plain",
+        kind=ProfileKind.WITH_BOUNDARY,
+        x_min=1.0,
+        f=lambda x: x * x,
+        jet=lambda x: (x * x, 2.0 * x, 2.0),
+        ds_dx=lambda x: 1.0 + 1.0 / x,
+    )
+    plain_arclength = MetricProfile(
+        label="plain-arclength",
+        kind=ProfileKind.WITH_BOUNDARY,
+        x_min=0.5,
+        f=lambda s: s * s + 1.0,
+        jet=lambda s: (s * s + 1.0, 2.0 * s, 2.0),
+    )
+    profiles = [
+        euclidean(),
+        schwarzschild(1.3),
+        perturbed_schwarzschild(),
+        to_warped(mollified_schwarzschild(1.0, 1.0)),
+        to_warped(euclidean_conformal()),
+        profile_from_csv(str(directory / "rneg.csv"), False),
+        profile_from_csv(str(directory / "moll.csv"), True),
+        plain,
+        plain_arclength,
+    ]
+    edges = [math.nextafter(b, toward) for b in (1.0, 10.0, 60.0) for toward in (0.0, math.inf)]
+    return [(p, [p.x_min + 10.0**k for k in range(-6, 7)] + [1.0, 10.0, 60.0] + edges) for p in profiles]
+
+
+def test_metric_is_f_and_ds_dx_bitwise(tmp_path):
+    # metric(x) is (f(x), ds_dx(x)) bit for bit, whether a constructor fuses
+    # the two reads (the conformal ones and Schwarzschild) or not.
+    for p, xs in _metric_profiles(tmp_path):
+        for x in xs:
+            f, ds = p.metric(x)
+            assert (_bits(f), _bits(ds)) == (_bits(p.f(x)), _bits(p.ds_dx(x))), (p.label, x)
+
+
+def _budget_everywhere(p, n=1000):
+    """sample_scalar_curvature_sign's result with the rounding budget worked out at every sample.
+
+    The samples are the x the sampler reads its jet at, recorded by running it.
+    """
+    samples = []
+
+    def recording(x):
+        value = p.jet(x)
+        samples.append((x, value))
+        return value
+
+    copy = dataclasses.replace(p, jet=recording)
+    samples.clear()  # the copy's validation reads the jet too
+    sample_scalar_curvature_sign(copy, n)
+    eps8 = 8.0 * 2.220446049250313e-16
+    worst_x, worst_r, ok = samples[0][0], math.inf, True
+    for x, (f, fs, fss) in samples:
+        r_val = 2.0 * (1.0 - fs * fs) / (f * f) - 4.0 * fss / f
+        budget = eps8 * (2.0 * (1.0 + fs * fs) / (f * f) + 4.0 * abs(fss / f))
+        ok = ok and r_val >= -1e-10 - budget
+        if r_val < worst_r:
+            worst_r, worst_x = r_val, x
+    return ok, worst_x, worst_r
+
+
+def _sampler_profiles(directory):
+    """The four built-ins, six seeded R < 0 s,f CSVs, the narrow-dip CSV and two jets with inf and nan."""
+    rng = random.Random(11)
+    profiles = [euclidean(), schwarzschild(1.0), perturbed_schwarzschild(), to_warped(mollified_schwarzschild(1.0, 1.0))]
+    for i in range(6):
+        a, b, c = rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0), rng.uniform(0.2, 0.6)
+        rows = rng.choice([10, 40, 200])
+        ss = [60.0 * k / (rows - 1) for k in range(rows)]
+        path = directory / f"rneg{i}.csv"
+        path.write_text("s,f\n" + "".join(f"{s!r},{a + s * s / (b + c * s)!r}\n" for s in ss))
+        profiles.append(profile_from_csv(str(path), False))
+    # A 1201-row dip of width 0.01 at s = 3: R = -4.24 at s = 2.99 falls
+    # between the samples, so the sampler reports R >= 0.
+    ss = [12.0 * k / 1200 for k in range(1201)]
+    fs = [0.5 * math.sqrt(s * s + 1.0) + 2e-4 * math.exp(-(((s - 3.0) / 0.01) ** 2)) for s in ss]
+    path = directory / "dip.csv"
+    path.write_text("s,f\n" + "".join(f"{s!r},{f!r}\n" for s, f in zip(ss, fs)))
+    profiles.append(profile_from_csv(str(path), False))
+
+    base = perturbed_schwarzschild()
+
+    def broken(values):
+        def jet(x):
+            for lo, hi, value in values:
+                if lo <= x < hi:
+                    return value
+            return base.jet(x)
+
+        return dataclasses.replace(base, label="broken", jet=jet)
+
+    inf, nan = math.inf, math.nan
+    # f = inf gives R = 0, f_s = inf R = -inf with an infinite budget, which
+    # passes, and f_ss = -inf R = inf; the second jet adds nan samples, which
+    # fail.
+    profiles.append(broken([(2.0, 3.0, (inf, 0.5, 0.0)), (3.0, 4.0, (1.0, inf, 0.0)), (4.0, 5.0, (1.0, 0.5, -inf))]))
+    profiles.append(broken([(2.0, 3.0, (1.0, inf, 0.0)), (3.0, 4.0, (nan, 1.0, 0.0)), (5.0, 6.0, (1.0, 0.5, nan))]))
+    return profiles
+
+
+def test_sampler_works_out_the_budget_only_where_needed(tmp_path):
+    # The sampler skips the rounding budget where R >= 0, which that
+    # comparison passes for every budget; a loop that forms it at every
+    # sample returns the same (ok, worst_x, worst_R).
+    results = []
+    for p in _sampler_profiles(tmp_path):
+        got = sample_scalar_curvature_sign(p)
+        want = _budget_everywhere(p)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], p.label
+        results.append(got[0])
+    # Both verdicts occur: R >= 0 on the built-ins and the dip, R < 0 on
+    # the seeded CSVs, and the nan jet fails.
+    assert results == [True] * 4 + [False] * 6 + [True, True, False]

@@ -25,6 +25,7 @@ from curvlab.profile import _warped_scalar_curvature, mollified_schwarzschild, p
 
 from differences import differentiate
 from frozen_outputs import rneg_profile
+from tail_reads import bracket_reads
 
 _EPS = 2.220446049250313e-16
 
@@ -198,19 +199,21 @@ def test_volumes_match_single_reads(rneg, model, order, data):
 @example(model=("rneg",), k=5, fractions=[0.5])  # six panels between the knots: the bisect
 @settings(max_examples=60, deadline=None)
 def test_tail_reader_matches_value(rneg, model, k, fractions):
-    # A bracket's reader binds the panel of a table that holds one and
-    # bisects a table of several; on either branch it returns the bits of
-    # value(x) on a fresh solution over the whole bracket, ends included.
+    # The level solve reads a table that holds one panel through its bound
+    # panel and bisects a table of several; both kernel reads return the
+    # bits of value(x) on a fresh solution over the whole bracket, ends
+    # included.
     p = _model_profile(rneg, model)
     tail = solve(p)._tail
     if tail._k_floor is not None:
         k = max(k, tail._k_floor)
     lo, hi = tail.anchor_x(k), tail.anchor_x(k + 1)
-    read = tail.reader(lo, tail.anchor_value(k), hi, tail.anchor_value(k + 1))
     xs = [lo, math.nextafter(lo, hi), math.nextafter(hi, lo), hi] + [lo + f * (hi - lo) for f in fractions]
     fresh = solve(p)._tail
     for x in xs:
-        assert read(x).hex() == fresh.value(x).hex(), (p.label, k, x)
+        expected = fresh.value(x).hex()
+        for read in bracket_reads(tail, k, x):
+            assert read.hex() == expected, (p.label, k, x)
 
 
 @given(
