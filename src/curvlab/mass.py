@@ -76,7 +76,8 @@ def adm_surface(c: ConformalProfile, radii: Sequence[float] | None = None) -> fl
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ProfileDataError("radii must be strictly increasing")
     fluxes = [adm_flux_at(c, r) for r in rs]
-    return extrapolate_to_zero([1.0 / r for r in rs], fluxes)
+    # + 0.0 turns the -0.0 of a flat end into 0.0 and leaves every other value as it is.
+    return extrapolate_to_zero([1.0 / r for r in rs], fluxes) + 0.0
 
 
 def default_volume_samples() -> list[float]:

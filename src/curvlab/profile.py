@@ -4,9 +4,10 @@ A profile is parametrised by a monotone radial coordinate x with arclength
 element ds = ds_dx(x) dx; built-ins supply closed-form warp data.  For
 conformally flat metrics w(|x|)^4 g_eucl the warped-product description is
 f = r w^2 with ds = w^2 dr, so the isotropic radius r is the coordinate.
-Both kinds of profile give their derivatives through one ``jet``: (f, f_s,
-f_ss) of a warped profile, (w, w', w'') of a conformal one, each with its
-first component bitwise the scalar reader (``f`` or ``w``).
+A warped profile is built from two readers: ``metric`` gives (f, ds_dx) and
+``jet`` gives (f, f_s, f_ss), and ``f``, ``ds_dx``, ``df_ds`` and
+``d2f_ds2`` are views of them.  A conformal profile gives (w, w', w'')
+through its ``jet``, with the first component bitwise its ``w``.
 All geometric formulas below use arclength derivatives:
 
     area(x)   = 4 pi f^2
@@ -101,19 +102,16 @@ class ConformalProfile:
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """Warped-product 3-metric determined by the warp factor along a radial coordinate.
+    """Warped-product 3-metric read through two readers along a radial coordinate.
 
-    ``f(x)`` is the warp factor alone; ``jet(x)`` returns ``(f, f_s, f_ss)``,
-    the warp factor and its first two arclength derivatives from one
-    evaluation, with ``jet(x)[0] == f(x)`` bit for bit.  ``jet`` is the one
-    source of f_s and f_ss: ``df_ds`` and ``d2f_ds2`` read it.
-
-    ``metric(x)`` returns ``(f(x), ds_dx(x))`` bit for bit from one
-    evaluation, for the readers that need both at a point (the level solve
-    and the tail and volume tables).  A constructor that shares work between
-    the two passes its fused reader; without one, ``metric`` calls ``f`` and
-    ``ds_dx``, or ``f`` alone when ``ds_dx`` is the default 1.
-    ``dataclasses.replace`` keeps the old ``metric`` unless it is given one.
+    ``metric(x)`` returns ``(f, ds_dx)``, the warp factor and the arclength
+    element, for the readers that need both at a point (the level solve and
+    the tail and volume tables).  ``jet(x)`` returns ``(f, f_s, f_ss)``, the
+    warp factor and its first two arclength derivatives from one evaluation.
+    The two readers must agree on f; a profile whose ``metric`` and ``jet``
+    differ at x_min + 1 is refused, so ``dataclasses.replace`` must replace
+    both or neither.  ``f``, ``ds_dx``, ``df_ds`` and ``d2f_ds2`` are views:
+    ``f`` and ``ds_dx`` read ``metric``, the two derivatives read ``jet``.
 
     ``asymptotically_flat`` declares f_s -> 1 at infinity; a declaration
     that fails the sampling rule of ``_flat_end_violation`` is refused.
@@ -122,20 +120,22 @@ class MetricProfile:
     label: str
     kind: ProfileKind
     x_min: float
-    f: ScalarFn
+    metric: MetricFn
     jet: JetFn
-    ds_dx: ScalarFn = _one
     breakpoints: tuple[float, ...] = ()
     asymptotically_flat: bool = False
     assume_nonnegative_R: bool | None = None
     conformal: ConformalProfile | None = field(default=None, repr=False, compare=False)
-    metric: MetricFn | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.x_min < 0.0:
             raise ProfileDataError("x_min must be non-negative")
-        if self.metric is None:
-            object.__setattr__(self, "metric", _metric(self.f, self.ds_dx))
+        x_check = self.x_min + 1.0
+        f_metric, f_jet = self.metric(x_check)[0], self.jet(x_check)[0]
+        if abs(f_metric - f_jet) > 1e-12 * max(abs(f_metric), abs(f_jet)):
+            raise ProfileDataError(
+                f"profile {self.label!r}: metric and jet disagree on f at x={x_check!r} ({f_metric!r} vs {f_jet!r})"
+            )
         if self.kind is ProfileKind.WITH_BOUNDARY:
             if self.f(self.x_min) <= 0.0:
                 raise ProfileDataError("a boundary profile needs f(x_min) > 0")
@@ -145,15 +145,14 @@ class MetricProfile:
                 raise ProfileDataError("a boundaryless profile needs f(x_min) = 0 (smooth pole)")
             if abs(self.jet(self.x_min + 1e-9 * pole_scale)[1] - 1.0) > 1e-4:
                 raise ProfileDataError("a boundaryless profile needs df/ds -> 1 at the pole")
+
         # Nonparabolicity: the capacitary integral must converge past the core.
+        def capacitary(x: float) -> float:
+            fx, dsx = self.metric(x)
+            return dsx / fx ** 2
+
         try:
-            integrate(
-                lambda x: self.ds_dx(x) / self.f(x) ** 2,
-                self.x_min + 1.0,
-                math.inf,
-                _CONSTRUCTION_TOL,
-                points=self.breakpoints,
-            )
+            integrate(capacitary, self.x_min + 1.0, math.inf, _CONSTRUCTION_TOL, points=self.breakpoints)
         except NonConvergent as exc:
             raise ProfileDataError(f"profile {self.label!r} is parabolic: {exc}") from exc
         if self.asymptotically_flat:
@@ -163,6 +162,12 @@ class MetricProfile:
                 raise ProfileDataError(
                     f"profile {self.label!r} declared asymptotically flat but df/ds at x={x} is {fs!r}"
                 )
+
+    def f(self, x: float) -> float:
+        return self.metric(x)[0]
+
+    def ds_dx(self, x: float) -> float:
+        return self.metric(x)[1]
 
     def df_ds(self, x: float) -> float:
         return self.jet(x)[1]
@@ -177,13 +182,6 @@ class MetricProfile:
 
     def in_domain(self, x: float) -> bool:
         return x >= self.x_min - 1e-12 * max(1.0, self.x_min)
-
-
-def _metric(f: ScalarFn, ds_dx: ScalarFn) -> MetricFn:
-    """``x -> (f(x), ds_dx(x))``, with the default ds_dx = 1 returned as a constant."""
-    if ds_dx is _one:
-        return lambda x: (f(x), 1.0)
-    return lambda x: (f(x), ds_dx(x))
 
 
 def _x_scale(x_min: float) -> float:
@@ -267,7 +265,7 @@ def euclidean() -> MetricProfile:
         label="euclidean",
         kind=ProfileKind.BOUNDARYLESS,
         x_min=0.0,
-        f=lambda s: s,
+        metric=lambda s: (s, 1.0),
         jet=lambda s: (s, 1.0, 0.0),
         asymptotically_flat=True,
         assume_nonnegative_R=True,
@@ -309,12 +307,10 @@ def schwarzschild(m: float) -> MetricProfile:
         label=f"schwarzschild(m={m!r})",
         kind=ProfileKind.WITH_BOUNDARY,
         x_min=a,
-        f=lambda r: (r + a) ** 2 / r,
+        metric=metric,
         jet=jet,
-        ds_dx=lambda r: ((r + a) / r) ** 2,
         asymptotically_flat=True,
         assume_nonnegative_R=True,
-        metric=metric,
     )
 
 
@@ -407,15 +403,9 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
     """
     w, w_jet = c.w, c.jet
 
-    def f(r: float) -> float:
-        return r * w(r) ** 2
-
     def jet(r: float) -> tuple[float, float, float]:
         wr, dwr, d2wr = w_jet(r)
         return r * wr ** 2, 1.0 + 2.0 * r * dwr / wr, 2.0 / wr ** 3 * (dwr + r * d2wr - r * dwr * dwr / wr)
-
-    def ds_dx(r: float) -> float:
-        return w(r) ** 2
 
     def metric(r: float) -> tuple[float, float]:
         w2 = w(r) ** 2
@@ -427,14 +417,12 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
         label=c.label,
         kind=kind,
         x_min=c.r_min,
-        f=f,
+        metric=metric,
         jet=jet,
-        ds_dx=ds_dx,
         breakpoints=c.breakpoints,
         asymptotically_flat=flat,
         assume_nonnegative_R=c.assume_nonnegative_R,
         conformal=c,
-        metric=metric,
     )
 
 
@@ -624,7 +612,7 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
         label=f"custom:{path}",
         kind=kind,
         x_min=x_min,
-        f=f,
+        metric=lambda s: (f(s), 1.0),
         jet=jet,
         breakpoints=knots,
         assume_nonnegative_R=assume_nonnegative_R,

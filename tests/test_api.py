@@ -1,8 +1,9 @@
 """The public surface: every exported name resolves; the per-level
 functional accessors stay gone (one route: functional_row on a level set,
 build_series over a grid), and so do the helpers only tests called, which
-live in the tests now; and the only dataclasses are the three records that
-validate themselves."""
+live in the tests now; the only dataclasses are the three records that
+validate themselves; and a MetricProfile's fields are its two readers, not
+its views."""
 
 import dataclasses
 import importlib
@@ -12,6 +13,7 @@ import pkgutil
 import pytest
 
 import curvlab
+from curvlab.profile import MetricProfile
 
 MODULES = ["curvlab", *(f"curvlab.{m.name}" for m in pkgutil.iter_modules(curvlab.__path__) if m.name != "__main__")]
 
@@ -63,3 +65,19 @@ def test_only_self_validating_records_are_dataclasses():
             if inspect.isclass(cls) and cls.__module__.startswith("curvlab") and dataclasses.is_dataclass(cls):
                 found.add(cls.__qualname__)
     assert found == DATACLASSES
+
+
+def test_a_metric_profile_is_two_readers():
+    # f and ds_dx read metric, df_ds and d2f_ds2 read jet: none is a field.
+    assert [f.name for f in dataclasses.fields(MetricProfile)] == [
+        "label",
+        "kind",
+        "x_min",
+        "metric",
+        "jet",
+        "breakpoints",
+        "asymptotically_flat",
+        "assume_nonnegative_R",
+        "conformal",
+    ]
+

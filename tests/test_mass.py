@@ -39,6 +39,12 @@ class TestAdmSurface:
     def test_euclidean_zero(self):
         assert adm_surface(euclidean_conformal()) == pytest.approx(0.0, abs=1e-12)
 
+    def test_euclidean_mass_is_positive_zero(self, euclid_sol):
+        # Every flux of a flat end is -0.0, and the extrapolation keeps that
+        # sign; the report and mass.csv print 0.0.
+        report = mass_report(euclidean_conformal(), euclid_sol)
+        assert repr(report.m_surface) == "0.0"
+
     def test_mass_two(self):
         c = mollified_schwarzschild(2.0, 1.0)
         assert adm_surface(c) == pytest.approx(2.0, abs=1e-6)

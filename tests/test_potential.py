@@ -175,7 +175,7 @@ class TestCapacityExamples:
             label="flat-exterior",
             kind=ProfileKind.WITH_BOUNDARY,
             x_min=0.0,
-            f=lambda x: x + 1.0,
+            metric=lambda x: (x + 1.0, 1.0),
             jet=lambda x: (x + 1.0, 1.0, 0.0),
         )
         sol = solve(p)
@@ -209,7 +209,7 @@ def _bump(c, w):
         label=f"bump(c={c}, w={w})",
         kind=ProfileKind.BOUNDARYLESS,
         x_min=0.0,
-        f=f,
+        metric=lambda s: (f(s), 1.0),
         jet=lambda s: (
             f(s),
             1.0 - 10.0 * (s - c) / w**2 * bump(s),
@@ -548,9 +548,8 @@ _READS = ("f", "ds_dx", "metric", "jet", "df_ds", "d2f_ds2")
 def _counting_profile(p, counts, events=None):
     """A copy of p whose readers count their calls in counts; metric calls also append ("M", x) to events.
 
-    dataclasses.replace keeps the old jet and metric unless they are wrapped
-    too, and the two derivative methods are shadowed on the copy as instance
-    attributes.
+    The two readers, metric and jet, are wrapped through dataclasses.replace,
+    and the four views are shadowed on the copy as instance attributes.
     """
 
     def counting(name, real):
@@ -562,8 +561,8 @@ def _counting_profile(p, counts, events=None):
 
         return wrapped
 
-    copy = dataclasses.replace(p, **{name: counting(name, getattr(p, name)) for name in ("f", "ds_dx", "metric", "jet")})
-    for name in ("df_ds", "d2f_ds2"):
+    copy = dataclasses.replace(p, **{name: counting(name, getattr(p, name)) for name in ("metric", "jet")})
+    for name in ("f", "ds_dx", "df_ds", "d2f_ds2"):
         object.__setattr__(copy, name, counting(name, getattr(copy, name)))
     return copy
 

@@ -1,5 +1,6 @@
 import codecs
 import dataclasses
+import inspect
 import math
 import random
 
@@ -197,7 +198,7 @@ class TestAsymptoticFlatness:
                 label="cone",
                 kind=ProfileKind.WITH_BOUNDARY,
                 x_min=1.0,
-                f=lambda s: jet(s)[0],
+                metric=lambda s: (jet(s)[0], 1.0),
                 jet=jet,
                 asymptotically_flat=True,
             )
@@ -267,7 +268,7 @@ class TestInvariants:
                 label="parabolic",
                 kind=ProfileKind.WITH_BOUNDARY,
                 x_min=0.0,
-                f=lambda s: math.sqrt(s + 1.0),
+                metric=lambda s: (math.sqrt(s + 1.0), 1.0),
                 jet=lambda s: (math.sqrt(s + 1.0), 0.5 / math.sqrt(s + 1.0), -0.25 * (s + 1.0) ** -1.5),
             )
 
@@ -277,7 +278,7 @@ class TestInvariants:
                 label="bad pole",
                 kind=ProfileKind.BOUNDARYLESS,
                 x_min=0.0,
-                f=lambda s: s + 1.0,
+                metric=lambda s: (s + 1.0, 1.0),
                 jet=lambda s: (s + 1.0, 1.0, 0.0),
             )
 
@@ -460,7 +461,7 @@ def _metric_profiles(directory):
 
     The points straddle the mollified glue at r0 = 1 and the last knot of
     each CSV (s = 60 on rneg.csv, r = 10 on moll.csv).  Two profiles are
-    built here without a fused reader, one with the default ds_dx = 1.
+    built here from plain lambdas, one with ds_dx = 1.
     """
     from frozen_outputs import write_inputs
 
@@ -469,15 +470,14 @@ def _metric_profiles(directory):
         label="plain",
         kind=ProfileKind.WITH_BOUNDARY,
         x_min=1.0,
-        f=lambda x: x * x,
+        metric=lambda x: (x * x, 1.0 + 1.0 / x),
         jet=lambda x: (x * x, 2.0 * x, 2.0),
-        ds_dx=lambda x: 1.0 + 1.0 / x,
     )
     plain_arclength = MetricProfile(
         label="plain-arclength",
         kind=ProfileKind.WITH_BOUNDARY,
         x_min=0.5,
-        f=lambda s: s * s + 1.0,
+        metric=lambda s: (s * s + 1.0, 1.0),
         jet=lambda s: (s * s + 1.0, 2.0 * s, 2.0),
     )
     profiles = [
@@ -495,13 +495,62 @@ def _metric_profiles(directory):
     return [(p, [p.x_min + 10.0**k for k in range(-6, 7)] + [1.0, 10.0, 60.0] + edges) for p in profiles]
 
 
-def test_metric_is_f_and_ds_dx_bitwise(tmp_path):
-    # metric(x) is (f(x), ds_dx(x)) bit for bit, whether a constructor fuses
-    # the two reads (the conformal ones and Schwarzschild) or not.
+def test_metric_and_jet_agree_on_f_bitwise(tmp_path):
+    # The two readers give f bit for bit, so the level solve and the tables
+    # (which read metric) and R and H (which read jet) see one warp factor.
     for p, xs in _metric_profiles(tmp_path):
         for x in xs:
-            f, ds = p.metric(x)
-            assert (_bits(f), _bits(ds)) == (_bits(p.f(x)), _bits(p.ds_dx(x))), (p.label, x)
+            assert _bits(p.metric(x)[0]) == _bits(p.jet(x)[0]), (p.label, x)
+
+
+_VIEWS = ("f", "ds_dx", "df_ds", "d2f_ds2")
+
+
+def test_views_are_methods_an_instance_attribute_shadows(tmp_path):
+    # The four views are plain methods, so a wrapper set on one instance
+    # with object.__setattr__ (as a call counter sets it on the frozen
+    # dataclass) is what every later call reads; __slots__ or properties
+    # would silently bypass such a wrapper.
+    for name in _VIEWS:
+        assert inspect.isfunction(vars(MetricProfile)[name]), name
+    for p, _ in _metric_profiles(tmp_path):
+        x = p.x_min + 1.0
+        want = dict(zip(_VIEWS, (*p.metric(x), *p.jet(x)[1:])))
+        for name in _VIEWS:
+            real = getattr(p, name)
+            assert real(x) == want[name], (p.label, name)
+            object.__setattr__(p, name, lambda x, _real=real: ("wrapped", _real(x)))
+            assert getattr(p, name)(x) == ("wrapped", want[name]), (p.label, name)
+
+
+def _doubled(p):
+    """The readers of p with f, f_s and f_ss doubled and ds_dx kept: four times the capacity."""
+    metric, jet = p.metric, p.jet
+    return (lambda x: (2.0 * metric(x)[0], metric(x)[1])), (lambda x: tuple(2.0 * v for v in jet(x)))
+
+
+def test_a_copy_that_replaces_both_readers_solves_with_them():
+    from curvlab.potential import solve
+
+    p = schwarzschild(1.0)
+    metric, jet = _doubled(p)
+    doubled = dataclasses.replace(p, metric=metric, jet=jet, asymptotically_flat=False)
+    assert doubled.f(1.0) == 4.5
+    assert solve(doubled).capacity == pytest.approx(4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["metric", "jet"])
+def test_a_copy_that_replaces_one_reader_is_refused(which):
+    p = schwarzschild(1.0)
+    doubled = dict(zip(("metric", "jet"), _doubled(p)))
+    with pytest.raises(ProfileDataError, match="metric and jet disagree"):
+        dataclasses.replace(p, asymptotically_flat=False, **{which: doubled[which]})
+
+
+@pytest.mark.parametrize("view", ["f", "ds_dx"])
+def test_a_view_is_not_a_field(view):
+    with pytest.raises(TypeError):
+        dataclasses.replace(schwarzschild(1.0), **{view: lambda x: 2.0})
 
 
 def _budget_everywhere(p, n=1000):

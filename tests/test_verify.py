@@ -60,7 +60,7 @@ def flat_exterior_report():
         label="flat-exterior",
         kind=ProfileKind.WITH_BOUNDARY,
         x_min=0.0,
-        f=lambda x: x + 1.0,
+        metric=lambda x: (x + 1.0, 1.0),
         jet=lambda x: (x + 1.0, 1.0, 0.0),
     )
     return run_battery(solve(p))
@@ -151,7 +151,7 @@ class TestHypothesisViolations:
             label="r-negative",
             kind=ProfileKind.WITH_BOUNDARY,
             x_min=0.0,
-            f=lambda s: 2.0 + s * s / (2.0 + 0.4 * s),
+            metric=lambda s: (2.0 + s * s / (2.0 + 0.4 * s), 1.0),
             jet=lambda s: (
                 2.0 + s * s / (2.0 + 0.4 * s),
                 (4.0 * s + 0.4 * s * s) / (2.0 + 0.4 * s) ** 2,
