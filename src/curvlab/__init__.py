@@ -28,7 +28,6 @@ from .potential import (
     LevelParam,
     LevelSetSample,
     PotentialSolution,
-    SolutionKind,
     default_t_grid,
     level,
     level_integrals,
@@ -80,7 +79,6 @@ __all__ = [
     "scalar_curvature",
     "sphere_geometry",
     "profile_from_csv",
-    "SolutionKind",
     "PotentialSolution",
     "LevelParam",
     "LevelSetSample",

@@ -40,7 +40,8 @@ from .mass import mass_report, write_mass_csv
 from .numerics import Tolerance
 from .potential import default_t_grid, grad_value, levels, solve
 from .profile import (
-    euclidean, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv, schwarzschild, to_warped
+    euclidean, euclidean_conformal, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv,
+    schwarzschild, to_warped,
 )
 from .report_store import make_record, save
 from .verify import DEFAULT_CHECK_TOLERANCE, run_battery, write_report_csv, write_report_text
@@ -50,8 +51,8 @@ __all__ = ["main", "RunConfig", "build_parser"]
 
 class _Model(NamedTuple):
     description: str
-    build: Callable  # RunConfig -> MetricProfile, by this module's names, which perfbench's tracer rebinds
-    conformal: bool = False  # a boundaryless conformal model: `mass` runs on it
+    build: Callable  # RunConfig -> MetricProfile; both builders call this module's names, which perfbench rebinds
+    conformal: Callable | None = None  # RunConfig -> ConformalProfile of a boundaryless model: `mass` runs on it
 
 
 _MODELS = {
@@ -61,11 +62,13 @@ _MODELS = {
     ),
     "euclidean": _Model(
         "boundaryless flat space; equality case of the boundaryless comparisons",
-        lambda cfg: euclidean(), conformal=True,
+        lambda cfg: euclidean(),
+        lambda cfg: euclidean_conformal(),
     ),
     "mollified-schwarzschild": _Model(
         "boundaryless, R >= 0, harmonically flat end (needs --mass, --r0)",
-        lambda cfg: to_warped(mollified_schwarzschild(cfg.mass, cfg.r0)), conformal=True,
+        lambda cfg: to_warped(mollified_schwarzschild(cfg.mass, cfg.r0)),
+        lambda cfg: mollified_schwarzschild(cfg.mass, cfg.r0),
     ),
     "perturbed-schwarzschild": _Model(
         "with boundary, R > 0, strict inequalities (optional --mass/--amplitude/--offset)",
@@ -321,11 +324,11 @@ def _verify(cfg: RunConfig) -> _Result:
 
 
 def _mass(cfg: RunConfig) -> _Result:
-    if not _MODELS[cfg.model].conformal:
+    conformal = _MODELS[cfg.model].conformal
+    if conformal is None:
         names = " or ".join(name for name, model in _MODELS.items() if model.conformal)
         raise UsageError(f"the mass subcommand needs a boundaryless conformal model: {names}")
-    sol = solve(_MODELS[cfg.model].build(cfg))
-    report = mass_report(sol.profile.conformal, sol)
+    report = mass_report(conformal(cfg))
     worst = min(m for _, m in report.samples)
     body = [
         f"profile={report.profile_label}\n",

@@ -38,7 +38,6 @@ from .numerics import NodeIntegrand, Tolerance, integrate
 from .potential import (
     LevelSetSample,
     PotentialSolution,
-    SolutionKind,
     _round_sphere,
     _sample,
     level_integrals,
@@ -147,8 +146,8 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     """
     p = sol.profile
     kinks = [t_of_level(sol, u_value(sol, x)) for x in p.breakpoints if x > p.x_min]
-    boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
     cap = sol.capacity
+    boundary = cap is not None
     lower = 0.5 * cap if boundary else 1e-4 * ts[0]
 
     def integrand(ss: list[float]) -> list[float]:
@@ -194,7 +193,7 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
     samples, rows = functional_rows(sol, ts)
     boundary_sample = None
     deficit = math.nan
-    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
+    if sol.capacity is not None:
         # A default grid starts at C/2; one with t_min_factor > 1 does not.
         t_b = 0.5 * sol.capacity
         boundary_sample = samples[0] if ts[0] == t_b else level_integrals(sol, t_b)

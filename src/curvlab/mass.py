@@ -17,6 +17,9 @@ then a least-squares fit of m + c/t over the largest decade of t (the
 built-in family's next correction is O(1/t)), solved from its 2x2 normal
 equations in x = 1/t with math.fsum sums.  Positivity of every m_est(t) is
 the desk-scale positive mass inequality.
+
+``mass_report(c)`` reads both from one conformal profile: the flux of c and
+the volumes of ``solve(to_warped(c))``, so the two cannot disagree on the model.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import IO, NamedTuple, Sequence
 
 from .errors import OutOfRange, ProfileDataError, WrongKind
 from .numerics import extrapolate_to_zero, geometric_grid
-from .potential import PotentialSolution, SolutionKind, levels, volumes
-from .profile import ConformalProfile
+from .potential import PotentialSolution, levels, solve, volumes
+from .profile import ConformalProfile, to_warped
 
 __all__ = [
     "MassReport",
@@ -89,7 +92,7 @@ def mass_from_volume(
     t_samples: Sequence[float] | None = None,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Volume-expansion mass estimator and its per-sample values."""
-    if sol.kind is not SolutionKind.GREEN_BOUNDARYLESS:
+    if sol.capacity is not None:
         raise WrongKind("the volume estimator needs a boundaryless solution")
     if not sol.profile.asymptotically_flat:
         raise ProfileDataError("the volume estimator needs an asymptotically flat profile")
@@ -115,8 +118,9 @@ def mass_from_volume(
     return m_mean - slope * x_mean, samples
 
 
-def mass_report(c: ConformalProfile, sol: PotentialSolution) -> MassReport:
-    """Assemble both estimators."""
+def mass_report(c: ConformalProfile) -> MassReport:
+    """Both estimators on one conformal model: the flux of c and the volumes of ``solve(to_warped(c))``."""
+    sol = solve(to_warped(c))
     m_surf = adm_surface(c)
     m_vol, samples = mass_from_volume(sol)
     return MassReport(

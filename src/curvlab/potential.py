@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from enum import Enum
+from functools import reduce
 from typing import Iterable, NamedTuple
 
 from .errors import NonConvergent, OutOfRange
@@ -62,7 +62,6 @@ from .numerics import Tolerance, geometric_grid, integrate
 from .profile import MetricProfile, ProfileKind, _warped_scalar_curvature
 
 __all__ = [
-    "SolutionKind",
     "PotentialSolution",
     "LevelParam",
     "LevelSetSample",
@@ -98,11 +97,6 @@ _TABLE_MAX_PANELS = 4096  # bisection budget beyond the breakpoint split
 # _FAR_K.  The default t-grids of the built-ins read tables up to k = 10 or
 # so, which leaves that integral the only one they make.
 _FAR_K = 12
-
-
-class SolutionKind(str, Enum):
-    CAPACITARY_WITH_BOUNDARY = "capacitary_with_boundary"
-    GREEN_BOUNDARYLESS = "green_boundaryless"
 
 
 class LevelParam(NamedTuple):
@@ -188,12 +182,13 @@ class _DyadicTables:
             a, b, depth = todo.pop()
             c = self._chebyshev(a, b) + [0.0, 0.0]
             # Integrate term by term; the constant makes the antiderivative
-            # vanish at the left edge (T_j(-1) = (-1)^j).
+            # vanish at the left edge (T_j(-1) = (-1)^j).  The sums run left to
+            # right from 0.0 on every Python: sum() compensates from 3.12 on.
             ints = [0.0, c[0] - 0.5 * c[2]]
             ints += [(c[j - 1] - c[j + 1]) / (2.0 * j) for j in range(2, _CHEB_N + 1)]
-            ints[0] = sum(v if j % 2 else -v for j, v in enumerate(ints))
+            ints[0] = reduce(operator.add, [v if j % 2 else -v for j, v in enumerate(ints)], 0.0)
             half = 0.5 * (b - a)
-            piece = half * sum(ints)
+            piece = half * reduce(operator.add, ints, 0.0)
             if (abs(ints[-1]) + abs(ints[-2])) * half <= _TABLE_REL * self._scale(k, acc + piece):
                 starts.append(a)
                 rest = ints[_CHEB_N - 1 : 0 : -1]  # c_{N-1}, ..., c_1
@@ -376,16 +371,18 @@ class _VolumeCache(_DyadicTables):
 class PotentialSolution:
     """Solved radial potential: normalisation constant, capacity, level maps.
 
+    ``capacity`` is None exactly when the profile has no boundary (the
+    Green's-function problem); ``c_norm`` is the capacity with a boundary
+    and 1.0 without, so the readers of |grad u| = c/f^2 need no branch.
     ``_tail`` and ``_volume`` are the caches every level and volume read
     goes through; they are left out of the repr.
     """
 
-    __slots__ = ("profile", "kind", "c_norm", "capacity", "grad_vanishes_at_infinity", "_tail", "_volume")
+    __slots__ = ("profile", "c_norm", "capacity", "grad_vanishes_at_infinity", "_tail", "_volume")
 
     def __init__(
         self,
         profile: MetricProfile,
-        kind: SolutionKind,
         c_norm: float,
         capacity: float | None,
         grad_vanishes_at_infinity: bool,
@@ -393,7 +390,6 @@ class PotentialSolution:
         _volume: _VolumeCache,
     ) -> None:
         self.profile = profile
-        self.kind = kind
         self.c_norm = c_norm
         self.capacity = capacity
         self.grad_vanishes_at_infinity = grad_vanishes_at_infinity
@@ -401,7 +397,7 @@ class PotentialSolution:
         self._volume = _volume
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:5])
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:4])
         return f"PotentialSolution({shown})"
 
 
@@ -415,11 +411,9 @@ def solve(p: MetricProfile) -> PotentialSolution:
             raise NonConvergent(f"profile {p.label!r} is parabolic: {exc}") from exc
         c = 1.0 / total
         cap: float | None = c
-        kind = SolutionKind.CAPACITARY_WITH_BOUNDARY
     else:
         c = 1.0
         cap = None
-        kind = SolutionKind.GREEN_BOUNDARYLESS
 
     # Paper hypothesis |grad u| -> 0 at infinity, sampled on a coarse grid.
     gs = [c / p.f(x * p.x_scale) ** 2 for x in (1e2, 1e3, 1e4)]
@@ -427,7 +421,6 @@ def solve(p: MetricProfile) -> PotentialSolution:
 
     return PotentialSolution(
         profile=p,
-        kind=kind,
         c_norm=c,
         capacity=cap,
         grad_vanishes_at_infinity=vanishes,
@@ -439,8 +432,8 @@ def solve(p: MetricProfile) -> PotentialSolution:
 def level_value(sol: PotentialSolution, t: float) -> float:
     """The u-level labelled by t."""
     # The guards are negated comparisons, so that a NaN t fails them too.
-    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
-        cap = sol.capacity
+    cap = sol.capacity
+    if cap is not None:
         if not t >= 0.5 * cap * (1.0 - 1e-12):
             raise OutOfRange(f"t={t!r} is not at or above C/2={0.5 * cap!r}")
         return (1.0 - cap / (2.0 * t)) / (1.0 + cap / (2.0 * t))
@@ -451,7 +444,7 @@ def level_value(sol: PotentialSolution, t: float) -> float:
 
 def t_of_level(sol: PotentialSolution, u: float) -> float:
     """Inverse of level_value."""
-    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
+    if sol.capacity is not None:
         return 0.5 * sol.capacity * (1.0 + u) / (1.0 - u)
     return 1.0 / (1.0 - u)
 
@@ -472,7 +465,7 @@ def levels(sol: PotentialSolution, ts: Iterable[float]) -> list[LevelParam]:
     p = sol.profile
     metric = p.metric
     clenshaw = _clenshaw  # looked up per call, so a kernel patched before it sees every read
-    boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
+    boundary = sol.capacity is not None
     # Targets at or above this T lie on the boundary itself.
     at_boundary = tail.total() * (1.0 - 4e-16) if boundary else None
     bracket = None  # (lo, T(lo), hi, T(hi)) of the last bracketed level
@@ -621,7 +614,7 @@ def default_t_grid(
     t_max_factor: float = 1000.0,
 ) -> list[float]:
     """Geometric t-grid; boundary case spans [C/2, 1000 C] by default."""
-    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
+    if sol.capacity is not None:
         lo = 0.5 * sol.capacity * t_min_factor
         hi = sol.capacity * t_max_factor
     else:

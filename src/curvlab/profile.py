@@ -8,6 +8,9 @@ A warped profile is built from two readers: ``metric`` gives (f, ds_dx) and
 ``jet`` gives (f, f_s, f_ss), and ``f``, ``ds_dx``, ``df_ds`` and
 ``d2f_ds2`` are views of them.  A conformal profile gives (w, w', w'')
 through its ``jet``, with the first component bitwise its ``w``.
+``to_warped(c)`` keeps no link back to c: a conformal model is handled
+by its ``ConformalProfile``, from which ``mass.mass_report`` reads the
+flux and, through ``to_warped``, the volumes.
 All geometric formulas below use arclength derivatives:
 
     area(x)   = 4 pi f^2
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -125,7 +128,6 @@ class MetricProfile:
     breakpoints: tuple[float, ...] = ()
     asymptotically_flat: bool = False
     assume_nonnegative_R: bool | None = None
-    conformal: ConformalProfile | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.x_min < 0.0:
@@ -269,7 +271,6 @@ def euclidean() -> MetricProfile:
         jet=lambda s: (s, 1.0, 0.0),
         asymptotically_flat=True,
         assume_nonnegative_R=True,
-        conformal=euclidean_conformal(),
     )
 
 
@@ -422,7 +423,6 @@ def to_warped(c: ConformalProfile) -> MetricProfile:
         breakpoints=c.breakpoints,
         asymptotically_flat=flat,
         assume_nonnegative_R=c.assume_nonnegative_R,
-        conformal=c,
     )
 
 

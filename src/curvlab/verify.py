@@ -23,7 +23,7 @@ from typing import IO, NamedTuple, Sequence
 from .errors import GridTooCoarse
 from .functionals import FunctionalSeries, build_series, coarea_volumes, functional_rows
 from .numerics import Tolerance, difference_quotient, difference_stencil
-from .potential import PotentialSolution, SolutionKind, default_t_grid
+from .potential import PotentialSolution, default_t_grid
 from .profile import sample_scalar_curvature_sign, sphere_geometry
 
 __all__ = [
@@ -206,9 +206,9 @@ def _boundary_checks(
     fd_stencils, riccati_stencils = [], []
     for i in _fd_indices(n, _FD_SUBSAMPLE):
         t = ts[i]
-        scale_h = 1e-4 * max(1.0, t)
-        if t - 2.0 * scale_h > 0.5 * cap:
-            fd_stencils.append((i, *difference_stencil(t, scale_h)))
+        h, xs = difference_stencil(t)
+        if t - 2.0 * h > 0.5 * cap:
+            fd_stencils.append((i, h, xs))
         h = _RICCATI_SCALE * max(1.0, t)
         if t - 2.0 * h > 0.5 * cap:
             riccati_stencils.append((i, *difference_stencil(t, h)))
@@ -281,7 +281,7 @@ def run_battery(
         if p.assume_nonnegative_R:
             annotations.append("profile declared R >= 0 but the sampled check found a violation")
 
-    boundary = sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY
+    boundary = sol.capacity is not None
     skip_note = ""
     if boundary:
         _, h_boundary = sphere_geometry(p, p.x_min)
@@ -298,7 +298,7 @@ def run_battery(
 
     return VerificationReport(
         profile_label=p.label,
-        kind=sol.kind.value,
+        kind="capacitary_with_boundary" if boundary else "green_boundaryless",
         capacity=sol.capacity if boundary else math.nan,
         r_nonneg_confirmed=r_ok,
         annotations=tuple(annotations),

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from curvlab.functionals import _COAREA_TOL
 from curvlab.numerics import integrate
-from curvlab.potential import PotentialSolution, SolutionKind, level_integrals, t_of_level, u_value
+from curvlab.potential import PotentialSolution, level_integrals, t_of_level, u_value
 
 
 def coarea_volumes_per_node(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
@@ -22,8 +22,8 @@ def coarea_volumes_per_node(sol: PotentialSolution, ts: Sequence[float]) -> list
     tolerance as ``coarea_volumes``, each node an independent level query."""
     p = sol.profile
     kinks = [t_of_level(sol, u_value(sol, x)) for x in p.breakpoints if x > p.x_min]
-    if sol.kind is SolutionKind.CAPACITARY_WITH_BOUNDARY:
-        cap = sol.capacity
+    cap = sol.capacity
+    if cap is not None:
         lower = 0.5 * cap
 
         def integrand(s: float) -> float:

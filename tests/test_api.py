@@ -2,8 +2,9 @@
 functional accessors stay gone (one route: functional_row on a level set,
 build_series over a grid), and so do the helpers only tests called, which
 live in the tests now; the only dataclasses are the three records that
-validate themselves; and a MetricProfile's fields are its two readers, not
-its views."""
+validate themselves; a MetricProfile's fields are its two readers, not its
+views, and no link to a conformal profile; a solution says it has no
+boundary by its capacity alone; and mass_report takes one model."""
 
 import dataclasses
 import importlib
@@ -13,6 +14,8 @@ import pkgutil
 import pytest
 
 import curvlab
+from curvlab.mass import mass_report
+from curvlab.potential import PotentialSolution
 from curvlab.profile import MetricProfile
 
 MODULES = ["curvlab", *(f"curvlab.{m.name}" for m in pkgutil.iter_modules(curvlab.__path__) if m.name != "__main__")]
@@ -35,6 +38,7 @@ DELETED = (
     "volume_to_coordinate",
     "conformal_scalar_curvature",
     "expansion_residuals",
+    "SolutionKind",
 )
 
 # They validate in __post_init__, and the profiles are copied with
@@ -78,6 +82,21 @@ def test_a_metric_profile_is_two_readers():
         "breakpoints",
         "asymptotically_flat",
         "assume_nonnegative_R",
-        "conformal",
     ]
+
+
+def test_a_solution_has_no_kind_field():
+    # capacity is None exactly on a boundaryless solution: that is the one signal.
+    assert PotentialSolution.__slots__ == (
+        "profile",
+        "c_norm",
+        "capacity",
+        "grad_vanishes_at_infinity",
+        "_tail",
+        "_volume",
+    )
+
+
+def test_mass_report_takes_the_conformal_profile_alone():
+    assert list(inspect.signature(mass_report).parameters) == ["c"]
 

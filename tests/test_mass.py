@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,12 @@ from curvlab.potential import grad_value, solve, u_value
 from curvlab.profile import euclidean_conformal, mollified_schwarzschild, to_warped
 
 
-def expansion_residuals(sol, radii):
-    """Residuals r * [(1-u)^4 / |grad u|^2 - 1 - 2m/r] of the far-field expansion of a boundaryless solution.
+def expansion_residuals(sol, m, radii):
+    """Residuals r * [(1-u)^4 / |grad u|^2 - 1 - 2m/r] of the far-field expansion of a boundaryless solution of mass m.
 
     Bounded and decaying like O(r^{-1+alpha}); the decay exponent is
     asserted loosely (<= -0.9) since alpha can be chosen arbitrarily small.
     """
-    m = sol.profile.conformal.mass_tag
     out = []
     for r in radii:
         g = grad_value(sol, r)
@@ -39,10 +40,10 @@ class TestAdmSurface:
     def test_euclidean_zero(self):
         assert adm_surface(euclidean_conformal()) == pytest.approx(0.0, abs=1e-12)
 
-    def test_euclidean_mass_is_positive_zero(self, euclid_sol):
+    def test_euclidean_mass_is_positive_zero(self):
         # Every flux of a flat end is -0.0, and the extrapolation keeps that
         # sign; the report and mass.csv print 0.0.
-        report = mass_report(euclidean_conformal(), euclid_sol)
+        report = mass_report(euclidean_conformal())
         assert repr(report.m_surface) == "0.0"
 
     def test_mass_two(self):
@@ -100,21 +101,21 @@ class TestExpansionResiduals:
         # (1-u)^4/|grad u|^2 = 1 exactly, but euclidean has no conformal mass
         # residual defined through the mollified family instead.
         sol = solve(to_warped(euclidean_conformal()))
-        for r, residual in expansion_residuals(sol, [2.0, 8.0, 64.0]):
+        for r, residual in expansion_residuals(sol, 0.0, [2.0, 8.0, 64.0]):
             assert abs(residual) <= 1e-10
 
     def test_closed_form_values(self, moll11_sol, golden):
-        vals = dict(expansion_residuals(moll11_sol, [5.0, 10.0]))
+        vals = dict(expansion_residuals(moll11_sol, 1.0, [5.0, 10.0]))
         assert vals[5.0] == pytest.approx(golden["mass.moll11_residual_r5"], rel=1e-8)
         assert vals[10.0] == pytest.approx(golden["mass.moll11_residual_r10"], rel=1e-8)
 
     def test_monotone_decay(self, moll11_sol):
-        vals = dict(expansion_residuals(moll11_sol, [5.0, 10.0]))
+        vals = dict(expansion_residuals(moll11_sol, 1.0, [5.0, 10.0]))
         assert abs(vals[10.0]) < abs(vals[5.0])
 
     def test_decay_exponent(self, moll11_sol):
         rs = np.geomspace(10.0, 1000.0, 12)
-        vals = expansion_residuals(moll11_sol, [float(r) for r in rs])
+        vals = expansion_residuals(moll11_sol, 1.0, [float(r) for r in rs])
         slope = np.polyfit(np.log(rs), np.log([abs(v) for _, v in vals]), 1)[0]
         assert slope <= -0.9
 
@@ -122,16 +123,22 @@ class TestExpansionResiduals:
 class TestTwoEstimatorAgreement:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
     def test_agreement_within_one_percent(self, m):
-        conf = mollified_schwarzschild(m, 1.0)
-        sol = solve(to_warped(conf))
-        report = mass_report(conf, sol)
+        report = mass_report(mollified_schwarzschild(m, 1.0))
         assert abs(report.m_surface - m) <= 1e-3 * m
         assert abs(report.m_volume - m) <= 0.01 * m
         assert abs(report.m_surface - report.m_volume) <= 0.01 * m
 
-    def test_csv_shape(self, tmp_path, moll11_sol):
-        conf = mollified_schwarzschild(1.0, 1.0)
-        report = mass_report(conf, moll11_sol)
+    def test_a_copy_reads_both_estimators_from_its_own_model(self):
+        # A dataclasses.replace copy that takes the mass-2 factor is the mass-2
+        # model: the flux and the volumes both come from the one profile given.
+        two = mollified_schwarzschild(2.0, 1.0)
+        copy = dataclasses.replace(mollified_schwarzschild(1.0, 1.0), w=two.w, jet=two.jet, mass_tag=2.0)
+        report = mass_report(copy)
+        assert abs(report.m_surface - 2.0) <= 0.01 * 2.0
+        assert abs(report.m_volume - 2.0) <= 0.01 * 2.0
+
+    def test_csv_shape(self, tmp_path):
+        report = mass_report(mollified_schwarzschild(1.0, 1.0))
         path = tmp_path / "mass.csv"
         with open(path, "w") as fh:
             write_mass_csv(report, fh)

@@ -86,9 +86,9 @@ class TestSchwarzschild:
             schwarzschild(-1.0)
 
     def test_warped_only(self):
-        # The closed-form warp is the model; mass reads conformal profiles of
-        # boundaryless models only, so no conformal twin is built.
-        assert schwarzschild(1.0).conformal is None
+        # The closed-form warp is the model, and a warped profile keeps no
+        # link to a conformal twin: mass reads a ConformalProfile it is given.
+        assert not hasattr(schwarzschild(1.0), "conformal")
 
 
 class TestMollified:
@@ -370,7 +370,7 @@ class TestCsvIngestion:
         # below the first knot.  The spacings span `decades` orders of magnitude.
         from scipy.interpolate import CubicSpline
 
-        from curvlab.profile import _spline_coefficients
+        from curvlab.profile import _spline, _spline_coefficients
 
         rng = random.Random(seed)
         xs = [rng.uniform(0.5, 2.0)]
@@ -392,11 +392,10 @@ class TestCsvIngestion:
 
         points = xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])] + [rng.uniform(xs[0], xs[-1]) for _ in range(200)]
         points.append(xs[0] * (1.0 - 1e-12))
-        # s,f splines the warp factor itself; r,w splines w and warps it.
-        if header == "s,f":
-            jets = [p.jet(x) for x in points]
-        else:
-            jets = [p.conformal.jet(x) for x in points]
+        # s,f splines the warp factor itself; r,w splines w and warps it, so
+        # its spline is read here through the jet the CSV's w is built from.
+        jet = p.jet if header == "s,f" else _spline(xs, ys)[1]
+        jets = [jet(x) for x in points]
         for k, pp in enumerate(pps):
             assert np.array_equal(_bits([j[k] for j in jets]), _bits(pp(points)))
         assert np.array_equal(_bits([p.jet(x)[0] for x in points]), _bits([p.f(x) for x in points]))
@@ -427,29 +426,45 @@ def test_jet_value_is_f_bitwise(make, e):
     assert (p.df_ds(x), p.d2f_ds2(x)) == p.jet(x)[1:]
 
 
-def _moll_csv_conformal(directory):
+def _conformal_behind(build, monkeypatch):
+    """The ConformalProfile that ``build()`` hands to ``to_warped``, which keeps no link to it."""
+    import curvlab.profile
+
+    caught = []
+
+    def catch(c):
+        caught.append(c)
+        return to_warped(c)
+
+    monkeypatch.setattr(curvlab.profile, "to_warped", catch)
+    build()
+    return caught[-1]
+
+
+def _moll_csv_conformal(directory, monkeypatch):
     """The conformal profile of the frozen runs' moll.csv, whose last row is r = 10."""
     from frozen_outputs import write_inputs
 
     write_inputs(directory)
-    return profile_from_csv(str(directory / "moll.csv"), assume_nonnegative_R=True).conformal
+    path = str(directory / "moll.csv")
+    return _conformal_behind(lambda: profile_from_csv(path, assume_nonnegative_R=True), monkeypatch)
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda _: euclidean_conformal(),
-        lambda _: mollified_schwarzschild(1.0, 1.0),
-        lambda _: perturbed_schwarzschild().conformal,
+        lambda *_: euclidean_conformal(),
+        lambda *_: mollified_schwarzschild(1.0, 1.0),
+        lambda _, monkeypatch: _conformal_behind(perturbed_schwarzschild, monkeypatch),
         _moll_csv_conformal,
     ],
     ids=["euclidean", "mollified", "perturbed", "r,w-csv"],
 )
-def test_conformal_jet_value_is_w_bitwise(tmp_path, make):
+def test_conformal_jet_value_is_w_bitwise(tmp_path, monkeypatch, make):
     # The conformal jet's first component is the single-value w, bit for bit,
     # on both sides of each branch: the mollified glue at r0 = 1 and the
     # CSV's last row at r = 10, where the harmonic tail takes over.
-    c = make(tmp_path)
+    c = make(tmp_path, monkeypatch)
     rs = [c.r_min + 10.0**k for k in range(-6, 7)]
     rs += [math.nextafter(b, toward) for b in (1.0, 10.0) for toward in (0.0, math.inf)]
     for r in rs:
