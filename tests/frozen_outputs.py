@@ -4,6 +4,7 @@
 rewrites the files from the current code.  Both read the lists below.
 """
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -35,6 +36,28 @@ POTENTIAL_TABLES = [
     (
         ("--model", "mollified-schwarzschild", "--mass", "1.3", "--r0", "0.7", "--grid", "64"),
         "mollified_potential_grid64.txt",
+    ),
+]
+
+# (full argv, file) of `potential` and `functionals` at the 4096 levels of
+# the benchmark's level maps: the file holds the sha256 of the stdout
+# (without its stamp), which is too long to freeze whole.
+LEVEL_MAP_DIGESTS = [
+    (
+        ("potential", "--model", "perturbed-schwarzschild", "--mass", "1.3", "--amplitude", "0.2", "--grid", "4096"),
+        "perturbed_potential_grid4096.sha256",
+    ),
+    (
+        ("functionals", "--model", "perturbed-schwarzschild", "--mass", "1.3", "--amplitude", "0.2", "--grid", "4096"),
+        "perturbed_functionals_grid4096.sha256",
+    ),
+    (
+        ("potential", "--model", "mollified-schwarzschild", "--mass", "0.8", "--r0", "1.6", "--grid", "4096"),
+        "mollified_potential_grid4096.sha256",
+    ),
+    (
+        ("functionals", "--model", "mollified-schwarzschild", "--mass", "0.8", "--r0", "1.6", "--grid", "4096"),
+        "mollified_functionals_grid4096.sha256",
     ),
 ]
 
@@ -101,6 +124,16 @@ def run_cli(*args: str, cwd: pathlib.Path = ROOT) -> subprocess.CompletedProcess
 
 def strip_timestamp(text: str) -> str:
     return "\n".join(ln for ln in text.splitlines() if not ln.startswith("# generated_at="))
+
+
+def frozen_text(stdout: str) -> str:
+    """What a frozen file holds of a run's stdout: every line but the stamp."""
+    return strip_timestamp(stdout) + "\n"
+
+
+def digest(stdout: str) -> str:
+    """What a LEVEL_MAP_DIGESTS file holds of a run's stdout: the sha256 of its frozen text."""
+    return hashlib.sha256(frozen_text(stdout).encode()).hexdigest() + "\n"
 
 
 def frozen_runs():

@@ -4,7 +4,8 @@
 Run from the repository root:  python tests/make_frozen.py [--check]
 
 Each run listed in frozen_outputs.py is made in a scratch directory, and its
-stdout, without the ``# generated_at`` line, replaces its file.  For every
+stdout, without the ``# generated_at`` line, replaces its file; for a run of
+LEVEL_MAP_DIGESTS the file holds the sha256 of that text instead.  For every
 file the script prints each line removed or added (``removed check X``) and
 each changed field as old -> new, with the move in units in the last place
 of the old value, and the largest such move; a file that does not exist yet
@@ -25,7 +26,7 @@ from collections import Counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from frozen_outputs import DATA, frozen_runs, run_cli, strip_timestamp, write_inputs
+from frozen_outputs import DATA, LEVEL_MAP_DIGESTS, digest, frozen_runs, frozen_text, run_cli, write_inputs
 
 _CHECK_COLUMNS = ("status", "margin", "t", "tol")
 
@@ -132,12 +133,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cwd = pathlib.Path(tmp)
         write_inputs(cwd)
-        for argv_run, name, code in frozen_runs():
+        runs = [(*run, frozen_text) for run in frozen_runs()]
+        runs += [(argv_run, name, 0, digest) for argv_run, name in LEVEL_MAP_DIGESTS]
+        for argv_run, name, code, keep in runs:
             cp = run_cli(*argv_run, cwd=cwd)
             if cp.returncode != code:
                 print(f"{name}: exit code {cp.returncode}, expected {code}; nothing written\n{cp.stderr}")
                 return 1
-            outputs[name] = strip_timestamp(cp.stdout) + "\n"
+            outputs[name] = keep(cp.stdout)
     return update(outputs, check)
 
 

@@ -13,11 +13,13 @@ from frozen_outputs import (
     DATA,
     FUNCTIONALS_HEAD,
     FUNCTIONALS_TABLES,
+    LEVEL_MAP_DIGESTS,
     MASS_REPORTS,
     MODELS_LIST,
     POTENTIAL_TABLES,
     ROOT,
     VERIFY_REPORTS,
+    digest,
     frozen_runs,
     run_cli,
     strip_timestamp,
@@ -305,6 +307,14 @@ def test_potential_table_frozen(args, name):
     cp = run_cli("potential", *args)
     assert cp.returncode == 0, cp.stderr
     assert strip_timestamp(cp.stdout) + "\n" == (DATA / name).read_text()
+
+
+@pytest.mark.parametrize(("argv", "name"), LEVEL_MAP_DIGESTS, ids=[name for _, name in LEVEL_MAP_DIGESTS])
+def test_level_map_digest_frozen(argv, name):
+    # Every one of the 4096 levels and every column lands on the same bits.
+    cp = run_cli(*argv)
+    assert cp.returncode == 0, cp.stderr
+    assert digest(cp.stdout) == (DATA / name).read_text()
 
 
 @pytest.mark.parametrize(("args", "name", "code"), VERIFY_REPORTS)

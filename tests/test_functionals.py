@@ -15,11 +15,13 @@ from curvlab.potential import (
     u_value,
     volumes,
 )
-from curvlab.profile import euclidean, mollified_schwarzschild, perturbed_schwarzschild, schwarzschild, to_warped
+from curvlab.profile import (
+    euclidean, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv, schwarzschild, to_warped,
+)
 from curvlab.verify import schwarzschild_comparison_volume
 from coarea_quadrature import coarea_volumes_per_node
 from differences import differentiate
-from frozen_outputs import rneg_profile
+from frozen_outputs import rneg_profile, write_inputs
 from growth_quadrature import growth_integrand_cumulative
 
 FOUR_PI = 4.0 * math.pi
@@ -301,31 +303,51 @@ class TestSeries:
         assert calls[0] <= 2000
         assert list(series.volume) == sorted(series.volume)
 
-    def test_columns_bitwise_equal_scalar_functions(self, perturbed_sol, euclid_sol):
-        # The default grid starts at C/2; with t_min_factor > 1 the series
-        # solves the boundary level on its own.
-        for t_min_factor in (1.0, 3.0):
-            grid = default_t_grid(perturbed_sol, 24, t_min_factor=t_min_factor)
-            series = build_series(perturbed_sol, grid)
-            cap = perturbed_sol.capacity
-            assert series.boundary_sample.t == 0.5 * cap
-            deficit = 2.0 * cap * (math.pi - level_integrals(perturbed_sol, 0.5 * cap).int_grad_sq)
-            assert series.deficit_A == deficit
-            rows = [functional_row(level_integrals(perturbed_sol, t), cap) for t in grid]
-            for col, field in (
-                (series.G, "G"),
-                (series.Gprime_analytic, "Gprime"),
-                (series.F, "F"),
-                (series.Fprime_analytic, "Fprime"),
-                (series.A1, "A1"),
-                (series.a_growth, "a"),
-                (series.B1, "B1"),
-            ):
-                scalars = np.array([getattr(r, field) for r in rows])
-                assert np.asarray(col).tobytes() == scalars.tobytes(), field
-            tilde = np.array([r.A1 + deficit / (2.0 * t) for r, t in zip(rows, grid)])
-            assert np.asarray(series.A1tilde).tobytes() == tilde.tobytes()
-        grid = default_t_grid(euclid_sol, 24)
-        series = build_series(euclid_sol, grid)
-        scalars = [functional_row(level_integrals(euclid_sol, t), None).Fhat for t in grid]
-        assert np.asarray(series.Fhat).tobytes() == np.array(scalars).tobytes()
+    def test_columns_bitwise_equal_scalar_functions(self, tmp_path, schw1_sol, perturbed_sol, euclid_sol, moll11_sol):
+        # Every column of the series, bit for bit, against the one-level
+        # route: functional_row(level_integrals(sol, t), cap) and
+        # volumes(sol, [s]).  The default grid starts at C/2; with
+        # t_min_factor > 1 the series solves the boundary level on its own.
+        write_inputs(tmp_path)
+        tables = [profile_from_csv(str(tmp_path / "rneg.csv"), False), profile_from_csv(str(tmp_path / "moll.csv"), True)]
+        for sol in (schw1_sol, perturbed_sol, euclid_sol, moll11_sol, *map(solve, tables)):
+            cap = sol.capacity
+            for t_min_factor in (1.0, 3.0):
+                grid = default_t_grid(sol, 24, t_min_factor=t_min_factor)
+                series = build_series(sol, grid)
+                samples = [level_integrals(sol, t) for t in grid]
+                rows = [functional_row(ls, cap) for ls in samples]
+                deficit = math.nan
+                if cap is not None:
+                    boundary = level_integrals(sol, 0.5 * cap)
+                    assert np.array(series.boundary_sample).tobytes() == np.array(boundary).tobytes()
+                    deficit = 2.0 * cap * (math.pi - boundary.int_grad_sq)
+                    assert series.deficit_A == deficit
+                else:
+                    assert series.boundary_sample is None and math.isnan(series.deficit_A)
+                # Fhat is defined exactly without a boundary, G exactly with one.
+                assert list(np.isnan(series.Fhat)) == [cap is not None] * len(grid)
+                assert list(np.isnan(series.G)) == [cap is None] * len(grid)
+                columns = {
+                    "t_grid": [ls.t for ls in samples],
+                    "s": [ls.s for ls in samples],
+                    "u": [ls.u for ls in samples],
+                    "area": [ls.area for ls in samples],
+                    "grad": [ls.grad for ls in samples],
+                    "mean_curvature": [ls.mean_curvature for ls in samples],
+                    "scalar_R": [ls.scalar_R for ls in samples],
+                    "Fhat": [r.Fhat for r in rows],
+                    "G": [r.G for r in rows],
+                    "F": [r.F for r in rows],
+                    "A1": [r.A1 for r in rows],
+                    "A1tilde": [r.A1 + deficit / (2.0 * t) for r, t in zip(rows, grid)],
+                    "a_growth": [r.a for r in rows],
+                    "B1": [r.B1 for r in rows],
+                    "Fprime_analytic": [r.Fprime for r in rows],
+                    "Gprime_analytic": [r.Gprime for r in rows],
+                    "volume": [volumes(sol, [ls.s])[0] for ls in samples],
+                }
+                assert set(columns) == set(series._fields) - {"deficit_A", "boundary_sample"}
+                for field, values in columns.items():
+                    got = np.array(getattr(series, field))
+                    assert got.tobytes() == np.array(values).tobytes(), (sol.profile.label, t_min_factor, field)

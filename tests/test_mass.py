@@ -97,9 +97,11 @@ class TestMassFromVolume:
 
 
 class TestExpansionResiduals:
-    def test_euclidean_exactly_flat(self, euclid_sol):
-        # (1-u)^4/|grad u|^2 = 1 exactly, but euclidean has no conformal mass
-        # residual defined through the mollified family instead.
+    def test_euclidean_exactly_flat(self):
+        # (1-u)^4/|grad u|^2 = 1 exactly on flat space.  The residuals read u
+        # and |grad u| at the isotropic radius r, so flat space is solved in
+        # the conformal form the other residual tests read through to_warped
+        # (w = 1, mass 0), not as the arclength profile euclidean().
         sol = solve(to_warped(euclidean_conformal()))
         for r, residual in expansion_residuals(sol, 0.0, [2.0, 8.0, 64.0]):
             assert abs(residual) <= 1e-10
