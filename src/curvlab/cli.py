@@ -38,7 +38,7 @@ from .errors import CurvlabError
 from .functionals import build_series, write_series_csv
 from .mass import mass_report, write_mass_csv
 from .numerics import Tolerance
-from .potential import default_t_grid, grad_value, levels, solve
+from .potential import _grads, default_t_grid, levels, solve
 from .profile import (
     euclidean, euclidean_conformal, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv,
     schwarzschild, to_warped,
@@ -289,7 +289,9 @@ def _models(cfg: None) -> _Result:
 def _potential(cfg: RunConfig) -> _Result:
     sol, grid = _solve_grid(cfg)
     # Solve every level before writing, so a failed level leaves no partial table.
-    rows = [f"{lp.t!r},{lp.s!r},{lp.u!r},{grad_value(sol, lp.s)!r}\n" for lp in levels(sol, grid)]
+    lps = levels(sol, grid)
+    grads = _grads(sol.c_norm, [sol.profile.metric(lp.s)[0] for lp in lps])  # one metric read per level
+    rows = [f"{t!r},{s!r},{u!r},{g!r}\n" for (t, s, u), g in zip(lps, grads)]
     cap = sol.capacity
     capacity = f"# capacity={cap!r}\n" if cap is not None else "# capacity=nan (boundaryless)\n"
     table = [f"# profile={sol.profile.label}\n", capacity, "t,s,u,grad\n", *rows]

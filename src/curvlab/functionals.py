@@ -21,11 +21,11 @@ makes zero on the round level spheres).
 
 Boundaryless case:  Fhat(t) = -4 pi / t + t * Int |grad u|^2 dsigma.
 
-One level: functional_row(level_integrals(sol, t), sol.capacity) (the capacity
-is None without a boundary, where only Fhat is defined).  An ordered list of
-levels: functional_rows, which solves them in one levels sweep.  A grid:
-build_series, which reads functional_rows and adds A, A1~ = A1 + A/2t and the
-volumes that coarea_volumes cross-checks.
+Ordered levels: functional_columns, one levels sweep, then the geometry
+(potential._geometry) and the functionals (_functional_columns) as columns,
+one pass each.  A grid: build_series, which adds A, A1~ = A1 + A/2t and the
+volumes that coarea_volumes cross-checks.  One level: the same two passes in
+functional_row(level_integrals(sol, t), sol.capacity), None without a boundary.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .numerics import NodeIntegrand, Tolerance, integrate
 from .potential import (
     LevelSetSample,
     PotentialSolution,
-    _round_sphere,
-    _sample,
+    _geometry,
     level_integrals,
     levels,
     t_of_level,
@@ -51,7 +50,7 @@ __all__ = [
     "FunctionalSeries",
     "FunctionalRow",
     "functional_row",
-    "functional_rows",
+    "functional_columns",
     "coarea_volumes",
     "build_series",
     "write_series_csv",
@@ -71,13 +70,8 @@ _SERIES_COLUMNS = (
 SERIES_CSV_HEADER = ",".join(name for name, _ in _SERIES_COLUMNS)
 
 
-def _q(u: float, grad: float, mean_h: float) -> float:
-    """q = 4u/(1-u^2) |grad u| - H; at the boundary u = 0 kills the first factor."""
-    return 4.0 * u / (1.0 - u * u) * grad - mean_h
-
-
 class FunctionalRow(NamedTuple):
-    """Every functional of one level set; nan where the solution kind leaves it undefined."""
+    """Every functional of one level set (``functional_columns``: columns of it); nan where undefined."""
 
     Fhat: float
     G: float
@@ -90,44 +84,49 @@ class FunctionalRow(NamedTuple):
     B1: float
 
 
+def _functional_columns(cap: float | None, geo: LevelSetSample) -> FunctionalRow:
+    """The functionals at each level of the geometry columns ``geo`` as a
+    FunctionalRow of lists, in one pass that makes no call per level."""
+    undefined = [math.nan] * len(geo.t)
+    if cap is None:
+        fhat = [-_FOUR_PI / t + t * i2 for t, i2 in zip(geo.t, geo.int_grad_sq)]
+        return FunctionalRow(fhat, *[undefined] * 8)
+    g_col, gprime_col, f_col, fprime_col, a1_col, a1prime_col, a_col, b1_col = cols = [[] for _ in range(8)]
+    for t, u, area, grad, mean_h, scalar_r, i2, ih in zip(geo.t, *geo[2:9]):
+        p = 1.0 + cap / (2.0 * t)
+        m1 = 1.0 - cap / (2.0 * t)
+        m3 = 1.0 - 3.0 * cap / (2.0 * t)
+        # q = 4u/(1-u^2) |grad u| - H; at the boundary u = 0 kills the first factor.
+        q = 4.0 * u / (1.0 - u * u) * grad - mean_h
+        p3 = p ** 3
+        p4 = p ** 4
+        a1_val = t * t / (cap * cap) * p4 * i2
+        a1_prime_val = 2.0 * t / (cap * cap) * p3 * m1 * i2 - p * p / cap * ih
+        g_col.append(-math.pi * cap * cap / t + 0.25 * t * p4 * i2)
+        gprime_col.append(math.pi * cap * cap / (t * t) + 0.25 * p3 * m3 * i2 - cap / (4.0 * t) * p * p * ih)
+        f_col.append(_FOUR_PI * t + t ** 3 / (cap * cap) * p3 * m3 * i2 - t * t / cap * p * p * ih)
+        fprime_col.append(area * (0.5 * scalar_r + 0.75 * q * q))
+        a1_col.append(a1_val)
+        a1prime_col.append(a1_prime_val)
+        a_col.append(t * a1_prime_val / a1_val)
+        b1_col.append(area * 1.5 * q * q)
+    return FunctionalRow(undefined, *cols)
+
+
 def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
     """Evaluate the functionals of the module docstring on one level set.
 
     ``cap`` is the capacity of a boundary solution, or None for a boundaryless
     one, where only Fhat is defined.
     """
-    t = ls.t
-    nan = math.nan
-    if cap is None:
-        return FunctionalRow(-_FOUR_PI / t + t * ls.int_grad_sq, nan, nan, nan, nan, nan, nan, nan, nan)
-    i2 = ls.int_grad_sq
-    ih = ls.int_grad_H
-    p = 1.0 + cap / (2.0 * t)
-    m1 = 1.0 - cap / (2.0 * t)
-    m3 = 1.0 - 3.0 * cap / (2.0 * t)
-    q = _q(ls.u, ls.grad, ls.mean_curvature)
-    p3 = p ** 3
-    p4 = p ** 4
-    a1_val = t * t / (cap * cap) * p4 * i2
-    a1_prime_val = 2.0 * t / (cap * cap) * p3 * m1 * i2 - p * p / cap * ih
-    # Fields in declaration order: Fhat, G, Gprime, F, Fprime, A1, A1prime, a, B1.
-    return FunctionalRow(
-        nan,
-        -math.pi * cap * cap / t + 0.25 * t * p4 * i2,
-        math.pi * cap * cap / (t * t) + 0.25 * p3 * m3 * i2 - cap / (4.0 * t) * p * p * ih,
-        _FOUR_PI * t + t ** 3 / (cap * cap) * p3 * m3 * i2 - t * t / cap * p * p * ih,
-        ls.area * (0.5 * ls.scalar_R + 0.75 * q * q),
-        a1_val,
-        a1_prime_val,
-        t * a1_prime_val / a1_val,
-        ls.area * 1.5 * q * q,
-    )
+    columns = _functional_columns(cap, LevelSetSample(*([value] for value in ls)))
+    return FunctionalRow(*(column[0] for column in columns))
 
 
-def functional_rows(sol: PotentialSolution, ts: Sequence[float]) -> tuple[list[LevelSetSample], list[FunctionalRow]]:
-    """The sample and the functional row of each level of ts, solved in one levels sweep."""
-    samples = [_sample(sol, lp) for lp in levels(sol, ts)]
-    return samples, [functional_row(ls, sol.capacity) for ls in samples]
+def functional_columns(sol: PotentialSolution, ts: Sequence[float]) -> tuple[LevelSetSample, FunctionalRow]:
+    """The geometry and the functionals of the levels ts as columns, from one levels sweep."""
+    geo = _geometry(sol, levels(sol, ts))
+    return geo, _functional_columns(sol.capacity, geo)
 
 
 def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
@@ -151,7 +150,8 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     lower = 0.5 * cap if boundary else 1e-4 * ts[0]
 
     def integrand(ss: list[float]) -> list[float]:
-        inv = {lp.t: _round_sphere(sol, p.f(lp.s))[2] for lp in levels(sol, sorted(ss))}
+        geo = _geometry(sol, levels(sol, sorted(ss)))
+        inv = dict(zip(geo.t, geo.int_inv_grad))
         if boundary:
             return [cap / (s * s) * (1.0 + cap / (2.0 * s)) ** -2 * inv[s] for s in ss]
         return [inv[s] / (s * s) for s in ss]
@@ -190,36 +190,34 @@ class FunctionalSeries(NamedTuple):
 def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalSeries:
     """Evaluate every functional over the grid."""
     ts = [float(t) for t in t_grid]
-    samples, rows = functional_rows(sol, ts)
+    geo, cols = functional_columns(sol, ts)
     boundary_sample = None
     deficit = math.nan
     if sol.capacity is not None:
         # A default grid starts at C/2; one with t_min_factor > 1 does not.
         t_b = 0.5 * sol.capacity
-        boundary_sample = samples[0] if ts[0] == t_b else level_integrals(sol, t_b)
+        boundary_sample = LevelSetSample(*(c[0] for c in geo)) if ts[0] == t_b else level_integrals(sol, t_b)
         deficit = 2.0 * sol.capacity * (math.pi - boundary_sample.int_grad_sq)
-    cols = FunctionalRow(*zip(*rows))
-    geometry = LevelSetSample(*zip(*samples))
 
     return FunctionalSeries(
         deficit_A=deficit,
         t_grid=tuple(ts),
-        s=geometry.s,
-        u=geometry.u,
-        area=geometry.area,
-        grad=geometry.grad,
-        mean_curvature=geometry.mean_curvature,
-        scalar_R=geometry.scalar_R,
-        Fhat=cols.Fhat,
-        G=cols.G,
-        F=cols.F,
-        A1=cols.A1,
-        A1tilde=tuple(a + deficit / (2.0 * t) for a, t in zip(cols.A1, ts)),
-        a_growth=cols.a,
-        B1=cols.B1,
-        Fprime_analytic=cols.Fprime,
-        Gprime_analytic=cols.Gprime,
-        volume=tuple(volumes(sol, geometry.s)),
+        s=tuple(geo.s),
+        u=tuple(geo.u),
+        area=tuple(geo.area),
+        grad=tuple(geo.grad),
+        mean_curvature=tuple(geo.mean_curvature),
+        scalar_R=tuple(geo.scalar_R),
+        Fhat=tuple(cols.Fhat),
+        G=tuple(cols.G),
+        F=tuple(cols.F),
+        A1=tuple(cols.A1),
+        A1tilde=tuple([a + deficit / (2.0 * t) for a, t in zip(cols.A1, ts)]),
+        a_growth=tuple(cols.a),
+        B1=tuple(cols.B1),
+        Fprime_analytic=tuple(cols.Fprime),
+        Gprime_analytic=tuple(cols.Gprime),
+        volume=tuple(volumes(sol, geo.s)),
         boundary_sample=boundary_sample,
     )
 

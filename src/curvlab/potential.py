@@ -55,7 +55,7 @@ import math
 import operator
 from bisect import bisect_right
 from functools import reduce
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonConvergent, OutOfRange
 from .numerics import Tolerance, geometric_grid, integrate
@@ -108,7 +108,7 @@ class LevelParam(NamedTuple):
 
 
 class LevelSetSample(NamedTuple):
-    """Pointwise and integrated level-set geometry at one t.
+    """Pointwise and integrated level-set geometry at one t (``_geometry``: columns of it).
 
     On round level sets each surface integral is 4 pi f^2 times the
     pointwise value of its integrand.
@@ -416,7 +416,7 @@ def solve(p: MetricProfile) -> PotentialSolution:
         cap = None
 
     # Paper hypothesis |grad u| -> 0 at infinity, sampled on a coarse grid.
-    gs = [c / p.f(x * p.x_scale) ** 2 for x in (1e2, 1e3, 1e4)]
+    gs = _grads(c, [p.f(x * p.x_scale) for x in (1e2, 1e3, 1e4)])
     vanishes = gs[0] > gs[1] > gs[2] and gs[2] < 1e-6 * max(1.0, c)
 
     return PotentialSolution(
@@ -535,39 +535,38 @@ def u_value(sol: PotentialSolution, x: float) -> float:
     return 1.0 - sol.c_norm * sol._tail.value(x)
 
 
+def _grads(c: float, fs: Iterable[float]) -> list[float]:
+    """|grad u| = c/f^2 on each level sphere where the profile is f: the one source of |grad u|."""
+    return [c / (f * f) for f in fs]
+
+
 def grad_value(sol: PotentialSolution, x: float) -> float:
     """|grad u| at radial coordinate x (analytic: c/f^2)."""
-    fx = sol.profile.f(x)
-    return sol.c_norm / (fx * fx)
+    return _grads(sol.c_norm, [sol.profile.f(x)])[0]
 
 
 def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
-    """Geometric payload of the level set at t.
-
-    The three surface integrals reduce to 4 pi f^2 times pointwise values on
-    round level sets.
-    """
-    return _sample(sol, level(sol, t))
+    """Geometric payload of the level set at t: the one-level read of ``_geometry``."""
+    return LevelSetSample(*(column[0] for column in _geometry(sol, levels(sol, (t,)))))
 
 
-def _round_sphere(sol: PotentialSolution, f: float) -> tuple[float, float, float]:
-    """Area, |grad u| and Int 1/|grad u| dsigma of the level sphere where the profile is f."""
-    area = _FOUR_PI * f * f
-    g = sol.c_norm / (f * f)
-    return area, g, area / g
-
-
-def _sample(sol: PotentialSolution, lp: LevelParam) -> LevelSetSample:
-    """The level_integrals payload of a solved level."""
-    t, x, u = lp
-    f, fs, fss = sol.profile.jet(x)
-    area, g, inv_grad = _round_sphere(sol, f)
-    mean_h = 2.0 * fs / f
-    # Fields in declaration order: t, s, u, area, grad, mean_curvature,
-    # scalar_R, int_grad_sq, int_grad_H, int_inv_grad.
-    return LevelSetSample(
-        t, x, u, area, g, mean_h, _warped_scalar_curvature(f, fs, fss), area * g * g, area * g * mean_h, inv_grad
-    )
+def _geometry(sol: PotentialSolution, lps: Sequence[LevelParam]) -> LevelSetSample:
+    """The level_integrals payload of the solved levels lps as a LevelSetSample
+    of lists, in one pass: per level one ``jet`` read and one call, for R."""
+    ts, ss, us = ([lp[k] for lp in lps] for k in range(3))
+    jets = list(map(sol.profile.jet, ss))
+    grads = _grads(sol.c_norm, [f for f, _, _ in jets])
+    area, mean_h, scalar_r, int_grad_sq, int_grad_h, int_inv_grad = [], [], [], [], [], []
+    for (f, fs, fss), g in zip(jets, grads):
+        a = _FOUR_PI * f * f
+        h = 2.0 * fs / f
+        area.append(a)
+        mean_h.append(h)
+        scalar_r.append(_warped_scalar_curvature(f, fs, fss))
+        int_grad_sq.append(a * g * g)
+        int_grad_h.append(a * g * h)
+        int_inv_grad.append(a / g)
+    return LevelSetSample(ts, ss, us, area, grads, mean_h, scalar_r, int_grad_sq, int_grad_h, int_inv_grad)
 
 
 def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:

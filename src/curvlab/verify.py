@@ -21,7 +21,7 @@ from enum import Enum
 from typing import IO, NamedTuple, Sequence
 
 from .errors import GridTooCoarse
-from .functionals import FunctionalSeries, build_series, coarea_volumes, functional_rows
+from .functionals import FunctionalSeries, build_series, coarea_volumes, functional_columns
 from .numerics import Tolerance, difference_quotient, difference_stencil
 from .potential import PotentialSolution, default_t_grid
 from .profile import sample_scalar_curvature_sign, sphere_geometry
@@ -213,10 +213,11 @@ def _boundary_checks(
         if t - 2.0 * h > 0.5 * cap:
             riccati_stencils.append((i, *difference_stencil(t, h)))
     stencil_ts = sorted({x for _, _, xs in fd_stencils + riccati_stencils for x in xs})
-    row_at = dict(zip(stencil_ts, functional_rows(sol, stencil_ts)[1]))
+    stencil = functional_columns(sol, stencil_ts)[1]
+    at = {x: k for k, x in enumerate(stencil_ts)}
 
     def derivative(column: str, h: float, xs: Sequence[float]) -> float:
-        return difference_quotient([getattr(row_at[x], column) for x in xs], h)
+        return difference_quotient([getattr(stencil, column)[at[x]] for x in xs], h)
 
     g_margins, f_margins = [], []
     for i, h, xs in fd_stencils:

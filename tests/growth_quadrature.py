@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from curvlab.functionals import _q
 from curvlab.numerics import Tolerance, integrate
 from curvlab.potential import PotentialSolution, u_value
 from curvlab.profile import _warped_scalar_curvature
@@ -39,7 +38,7 @@ def growth_integrand_cumulative(sol: PotentialSolution, coords: Sequence[float])
         area = _FOUR_PI * f * f
         g = c / (f * f)
         u = u_value(sol, x)
-        q = _q(u, g, 2.0 * fs / f)
+        q = 4.0 * u / (1.0 - u * u) * g - 2.0 * fs / f
         density = area * (_warped_scalar_curvature(f, fs, p.d2f_ds2(x)) + 1.5 * q * q)
         dt_dx = cap * (c * p.ds_dx(x) / (f * f)) / ((1.0 - u) * (1.0 - u))
         return density * dt_dx

@@ -1,8 +1,9 @@
 """The public surface: every exported name resolves; the per-level
 functional accessors stay gone (one route: functional_row on a level set,
-build_series over a grid), and so do the helpers only tests called, which
-live in the tests now; the only dataclasses are the three records that
-validate themselves; a MetricProfile's fields are its two readers, not its
+build_series over a grid), and so does functional_rows, whose per-level
+records gave way to the columns of functional_columns; so do the helpers
+only tests called, which live in the tests now; the only dataclasses are
+the three records that validate themselves; a MetricProfile's fields are its two readers, not its
 views, and no link to a conformal profile; a solution says it has no
 boundary by its capacity alone; and mass_report takes one model."""
 
@@ -39,6 +40,7 @@ DELETED = (
     "conformal_scalar_curvature",
     "expansion_residuals",
     "SolutionKind",
+    "functional_rows",
 )
 
 # They validate in __post_init__, and the profiles are copied with

@@ -209,11 +209,12 @@ class TestReportMechanics:
 
 def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     # The coarea cross-check reads the series' levels and solves none of
-    # them a second time.  Every sample, of a grid or of one level_integrals
-    # call, is built by potential._sample, and every solve, of a grid or of
-    # one level call, runs through potential.levels.  Off the grid, the
-    # finite-difference stencils are solved in one sweep and the coarea
-    # quadrature in one sweep per Gauss-Kronrod panel.
+    # them a second time.  Every sample, of a grid, of a coarea panel or of
+    # one level_integrals call, is a level of the one-pass column code
+    # potential._geometry, and every solve, of a grid or of one level call,
+    # runs through potential.levels.  Off the grid, the finite-difference
+    # stencils are solved in one sweep and the coarea quadrature in one
+    # sweep per Gauss-Kronrod panel.
     import sys
 
     import curvlab.functionals as functionals_mod
@@ -221,11 +222,14 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     import curvlab.verify as verify_mod
 
     calls: dict[float, int] = {}
-    real = potential_mod._sample
+    batches: list[list[float]] = []  # the levels of each _geometry call
+    real = potential_mod._geometry
 
-    def counting(sol, lp):
-        calls[lp.t] = calls.get(lp.t, 0) + 1
-        return real(sol, lp)
+    def counting(sol, lps):
+        batches.append([lp.t for lp in lps])
+        for lp in lps:
+            calls[lp.t] = calls.get(lp.t, 0) + 1
+        return real(sol, lps)
 
     solves: dict[float, int] = {}
     sweeps: list[tuple[str, list[float]]] = []  # (caller, levels) of each levels call
@@ -256,8 +260,8 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
         finally:
             stage[0] = "battery"
 
-    monkeypatch.setattr(potential_mod, "_sample", counting)
-    monkeypatch.setattr(functionals_mod, "_sample", counting)
+    monkeypatch.setattr(potential_mod, "_geometry", counting)
+    monkeypatch.setattr(functionals_mod, "_geometry", counting)
     # Every curvlab module that reads the name levels sees the counter.
     for name, mod in list(sys.modules.items()):
         if name.startswith("curvlab") and getattr(mod, "levels", None) is real_levels:
@@ -279,6 +283,9 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     stencil = battery[1]
     assert stencil == sorted(set(stencil)) and not set(stencil) & set(grid)
     assert len(stencil) > 4 * len(grid)
+    # The grid and the stencil levels are each sampled in one pass.
+    assert batches[:2] == [grid, stencil]
+    assert [calls[t] for t in stencil] == [1] * len(stencil)
     coarea = [ts for caller, ts in sweeps if caller == "coarea"]
     assert len(panels) == 3 and 0 < len(coarea) <= sum(panels)
 
