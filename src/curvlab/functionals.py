@@ -85,8 +85,7 @@ class FunctionalRow(NamedTuple):
 
 
 def _functional_columns(cap: float | None, geo: LevelSetSample) -> FunctionalRow:
-    """The functionals at each level of the geometry columns ``geo`` as a
-    FunctionalRow of lists, in one pass that makes no call per level."""
+    """The functionals of the geometry columns ``geo`` as a FunctionalRow of lists: one pass, no call per level."""
     undefined = [math.nan] * len(geo.t)
     if cap is None:
         fhat = [-_FOUR_PI / t + t * i2 for t, i2 in zip(geo.t, geo.int_grad_sq)]
@@ -198,7 +197,6 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
         t_b = 0.5 * sol.capacity
         boundary_sample = LevelSetSample(*(c[0] for c in geo)) if ts[0] == t_b else level_integrals(sol, t_b)
         deficit = 2.0 * sol.capacity * (math.pi - boundary_sample.int_grad_sq)
-
     return FunctionalSeries(
         deficit_A=deficit,
         t_grid=tuple(ts),

@@ -46,7 +46,10 @@ from the bracket's table: 1.5 to 3.5 table reads per level, and one
 t in one pass and locates the bracket and its table once per anchor
 interval the sequence stays in, so an ordered grid of 4096 levels walks 11
 to 13 brackets; the bracket is a function of the target alone, so every
-level is bitwise the one a solve of t alone returns.
+level is bitwise the one a solve of t alone returns.  ``_geometry`` reads
+the level-set geometry of many solved levels as columns in one pass (the
+grid route), and ``level_integrals`` runs it on one level (the one-level
+route); ``_grads`` is the one source of |grad u| = c/f^2.
 """
 
 from __future__ import annotations
@@ -551,8 +554,7 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
 
 
 def _geometry(sol: PotentialSolution, lps: Sequence[LevelParam]) -> LevelSetSample:
-    """The level_integrals payload of the solved levels lps as a LevelSetSample
-    of lists, in one pass: per level one ``jet`` read and one call, for R."""
+    """The level_integrals payload of the levels lps as columns, in one pass: a jet read and an R call per level."""
     ts, ss, us = ([lp[k] for lp in lps] for k in range(3))
     jets = list(map(sol.profile.jet, ss))
     grads = _grads(sol.c_norm, [f for f, _, _ in jets])
