@@ -289,9 +289,9 @@ def _models(cfg: None) -> _Result:
 def _potential(cfg: RunConfig) -> _Result:
     sol, grid = _solve_grid(cfg)
     # Solve every level before writing, so a failed level leaves no partial table.
-    lps = levels(sol, grid)
-    grads = _grads(sol.c_norm, [sol.profile.metric(lp.s)[0] for lp in lps])  # one metric read per level
-    rows = [f"{t!r},{s!r},{u!r},{g!r}\n" for (t, s, u), g in zip(lps, grads)]
+    ts, ss, us = levels(sol, grid)
+    grads = _grads(sol.c_norm, [f for f, _ in map(sol.profile.metric, ss)])  # one metric read per level
+    rows = [f"{t!r},{s!r},{u!r},{g!r}\n" for t, s, u, g in zip(ts, ss, us, grads)]
     cap = sol.capacity
     capacity = f"# capacity={cap!r}\n" if cap is not None else "# capacity=nan (boundaryless)\n"
     table = [f"# profile={sol.profile.label}\n", capacity, "t,s,u,grad\n", *rows]

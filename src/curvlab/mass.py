@@ -97,7 +97,7 @@ def mass_from_volume(
     if not sol.profile.asymptotically_flat:
         raise ProfileDataError("the volume estimator needs an asymptotically flat profile")
     ts = [float(t) for t in (t_samples if t_samples is not None else default_volume_samples())]
-    ss = [lp.s for lp in levels(sol, ts)]
+    ss = levels(sol, ts)[1]
     samples = [(t, (vol - _FOUR_PI * t ** 3 / 3.0) / (_FOUR_PI * t * t)) for t, vol in zip(ts, volumes(sol, ss))]
 
     t_max = max(t for t, _ in samples)

@@ -17,13 +17,15 @@ quadrature inside the level solve or the integrands built on u.
 it directly: ``levels`` and ``volumes`` pass the one panel of a table that
 holds one (on the built-ins, every interval no profile breakpoint splits),
 bound once per table, and otherwise panels[bisect_right(starts, x) - 1];
-both give the same bits.  A panel stores its coefficients paired, so the
-kernel's loop takes two Clenshaw terms per pass with the operations of
-one.  The tables read f and ds_dx at each node through one
-``MetricProfile.metric`` call.  One
-semi-infinite adaptive integral fixes the far anchor T(x_ref 2^_FAR_K);
-every anchor below it telescopes down through the tables, T(x_ref 2^k) =
-T(x_ref 2^(k+1)) + the total of table k, so the tables are the one source
+both give the same bits.  A panel stores its coefficients as 12 pairs; the
+kernel unpacks all of them in one statement and runs the Clenshaw
+recurrence as straight-line code, the operations of a loop over the pairs
+in the loop's order (the tests keep that loop as the kernel's reference).
+The tables read f and ds_dx at each node through one
+``MetricProfile.metric`` call.  One semi-infinite adaptive integral fixes
+the far anchor T(x_ref 2^_FAR_K); every anchor below it telescopes down
+through the tables, T(x_ref 2^k) = T(x_ref 2^(k+1)) + the total of table
+k, so the tables are the one source
 of T below the far anchor, and on a boundary profile the capacity's
 T(x_min) is that same sum.  Anchors above it, read only by levels beyond
 x_ref 2^_FAR_K, are their own adaptive integrals.  Anchor values and
@@ -43,13 +45,16 @@ and 1/T is nearly linear on the bracket (exactly, where T = 1/(x + a)).
 Newton runs on 1/T - 1/target from its linear interpolation and reads T
 from the bracket's table: 1.5 to 3.5 table reads per level, and one
 ``metric`` call per step for f and ds_dx.  ``levels`` solves a sequence of
-t in one pass and locates the bracket and its table once per anchor
-interval the sequence stays in, so an ordered grid of 4096 levels walks 11
-to 13 brackets; the bracket is a function of the target alone, so every
-level is bitwise the one a solve of t alone returns.  ``_geometry`` reads
-the level-set geometry of many solved levels as columns in one pass (the
-grid route), and ``level_integrals`` runs it on one level (the one-level
-route); ``_grads`` is the one source of |grad u| = c/f^2.
+t in one pass and returns the columns (ts, ss, us), with no record per
+level.  It forms u and the target of every t in one column pass
+(``_labels``, which ``level_value`` reads too), and locates the bracket,
+its table and the constants of the Newton start once per anchor interval
+the sequence stays in, so an ordered grid of 4096 levels walks 11 to 13
+brackets; the bracket is a function of the target alone, so every level is
+bitwise the one a solve of t alone returns.  ``_geometry`` reads the
+level-set geometry of those columns in one pass (the grid route), and
+``level_integrals`` runs it on one level (the one-level route); ``_grads``
+is the one source of |grad u| = c/f^2.
 """
 
 from __future__ import annotations
@@ -211,8 +216,15 @@ class _DyadicTables:
         return (starts, panels, acc)
 
     def _interval(self, x: float) -> int:
-        """The k with x_ref 2^k <= x < x_ref 2^(k+1): the log2 guess, corrected once either way."""
-        k = math.floor(math.log2(x / self._ref))
+        """The k with x_ref 2^k <= x < x_ref 2^(k+1): the log2 guess, corrected once either way.
+
+        x / x_ref must lie in (0, 2^1022), where the guess and 2^(k+1) are
+        finite; the guard is negated, so a NaN x fails it too.
+        """
+        ratio = x / self._ref
+        if not 0.0 < ratio < 2.0 ** 1022:
+            raise OutOfRange(f"coordinate x={x!r} is outside the dyadic intervals of x_ref={self._ref!r}")
+        k = math.floor(math.log2(ratio))
         if x < self.anchor_x(k):
             k -= 1
         elif x >= self.anchor_x(k + 1):
@@ -223,15 +235,41 @@ class _DyadicTables:
 def _clenshaw(panel: tuple, x: float) -> float:
     """Integral of a table from its left end to x inside one of its panels: the one table-read kernel."""
     start, half, before, c0, b1, pairs = panel
+    # The (_CHEB_N - 1) / 2 = 12 pairs of a panel, c_24 down to c_1.
+    (
+        (c24, c23), (c22, c21), (c20, c19), (c18, c17), (c16, c15), (c14, c13),
+        (c12, c11), (c10, c9), (c8, c7), (c6, c5), (c4, c3), (c2, c1),
+    ) = pairs
     z = (x - start) / half - 1.0
-    # Clenshaw sum of the integrated Chebyshev series at z, two terms per
-    # pass: the first statement forms the next b1 in b2, the second the one
-    # after it in b1, the operations of b1, b2 = z2 b1 - b2 + c, b1.
+    # Clenshaw sum of the integrated Chebyshev series at z, written out: each
+    # line forms the next b1 in b2 or the one after it in b1, the operations
+    # of b1, b2 = z2 b1 - b2 + c, b1, in order.  b2 starts at 0.0, which the
+    # first line leaves out: y - 0.0 is y.
     z2 = 2.0 * z
-    b2 = 0.0
-    for c, d in pairs:
-        b2 = z2 * b1 - b2 + c
-        b1 = z2 * b2 - b1 + d
+    b2 = z2 * b1 + c24
+    b1 = z2 * b2 - b1 + c23
+    b2 = z2 * b1 - b2 + c22
+    b1 = z2 * b2 - b1 + c21
+    b2 = z2 * b1 - b2 + c20
+    b1 = z2 * b2 - b1 + c19
+    b2 = z2 * b1 - b2 + c18
+    b1 = z2 * b2 - b1 + c17
+    b2 = z2 * b1 - b2 + c16
+    b1 = z2 * b2 - b1 + c15
+    b2 = z2 * b1 - b2 + c14
+    b1 = z2 * b2 - b1 + c13
+    b2 = z2 * b1 - b2 + c12
+    b1 = z2 * b2 - b1 + c11
+    b2 = z2 * b1 - b2 + c10
+    b1 = z2 * b2 - b1 + c9
+    b2 = z2 * b1 - b2 + c8
+    b1 = z2 * b2 - b1 + c7
+    b2 = z2 * b1 - b2 + c6
+    b1 = z2 * b2 - b1 + c5
+    b2 = z2 * b1 - b2 + c4
+    b1 = z2 * b2 - b1 + c3
+    b2 = z2 * b1 - b2 + c2
+    b1 = z2 * b2 - b1 + c1
     return before + half * (z * b1 - b2 + c0)
 
 
@@ -432,17 +470,30 @@ def solve(p: MetricProfile) -> PotentialSolution:
     )
 
 
-def level_value(sol: PotentialSolution, t: float) -> float:
-    """The u-level labelled by t."""
+def _labels(sol: PotentialSolution, ts: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The u-level u(t) and the tail target T = (1 - u)/c of each t, as columns: the one source of both.
+
+    T is formed in closed form (c = C with a boundary, 1 without): forming
+    1 - u from u would cancel digits at large t.
+    """
     # The guards are negated comparisons, so that a NaN t fails them too.
     cap = sol.capacity
     if cap is not None:
-        if not t >= 0.5 * cap * (1.0 - 1e-12):
-            raise OutOfRange(f"t={t!r} is not at or above C/2={0.5 * cap!r}")
-        return (1.0 - cap / (2.0 * t)) / (1.0 + cap / (2.0 * t))
-    if not t > 0.0:
-        raise OutOfRange(f"t={t!r} must be positive for a boundaryless solution")
-    return 1.0 - 1.0 / t
+        floor = 0.5 * cap * (1.0 - 1e-12)
+        for t in ts:
+            if not t >= floor:
+                raise OutOfRange(f"t={t!r} is not at or above C/2={0.5 * cap!r}")
+        us = [(1.0 - h) / (1.0 + h) for h in [cap / (2.0 * t) for t in ts]]
+        return us, [2.0 / (2.0 * t + cap) for t in ts]
+    for t in ts:
+        if not t > 0.0:
+            raise OutOfRange(f"t={t!r} must be positive for a boundaryless solution")
+    return [1.0 - 1.0 / t for t in ts], [1.0 / t for t in ts]
+
+
+def level_value(sol: PotentialSolution, t: float) -> float:
+    """The u-level labelled by t."""
+    return _labels(sol, (t,))[0][0]
 
 
 def t_of_level(sol: PotentialSolution, u: float) -> float:
@@ -452,47 +503,47 @@ def t_of_level(sol: PotentialSolution, u: float) -> float:
     return 1.0 / (1.0 - u)
 
 
-def levels(sol: PotentialSolution, ts: Iterable[float]) -> list[LevelParam]:
-    """Locate the level sets labelled by ts, in order; each round-trips t -> s -> t to rel 1e-10.
+def levels(sol: PotentialSolution, ts: Iterable[float]) -> tuple[list[float], list[float], list[float]]:
+    """Locate the level sets labelled by ts as the columns (ts, ss, us), in order.
 
-    Each level solves T(x) = (1 - u)/c by safeguarded Newton (T' = -ds_dx/f^2
-    is analytic; one ``metric`` call per step gives f and ds_dx).  The bracket
-    of the previous level and its table are kept while the next target stays
-    inside it, so an ordered grid locates one bracket per anchor interval it
-    covers.  T is read with the bits of ``_TailCache.value``: the anchor
-    values at the bracket's ends, and between them T(lo) minus one
-    ``_clenshaw`` call on the table's one panel or on the panel the bisect
-    finds.
+    Each s round-trips t -> s -> t to rel 1e-10, and us is ``_labels``'s u
+    column.  Each level solves T(x) = (1 - u)/c by safeguarded Newton (T' =
+    -ds_dx/f^2 is analytic; one ``metric`` call per step gives f and ds_dx).
+    The bracket of the previous level, its table and the bracket's constants
+    of the Newton start are kept while the next target stays inside it, so
+    an ordered grid locates one bracket per anchor interval it covers.  T is
+    read with the bits of ``_TailCache.value``: the anchor values at the
+    bracket's ends, and between them T(lo) minus one ``_clenshaw`` call on
+    the table's one panel or on the panel the bisect finds.
     """
+    ts = list(ts)
+    us, targets = _labels(sol, ts)
     tail = sol._tail
-    p = sol.profile
-    metric = p.metric
+    x_min = sol.profile.x_min
+    metric = sol.profile.metric
     clenshaw = _clenshaw  # looked up per call, so a kernel patched before it sees every read
     boundary = sol.capacity is not None
     # Targets at or above this T lie on the boundary itself.
     at_boundary = tail.total() * (1.0 - 4e-16) if boundary else None
-    bracket = None  # (lo, T(lo), hi, T(hi)) of the last bracketed level
-    out = []
-    for t in ts:
-        u_target = level_value(sol, t)
-        # T = (1 - u)/c in closed form (c = C with a boundary, 1 without):
-        # forming 1 - u from u would cancel digits at large t.
-        target = 2.0 / (2.0 * t + sol.capacity) if boundary else 1.0 / t
+    t_lo = t_hi = math.nan  # the kept bracket's T(lo) > target >= T(hi): none yet
+    ss = []
+    for target in targets:
         if boundary and target >= at_boundary:
-            out.append(LevelParam(t, p.x_min, u_target))
+            ss.append(x_min)
             continue
-        # T(lo) > target >= T(hi); at T(hi) = target the start is hi itself.
-        # The bracket depends on the target alone, so a kept one is the one
-        # tail.bracket would return.
-        if bracket is None or not bracket[1] > target >= bracket[3]:
-            bracket = tail.bracket(target)
-            starts, panels, _ = tail._table(tail._interval(bracket[0]))
+        # At T(hi) = target the start is hi itself.  The bracket depends on
+        # the target alone, so a kept one is the one tail.bracket would return.
+        if not t_lo > target >= t_hi:
+            a, t_lo, b, t_hi = tail.bracket(target)  # the anchors; Newton narrows lo and hi
+            starts, panels, _ = tail._table(tail._interval(a))
             panel = panels[0] if len(panels) == 1 else None  # None: bisect
-        a, t_lo, b, t_hi = bracket  # the anchors; Newton narrows lo and hi
+            inv_lo = 1.0 / t_lo
+            inv_span = 1.0 / t_hi - inv_lo
+            width = b - a
         lo, hi = a, b
         # Newton on g = 1/T - 1/target (T's step times T/target) from the linear
         # interpolation of 1/T; its weight rounds to at most 1, so x <= hi.
-        x = lo + (1.0 / target - 1.0 / t_lo) / (1.0 / t_hi - 1.0 / t_lo) * (hi - lo)
+        x = a + (1.0 / target - inv_lo) / inv_span * width
         stop = 1e-14 * target
         for _ in range(80):
             if a < x < b:
@@ -524,13 +575,14 @@ def levels(sol: PotentialSolution, ts: Iterable[float]) -> list[LevelParam]:
             x = x_new
         else:
             raise NonConvergent(f"level solve did not converge (target {target!r})")
-        out.append(LevelParam(t, x, u_target))
-    return out
+        ss.append(x)
+    return ts, ss, us
 
 
 def level(sol: PotentialSolution, t: float) -> LevelParam:
-    """Locate the level set labelled by t (see levels)."""
-    return levels(sol, (t,))[0]
+    """Locate the level set labelled by t: the record of a one-level ``levels`` sweep."""
+    _, (s,), (u,) = levels(sol, (t,))
+    return LevelParam(t, s, u)
 
 
 def u_value(sol: PotentialSolution, x: float) -> float:
@@ -553,9 +605,12 @@ def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
     return LevelSetSample(*(column[0] for column in _geometry(sol, levels(sol, (t,)))))
 
 
-def _geometry(sol: PotentialSolution, lps: Sequence[LevelParam]) -> LevelSetSample:
-    """The level_integrals payload of the levels lps as columns, in one pass: a jet read and an R call per level."""
-    ts, ss, us = ([lp[k] for lp in lps] for k in range(3))
+def _geometry(sol: PotentialSolution, columns: tuple[list[float], list[float], list[float]]) -> LevelSetSample:
+    """The level_integrals payload of the ``levels`` columns (ts, ss, us), in one pass.
+
+    One jet read and one R call per level.
+    """
+    ts, ss, us = columns
     jets = list(map(sol.profile.jet, ss))
     grads = _grads(sol.c_norm, [f for f, _, _ in jets])
     area, mean_h, scalar_r, int_grad_sq, int_grad_h, int_inv_grad = [], [], [], [], [], []

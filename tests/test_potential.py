@@ -534,6 +534,66 @@ def test_table_reads_use_the_interval_holding_x(monkeypatch):
                     assert value.hex() == read.hex(), (p.label, k, x)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e308])
+def test_coordinates_off_the_dyadic_intervals_are_out_of_range(schw1_sol, euclid_sol, x):
+    # A NaN or infinite coordinate, or one whose dyadic interval has no
+    # finite upper anchor, fails the interval guard of every read, alone
+    # or after a read that keeps an interval.
+    for sol in (schw1_sol, euclid_sol):
+        with pytest.raises(OutOfRange):
+            u_value(sol, x)
+        with pytest.raises(OutOfRange):
+            volumes(sol, [x])
+        with pytest.raises(OutOfRange):
+            volumes(sol, [2.0, x])
+
+
+def _clenshaw_loop(panel, x):
+    """The kernel as a loop over its coefficient pairs: the reference the written-out kernel keeps bit for bit."""
+    start, half, before, c0, b1, pairs = panel
+    z = (x - start) / half - 1.0
+    z2 = 2.0 * z
+    b2 = 0.0
+    for c, d in pairs:
+        b2 = z2 * b1 - b2 + c
+        b1 = z2 * b2 - b1 + d
+    return before + half * (z * b1 - b2 + c0)
+
+
+def test_kernel_matches_the_paired_loop(tmp_path):
+    # Every panel the built-ins, the R < 0 s,f CSV and the r,w CSV build for
+    # a grid's levels and volumes, read at z = -1, at its right edge (z = +1)
+    # and at random interior points.  Their tables split at breakpoints but
+    # bisect no panel; the narrow bump's table of interval 1 bisects.
+    write_inputs(tmp_path)
+    profiles = [
+        euclidean(),
+        schwarzschild(1.0),
+        perturbed_schwarzschild(),
+        to_warped(mollified_schwarzschild(1.0, 1.0)),
+        profile_from_csv(str(tmp_path / "rneg.csv"), False),
+        profile_from_csv(str(tmp_path / "moll.csv"), True),
+        _bump(3.0, 0.2),
+    ]
+    rng = random.Random(26)
+    split = bisected = read = 0
+    for p in profiles:
+        sol = solve(p)
+        volumes(sol, levels(sol, default_t_grid(sol, 64))[1])
+        for cache in (sol._tail, sol._volume):
+            for k, (_, panels, _) in cache._tables.items():
+                lo, hi = cache.anchor_x(k), cache.anchor_x(k + 1)
+                pieces = 1 + len({b for b in p.breakpoints if lo < b < hi})
+                split += pieces > 1
+                bisected += len(panels) > pieces
+                for panel in panels:
+                    start, half = panel[:2]
+                    for x in [start, start + 2.0 * half, *(start + 2.0 * half * rng.random() for _ in range(6))]:
+                        assert _clenshaw(panel, x).hex() == _clenshaw_loop(panel, x).hex(), (p.label, k, x)
+                        read += 1
+    assert split > 0 and bisected > 0 and read > 1000
+
+
 @pytest.mark.parametrize("t", [1e30, 1e300])
 def test_level_beyond_the_last_anchor_raises(t):
     sol = solve(perturbed_schwarzschild())

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curvlab.errors import OutOfRange
 from curvlab.functionals import functional_row
 from curvlab.numerics import Tolerance, find_root, integrate
 from curvlab.potential import (
     LevelSetSample,
     default_t_grid,
     level,
+    level_value,
     levels,
     solve,
     t_of_level,
@@ -157,11 +159,21 @@ def test_levels_match_single_level_solves(rneg, model, n, t_min_factor, t_max_fa
     # boundary level C/2 on the boundary profiles.
     p = _model_profile(rneg, model)
     ts = _ordered(default_t_grid(solve(p), n, t_min_factor, t_max_factor), order, data)
-    swept = levels(solve(p), ts)
-    assert [lp.t for lp in swept] == ts
-    for lp in swept:
-        alone = level(solve(p), lp.t)
-        assert (lp.s.hex(), lp.u.hex()) == (alone.s.hex(), alone.u.hex()), (p.label, lp.t)
+    sol = solve(p)
+    swept_ts, ss, us = levels(sol, ts)
+    assert swept_ts == ts
+    for t, s, u in zip(swept_ts, ss, us):
+        alone = level(solve(p), t)
+        assert (s.hex(), u.hex()) == (alone.s.hex(), alone.u.hex()), (p.label, t)
+    # The u column is level_value's, bit for bit.
+    assert [u.hex() for u in us] == [level_value(sol, t).hex() for t in ts]
+    # A NaN t, or one below C/2 (at or below 0 without a boundary), in the
+    # middle of a sweep fails its range guard, not the solve.
+    below = 0.25 * sol.capacity if sol.capacity is not None else 0.0
+    bad = data.draw(st.sampled_from([math.nan, below]))
+    at = data.draw(st.integers(0, len(ts)))
+    with pytest.raises(OutOfRange):
+        levels(sol, [*ts[:at], bad, *ts[at:]])
 
 
 @given(

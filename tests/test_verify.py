@@ -225,11 +225,12 @@ def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     batches: list[list[float]] = []  # the levels of each _geometry call
     real = potential_mod._geometry
 
-    def counting(sol, lps):
-        batches.append([lp.t for lp in lps])
-        for lp in lps:
-            calls[lp.t] = calls.get(lp.t, 0) + 1
-        return real(sol, lps)
+    def counting(sol, columns):
+        ts = columns[0]
+        batches.append(list(ts))
+        for t in ts:
+            calls[t] = calls.get(t, 0) + 1
+        return real(sol, columns)
 
     solves: dict[float, int] = {}
     sweeps: list[tuple[str, list[float]]] = []  # (caller, levels) of each levels call
