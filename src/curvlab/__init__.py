@@ -25,12 +25,9 @@ from .functionals import FunctionalSeries, build_series, write_series_csv
 from .mass import MassReport, adm_surface, mass_from_volume, mass_report
 from .numerics import QuadratureResult, Tolerance, find_root, integrate
 from .potential import (
-    LevelParam,
     LevelSetSample,
     PotentialSolution,
     default_t_grid,
-    level,
-    level_integrals,
     levels,
     solve,
 )
@@ -80,12 +77,9 @@ __all__ = [
     "sphere_geometry",
     "profile_from_csv",
     "PotentialSolution",
-    "LevelParam",
     "LevelSetSample",
     "solve",
-    "level",
     "levels",
-    "level_integrals",
     "default_t_grid",
     "FunctionalSeries",
     "build_series",

@@ -21,11 +21,11 @@ makes zero on the round level spheres).
 
 Boundaryless case:  Fhat(t) = -4 pi / t + t * Int |grad u|^2 dsigma.
 
-Ordered levels: functional_columns, one levels sweep, then the geometry
-(potential._geometry) and the functionals (_functional_columns) as columns,
-one pass each.  A grid: build_series, which adds A, A1~ = A1 + A/2t and the
-volumes that coarea_volumes cross-checks.  One level: the same two passes in
-functional_row(level_integrals(sol, t), sol.capacity), None without a boundary.
+Levels are read as columns only: functional_columns makes one levels sweep,
+then the geometry (potential._geometry) and the functionals
+(_functional_columns) as columns, one pass each; a single level is a list of
+one.  A grid: build_series, which adds A, A1~ = A1 + A/2t and the volumes
+that coarea_volumes cross-checks.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .numerics import NodeIntegrand, Tolerance, integrate
 from .potential import (
     LevelSetSample,
     PotentialSolution,
+    _FOUR_PI,
     _geometry,
-    level_integrals,
     levels,
     t_of_level,
     u_value,
@@ -49,7 +49,6 @@ from .potential import (
 __all__ = [
     "FunctionalSeries",
     "FunctionalRow",
-    "functional_row",
     "functional_columns",
     "coarea_volumes",
     "build_series",
@@ -57,7 +56,6 @@ __all__ = [
     "SERIES_CSV_HEADER",
 ]
 
-_FOUR_PI = 4.0 * math.pi
 _COAREA_TOL = Tolerance(rel=1e-10, abs=1e-12, max_refinements=48)
 
 # (CSV column, FunctionalSeries field) in the order write_series_csv emits them.
@@ -71,7 +69,7 @@ SERIES_CSV_HEADER = ",".join(name for name, _ in _SERIES_COLUMNS)
 
 
 class FunctionalRow(NamedTuple):
-    """Every functional of one level set (``functional_columns``: columns of it); nan where undefined."""
+    """Every functional of the levels ts, one list per field (``functional_columns``); nan where undefined."""
 
     Fhat: float
     G: float
@@ -110,16 +108,6 @@ def _functional_columns(cap: float | None, geo: LevelSetSample) -> FunctionalRow
         a_col.append(t * a1_prime_val / a1_val)
         b1_col.append(area * 1.5 * q * q)
     return FunctionalRow(undefined, *cols)
-
-
-def functional_row(ls: LevelSetSample, cap: float | None) -> FunctionalRow:
-    """Evaluate the functionals of the module docstring on one level set.
-
-    ``cap`` is the capacity of a boundary solution, or None for a boundaryless
-    one, where only Fhat is defined.
-    """
-    columns = _functional_columns(cap, LevelSetSample(*([value] for value in ls)))
-    return FunctionalRow(*(column[0] for column in columns))
 
 
 def functional_columns(sol: PotentialSolution, ts: Sequence[float]) -> tuple[LevelSetSample, FunctionalRow]:
@@ -163,7 +151,8 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
 class FunctionalSeries(NamedTuple):
     """Parallel columns of every functional over a t-grid (nan where
     undefined) and, for a boundary solution, the sample of the boundary level
-    t = C/2 (None without one)."""
+    t = C/2 (None without one): a LevelSetSample of floats, the one record of
+    that type that is not columns."""
 
     deficit_A: float
     t_grid: tuple[float, ...]
@@ -195,7 +184,8 @@ def build_series(sol: PotentialSolution, t_grid: Sequence[float]) -> FunctionalS
     if sol.capacity is not None:
         # A default grid starts at C/2; one with t_min_factor > 1 does not.
         t_b = 0.5 * sol.capacity
-        boundary_sample = LevelSetSample(*(c[0] for c in geo)) if ts[0] == t_b else level_integrals(sol, t_b)
+        boundary_geo = geo if ts[0] == t_b else _geometry(sol, levels(sol, (t_b,)))
+        boundary_sample = LevelSetSample(*(column[0] for column in boundary_geo))
         deficit = 2.0 * sol.capacity * (math.pi - boundary_sample.int_grad_sq)
     return FunctionalSeries(
         deficit_A=deficit,

@@ -52,9 +52,9 @@ its table and the constants of the Newton start once per anchor interval
 the sequence stays in, so an ordered grid of 4096 levels walks 11 to 13
 brackets; the bracket is a function of the target alone, so every level is
 bitwise the one a solve of t alone returns.  ``_geometry`` reads the
-level-set geometry of those columns in one pass (the grid route), and
-``level_integrals`` runs it on one level (the one-level route); ``_grads``
-is the one source of |grad u| = c/f^2.
+level-set geometry of those columns in one pass, one ``jet`` read per level;
+it is the only route from a solved level to its geometry, so a single level
+is a sweep of one.  ``_grads`` is the one source of |grad u| = c/f^2.
 """
 
 from __future__ import annotations
@@ -71,16 +71,12 @@ from .profile import MetricProfile, ProfileKind, _warped_scalar_curvature
 
 __all__ = [
     "PotentialSolution",
-    "LevelParam",
     "LevelSetSample",
     "solve",
-    "level",
     "levels",
     "level_value",
     "t_of_level",
-    "level_integrals",
     "u_value",
-    "grad_value",
     "volumes",
     "default_t_grid",
 ]
@@ -107,19 +103,12 @@ _TABLE_MAX_PANELS = 4096  # bisection budget beyond the breakpoint split
 _FAR_K = 12
 
 
-class LevelParam(NamedTuple):
-    """One level of u in the three equivalent labels: t, radial coordinate, u-value."""
-
-    t: float
-    s: float
-    u: float
-
-
 class LevelSetSample(NamedTuple):
-    """Pointwise and integrated level-set geometry at one t (``_geometry``: columns of it).
+    """Pointwise and integrated level-set geometry of the levels ts, one list per field (``_geometry``).
 
     On round level sets each surface integral is 4 pi f^2 times the
-    pointwise value of its integrand.
+    pointwise value of its integrand.  ``FunctionalSeries.boundary_sample``
+    is the one record of floats: the geometry of the boundary level alone.
     """
 
     t: float
@@ -384,7 +373,9 @@ class _VolumeCache(_DyadicTables):
     = V(x_ref 2^k) + the total of table k, so no anchor integral spans more
     than [x_min, x_ref].  The integrand is positive and V vanishes at x_min,
     so a panel is measured against V at its own right end, not against the
-    anchor.  Anchors and tables depend on k alone.
+    anchor.  Anchors and tables depend on k alone.  The walk up stops at the
+    first anchor that overflows to inf and returns it, building no table
+    above it.
     """
 
     def _integrand(self, x: float) -> float:
@@ -395,17 +386,28 @@ class _VolumeCache(_DyadicTables):
         return self.anchor_value(k) + through
 
     def anchor_value(self, k: int) -> float:
-        cached = self._anchors.get(k)
+        anchors = self._anchors
+        cached = anchors.get(k)
         if cached is not None:
             return cached
-        p = self._p
-        if k > 0:
-            value = self.anchor_value(k - 1) + self._table(k - 1)[2]
-        elif self.anchor_x(k) == p.x_min:  # x_ref is the boundary
-            value = 0.0
-        else:
-            value = integrate(self._integrand, p.x_min, self.anchor_x(k), _VOLUME_TOL, points=p.breakpoints).value
-        self._anchors[k] = value
+        # Walk up from the highest anchor known below k, or from the one at or
+        # below x_ref: the additions of a recursion down to it, in its order.
+        j = k
+        while j > 0 and j not in anchors:
+            j -= 1
+        value = anchors.get(j)
+        if value is None:
+            p = self._p
+            if self.anchor_x(j) == p.x_min:  # x_ref is the boundary
+                value = 0.0
+            else:
+                value = integrate(self._integrand, p.x_min, self.anchor_x(j), _VOLUME_TOL, points=p.breakpoints).value
+            anchors[j] = value
+        for i in range(j, k):
+            if value == math.inf:
+                break
+            value += self._table(i)[2]
+            anchors[i + 1] = value
         return value
 
 
@@ -486,8 +488,9 @@ def _labels(sol: PotentialSolution, ts: Sequence[float]) -> tuple[list[float], l
         us = [(1.0 - h) / (1.0 + h) for h in [cap / (2.0 * t) for t in ts]]
         return us, [2.0 / (2.0 * t + cap) for t in ts]
     for t in ts:
-        if not t > 0.0:
-            raise OutOfRange(f"t={t!r} must be positive for a boundaryless solution")
+        # Below about 5.6e-309 the target 1/t is infinite.
+        if not (t > 0.0 and 1.0 / t < math.inf):
+            raise OutOfRange(f"t={t!r} must be positive with a finite 1/t for a boundaryless solution")
     return [1.0 - 1.0 / t for t in ts], [1.0 / t for t in ts]
 
 
@@ -579,12 +582,6 @@ def levels(sol: PotentialSolution, ts: Iterable[float]) -> tuple[list[float], li
     return ts, ss, us
 
 
-def level(sol: PotentialSolution, t: float) -> LevelParam:
-    """Locate the level set labelled by t: the record of a one-level ``levels`` sweep."""
-    _, (s,), (u,) = levels(sol, (t,))
-    return LevelParam(t, s, u)
-
-
 def u_value(sol: PotentialSolution, x: float) -> float:
     """u at radial coordinate x."""
     return 1.0 - sol.c_norm * sol._tail.value(x)
@@ -595,18 +592,8 @@ def _grads(c: float, fs: Iterable[float]) -> list[float]:
     return [c / (f * f) for f in fs]
 
 
-def grad_value(sol: PotentialSolution, x: float) -> float:
-    """|grad u| at radial coordinate x (analytic: c/f^2)."""
-    return _grads(sol.c_norm, [sol.profile.f(x)])[0]
-
-
-def level_integrals(sol: PotentialSolution, t: float) -> LevelSetSample:
-    """Geometric payload of the level set at t: the one-level read of ``_geometry``."""
-    return LevelSetSample(*(column[0] for column in _geometry(sol, levels(sol, (t,)))))
-
-
 def _geometry(sol: PotentialSolution, columns: tuple[list[float], list[float], list[float]]) -> LevelSetSample:
-    """The level_integrals payload of the ``levels`` columns (ts, ss, us), in one pass.
+    """The level-set geometry of the ``levels`` columns (ts, ss, us), in one pass.
 
     One jet read and one R call per level.
     """
@@ -634,11 +621,14 @@ def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:
     or on the panel the bisect finds.  The interval, its anchor and its table
     are kept while the next x stays inside them, so an ordered sequence
     locates one interval per anchor interval it covers; each V(x) depends on
-    x alone, so its bits do not depend on the order.
+    x alone, so its bits do not depend on the order.  An x whose V is not a
+    finite float (beyond about x = 3.5e102 where f ~ x) fails with
+    ``OutOfRange`` naming x.
     """
     vol = sol._volume
     x_min = sol.profile.x_min
     clenshaw = _clenshaw
+    inf = math.inf
     lo = hi = math.nan  # the kept interval [lo, hi): none yet
     panels = None
     out = []
@@ -652,6 +642,8 @@ def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:
             k = vol._interval(x)
             lo, hi = vol.anchor_x(k), vol.anchor_x(k + 1)
             anchor = vol.anchor_value(k)
+            if anchor == inf:  # before the table of an interval V overflows on
+                raise OutOfRange(f"volume up to x={x!r} overflows")
             panels = None  # the table is built by the first x strictly inside
         if x == lo:
             out.append(anchor)
@@ -659,7 +651,10 @@ def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:
         if panels is None:
             starts, panels, _ = vol._table(k)
             panel = panels[0] if len(panels) == 1 else None  # None: bisect
-        out.append(anchor + clenshaw(panel or panels[bisect_right(starts, x) - 1], x))
+        v = anchor + clenshaw(panel or panels[bisect_right(starts, x) - 1], x)
+        if not v < inf:
+            raise OutOfRange(f"volume up to x={x!r} overflows")
+        out.append(v)
     return out
 
 

@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from curvlab.functionals import build_series, functional_row
+from curvlab.functionals import build_series
 from curvlab.mass import adm_surface, mass_from_volume
-from curvlab.potential import default_t_grid, level_integrals, solve
+from curvlab.potential import default_t_grid, solve
 from curvlab.profile import (
     euclidean,
     euclidean_conformal,
@@ -29,6 +29,7 @@ from curvlab.profile import (
 from curvlab.verify import schwarzschild_comparison_volume
 from differences import differentiate
 from growth_quadrature import growth_integrand_cumulative
+from one_level import functionals_of, row_at, sample
 
 FOUR_PI = 4.0 * math.pi
 
@@ -46,7 +47,7 @@ def test_criterion_1_schwarzschild_equality_suite():
         assert len(grid) == 256
         series = build_series(sol, grid)
 
-        boundary = level_integrals(sol, 0.5 * cap)
+        boundary = sample(sol, 0.5 * cap)
         assert abs(boundary.int_grad_sq - math.pi) <= 1e-8  # gradient estimate
 
         dev_b = np.max(np.abs(np.asarray(series.A1) - FOUR_PI))
@@ -113,10 +114,10 @@ def test_criterion_4_derivative_identities():
             h = 1e-4 * max(1.0, t)
             if t - 2.0 * h <= 0.5 * cap:
                 continue
-            gp_fd = differentiate(lambda tt: functional_row(level_integrals(sol, tt), cap).G, t, scale=h)
+            gp_fd = differentiate(lambda tt: row_at(sol, tt).G, t, scale=h)
             g_scale = max(abs(series.Gprime_analytic[i]), FOUR_PI / t)
             assert abs(series.Gprime_analytic[i] - gp_fd) <= 1e-5 * g_scale
-            fp_fd = differentiate(lambda tt: functional_row(level_integrals(sol, tt), cap).F, t, scale=h)
+            fp_fd = differentiate(lambda tt: row_at(sol, tt).F, t, scale=h)
             f_scale = max(abs(series.Fprime_analytic[i]), FOUR_PI)
             assert abs(series.Fprime_analytic[i] - fp_fd) <= 1e-5 * f_scale
 
@@ -136,9 +137,9 @@ def test_criterion_5_proposition_inequalities():
     for sol in (solve(schwarzschild(1.0)), solve(perturbed_schwarzschild())):
         cap = sol.capacity
         grid = default_t_grid(sol)
-        samples = [level_integrals(sol, t) for t in grid]
+        samples = [sample(sol, t) for t in grid]
 
-        rows = [functional_row(ls, cap) for ls in samples]
+        rows = [functionals_of(ls, cap) for ls in samples]
 
         for t, r in zip(grid, rows):
             lhs = (t * r.A1prime) ** 2
@@ -151,7 +152,7 @@ def test_criterion_5_proposition_inequalities():
             h = 1e-3 * max(1.0, t)
             if t - 2.0 * h <= 0.5 * cap:
                 continue
-            ap = differentiate(lambda tt: functional_row(level_integrals(sol, tt), cap).a, t, scale=h)
+            ap = differentiate(lambda tt: row_at(sol, tt).a, t, scale=h)
             av = rows[i].a
             rhs = (1.0 - FOUR_PI / rows[i].A1 - av * av / 4.0) / t
             assert ap >= rhs - 1e-8

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves; the per-level
-functional accessors stay gone (one route: functional_row on a level set,
-build_series over a grid), and so does functional_rows, whose per-level
-records gave way to the columns of functional_columns; so do the helpers
+functional accessors stay gone, and so do functional_rows, whose per-level
+records gave way to the columns of functional_columns, and the one-level
+route (level, grad_value, level_integrals, functional_row, LevelParam):
+levels are read as columns only, a single level as a column of one; so do the helpers
 only tests called, which live in the tests now; the only dataclasses are
 the three records that validate themselves; a MetricProfile's fields are its two readers, not its
 views, and no link to a conformal profile; a solution says it has no
@@ -41,6 +42,11 @@ DELETED = (
     "expansion_residuals",
     "SolutionKind",
     "functional_rows",
+    "level",
+    "grad_value",
+    "level_integrals",
+    "functional_row",
+    "LevelParam",
 )
 
 # They validate in __post_init__, and the profiles are copied with

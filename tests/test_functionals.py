@@ -4,17 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.functionals import SERIES_CSV_HEADER, build_series, coarea_volumes, functional_row, write_series_csv
-from curvlab.potential import (
-    _VolumeCache,
-    default_t_grid,
-    grad_value,
-    level,
-    level_integrals,
-    solve,
-    u_value,
-    volumes,
-)
+from curvlab.functionals import SERIES_CSV_HEADER, build_series, coarea_volumes, write_series_csv
+from curvlab.potential import _VolumeCache, default_t_grid, solve, u_value, volumes
 from curvlab.profile import (
     euclidean, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv, schwarzschild, to_warped,
 )
@@ -23,6 +14,7 @@ from coarea_quadrature import coarea_volumes_per_node
 from differences import differentiate
 from frozen_outputs import rneg_profile, write_inputs
 from growth_quadrature import growth_integrand_cumulative
+from one_level import functionals_of, grad, level, row_at, sample
 
 FOUR_PI = 4.0 * math.pi
 
@@ -30,15 +22,15 @@ FOUR_PI = 4.0 * math.pi
 class TestFhat:
     def test_euclid_identically_zero(self, euclid_sol):
         for t in (0.3, 1.0, 7.0, 500.0):
-            assert abs(functional_row(level_integrals(euclid_sol, t), None).Fhat) <= 1e-11
+            assert abs(row_at(euclid_sol, t).Fhat) <= 1e-11
 
     def test_mollified_matches_exterior_closed_form(self, moll11_sol, golden):
-        value = functional_row(level_integrals(moll11_sol, 4.0), None).Fhat
+        value = row_at(moll11_sol, 4.0).Fhat
         assert value == pytest.approx(golden["functionals.moll11_fhat_t4"], rel=1e-9)
 
     def test_mollified_nonpositive_and_monotone(self, moll11_sol):
         ts = np.geomspace(0.5, 1000.0, 50)
-        vals = [functional_row(level_integrals(moll11_sol, float(t)), None).Fhat for t in ts]
+        vals = [row_at(moll11_sol, float(t)).Fhat for t in ts]
         assert max(vals) <= 1e-9
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
         # decays to zero from below
@@ -49,29 +41,29 @@ class TestFhat:
 class TestSchwarzschildEqualityCase:
     def test_g_vanishes(self, schw1_sol):
         for t in (0.5, 2.0, 100.0):
-            assert abs(functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity).G) <= 1e-12 * max(1.0, t)
+            assert abs(row_at(schw1_sol, t).G) <= 1e-12 * max(1.0, t)
 
     def test_g_at_boundary_is_minus_deficit(self, schw1_sol):
         # G(C/2) = -A; the gradient-estimate equality gives A = 0 here.
         cap = schw1_sol.capacity
-        boundary = level_integrals(schw1_sol, 0.5 * cap)
+        boundary = sample(schw1_sol, 0.5 * cap)
         deficit = 2.0 * cap * (math.pi - boundary.int_grad_sq)
-        assert functional_row(boundary, cap).G == pytest.approx(-deficit, abs=1e-12)
+        assert functionals_of(boundary, cap).G == pytest.approx(-deficit, abs=1e-12)
         assert deficit == pytest.approx(0.0, abs=1e-12)
 
     def test_a1_is_4pi(self, schw1_sol):
         for t in (0.5, 1.0, 5.0, 50.0):
-            assert functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity).A1 == pytest.approx(
+            assert row_at(schw1_sol, t).A1 == pytest.approx(
                 FOUR_PI, rel=1e-10
             )
 
     def test_b1_vanishes(self, schw1_sol):
         for t in (0.5, 1.0, 5.0, 50.0):
-            assert abs(functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity).B1) <= 1e-12
+            assert abs(row_at(schw1_sol, t).B1) <= 1e-12
 
     def test_f_and_fprime_vanish(self, schw1_sol):
         for t in (0.6, 3.0, 200.0):
-            r = functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity)
+            r = row_at(schw1_sol, t)
             assert abs(r.F) <= 1e-11 * max(1.0, t)
             assert abs(r.Fprime) <= 1e-12
 
@@ -80,14 +72,14 @@ class TestSchwarzschildEqualityCase:
         p = schw1_sol.profile
         for r in (0.75, 1.0, 2.0, 8.0, 64.0):
             u = u_value(schw1_sol, r)
-            g = grad_value(schw1_sol, r)
+            g = grad(schw1_sol, r)
             lhs = 4.0 * u / (1.0 - u * u) * g
             rhs = 2.0 * p.df_ds(r) / p.f(r)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_a_growth_zero(self, schw1_sol):
         for t in (1.0, 10.0):
-            assert abs(functional_row(level_integrals(schw1_sol, t), schw1_sol.capacity).a) <= 1e-12
+            assert abs(row_at(schw1_sol, t).a) <= 1e-12
 
 
 class TestIdentities:
@@ -95,14 +87,14 @@ class TestIdentities:
         cap = perturbed_sol.capacity
         for t in np.geomspace(0.5 * cap, 1000.0 * cap, 30):
             t = float(t)
-            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            r = row_at(perturbed_sol, t)
             assert abs(r.A1 - (FOUR_PI + 4.0 * t / cap**2 * r.G)) <= 1e-10 * FOUR_PI
 
     def test_f_equals_scaled_gprime(self, perturbed_sol):
         cap = perturbed_sol.capacity
         for t in np.geomspace(0.5 * cap, 500.0 * cap, 20):
             t = float(t)
-            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            r = row_at(perturbed_sol, t)
             lhs = r.F
             rhs = 4.0 * t**3 / cap**2 * r.Gprime
             scale = FOUR_PI * t + abs(lhs) + abs(rhs)
@@ -110,25 +102,25 @@ class TestIdentities:
 
     def test_deficit_equals_F_at_boundary(self, perturbed_sol):
         cap = perturbed_sol.capacity
-        boundary = level_integrals(perturbed_sol, 0.5 * cap)
+        boundary = sample(perturbed_sol, 0.5 * cap)
         deficit = 2.0 * cap * (math.pi - boundary.int_grad_sq)
-        assert functional_row(boundary, cap).F == pytest.approx(deficit, rel=1e-9)
+        assert functionals_of(boundary, cap).F == pytest.approx(deficit, rel=1e-9)
 
     def test_a1_tilde(self, perturbed_sol):
         cap = perturbed_sol.capacity
-        deficit = 2.0 * cap * (math.pi - level_integrals(perturbed_sol, 0.5 * cap).int_grad_sq)
+        deficit = 2.0 * cap * (math.pi - sample(perturbed_sol, 0.5 * cap).int_grad_sq)
         t = 2.0 * cap
         assert build_series(perturbed_sol, [t]).A1tilde[0] == pytest.approx(
-            functional_row(level_integrals(perturbed_sol, t), cap).A1 + deficit / (2 * t), rel=1e-12
+            row_at(perturbed_sol, t).A1 + deficit / (2 * t), rel=1e-12
         )
 
     def test_derivatives_match_finite_differences(self, perturbed_sol):
         cap = perturbed_sol.capacity
         for t in (1.1 * cap, 3.0 * cap, 40.0 * cap):
-            r = functional_row(level_integrals(perturbed_sol, t), cap)
-            gp_fd = differentiate(lambda tt: functional_row(level_integrals(perturbed_sol, tt), cap).G, t)
+            r = row_at(perturbed_sol, t)
+            gp_fd = differentiate(lambda tt: row_at(perturbed_sol, tt).G, t)
             assert r.Gprime == pytest.approx(gp_fd, rel=1e-5, abs=1e-9)
-            fp_fd = differentiate(lambda tt: functional_row(level_integrals(perturbed_sol, tt), cap).F, t)
+            fp_fd = differentiate(lambda tt: row_at(perturbed_sol, tt).F, t)
             assert r.Fprime == pytest.approx(fp_fd, rel=1e-5, abs=1e-8)
 
 
@@ -137,12 +129,12 @@ class TestPropositionInequalities:
         cap = perturbed_sol.capacity
         for t in np.geomspace(0.5 * cap, 1000.0 * cap, 25):
             t = float(t)
-            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            r = row_at(perturbed_sol, t)
             assert (t * r.A1prime) ** 2 <= 2.0 / 3.0 * r.A1 * r.B1 + 1e-9
 
     def test_fprime_at_least_half_b1(self, perturbed_sol):
         for t in np.geomspace(0.5 * perturbed_sol.capacity, 500.0, 25):
-            r = functional_row(level_integrals(perturbed_sol, float(t)), perturbed_sol.capacity)
+            r = row_at(perturbed_sol, float(t))
             assert r.Fprime >= 0.5 * r.B1 - 1e-9
 
     def test_riccati(self, perturbed_sol):
@@ -152,18 +144,18 @@ class TestPropositionInequalities:
             h = 1e-3 * max(1.0, t)
             if t - 2 * h <= 0.5 * cap:
                 continue
-            ap = differentiate(lambda tt: functional_row(level_integrals(perturbed_sol, tt), cap).a, t, scale=h)
-            r = functional_row(level_integrals(perturbed_sol, t), cap)
+            ap = differentiate(lambda tt: row_at(perturbed_sol, tt).a, t, scale=h)
+            r = row_at(perturbed_sol, t)
             rhs = (1.0 - FOUR_PI / r.A1 - r.a * r.a / 4.0) / t
             assert ap >= rhs - 1e-8
 
     def test_growth_integral_bound(self, perturbed_sol):
         cap = perturbed_sol.capacity
         grid = [float(t) for t in np.geomspace(0.5 * cap, 800.0, 40)]
-        samples = [level_integrals(perturbed_sol, t) for t in grid]
+        samples = [sample(perturbed_sol, t) for t in grid]
         cumulative = growth_integrand_cumulative(perturbed_sol, [ls.s for ls in samples])
         for i, (t, ls) in enumerate(zip(grid, samples)):
-            r = functional_row(ls, cap)
+            r = functionals_of(ls, cap)
             lhs = t * r.A1prime
             rhs = r.A1 - FOUR_PI + cumulative[i] / (2.0 * t)
             assert lhs >= rhs - 1e-8
@@ -304,10 +296,12 @@ class TestSeries:
         assert list(series.volume) == sorted(series.volume)
 
     def test_columns_bitwise_equal_scalar_functions(self, tmp_path, schw1_sol, perturbed_sol, euclid_sol, moll11_sol):
-        # Every column of the series, bit for bit, against the one-level
-        # route: functional_row(level_integrals(sol, t), cap) and
-        # volumes(sol, [s]).  The default grid starts at C/2; with
-        # t_min_factor > 1 the series solves the boundary level on its own.
+        # Every column of the series, bit for bit, against a second source:
+        # the tests' one-level route, which restates each formula of the
+        # geometry and the functionals level by level (one_level.sample and
+        # functionals_of), and volumes(sol, [s]) one x at a time.  The default
+        # grid starts at C/2; with t_min_factor > 1 the series solves the
+        # boundary level on its own.
         write_inputs(tmp_path)
         tables = [profile_from_csv(str(tmp_path / "rneg.csv"), False), profile_from_csv(str(tmp_path / "moll.csv"), True)]
         for sol in (schw1_sol, perturbed_sol, euclid_sol, moll11_sol, *map(solve, tables)):
@@ -315,11 +309,11 @@ class TestSeries:
             for t_min_factor in (1.0, 3.0):
                 grid = default_t_grid(sol, 24, t_min_factor=t_min_factor)
                 series = build_series(sol, grid)
-                samples = [level_integrals(sol, t) for t in grid]
-                rows = [functional_row(ls, cap) for ls in samples]
+                samples = [sample(sol, t) for t in grid]
+                rows = [functionals_of(ls, cap) for ls in samples]
                 deficit = math.nan
                 if cap is not None:
-                    boundary = level_integrals(sol, 0.5 * cap)
+                    boundary = sample(sol, 0.5 * cap)
                     assert np.array(series.boundary_sample).tobytes() == np.array(boundary).tobytes()
                     deficit = 2.0 * cap * (math.pi - boundary.int_grad_sq)
                     assert series.deficit_A == deficit

@@ -11,8 +11,10 @@ from curvlab.mass import (
     mass_report,
     write_mass_csv,
 )
-from curvlab.potential import grad_value, solve, u_value
+from curvlab.potential import solve, u_value
 from curvlab.profile import euclidean_conformal, mollified_schwarzschild, to_warped
+
+from one_level import grad
 
 
 def expansion_residuals(sol, m, radii):
@@ -23,7 +25,7 @@ def expansion_residuals(sol, m, radii):
     """
     out = []
     for r in radii:
-        g = grad_value(sol, r)
+        g = grad(sol, r)
         out.append((r, r * ((1.0 - u_value(sol, r)) ** 4 / (g * g) - 1.0 - 2.0 * m / r)))
     return out
 

@@ -88,11 +88,10 @@ def test_differentiate_reciprocal():
 
 def test_differentiate_schwarzschild_g_vanishes(schw1_sol):
     # G is identically zero on Schwarzschild, so its derivative must be too.
-    from curvlab.functionals import functional_row
-    from curvlab.potential import level_integrals
+    from one_level import row_at
 
     cap = schw1_sol.capacity
-    assert differentiate(lambda t: functional_row(level_integrals(schw1_sol, t), cap).G, 1.0) == pytest.approx(0.0, abs=1e-6)
+    assert differentiate(lambda t: row_at(schw1_sol, t).G, 1.0) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_geometric_grid_ends_exact_and_ratio_constant():

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from curvlab.errors import NonConvergent, OutOfRange
+from curvlab.functionals import functional_columns
 from curvlab.numerics import Tolerance, integrate
 from curvlab.potential import (
     _CHEB_N,
@@ -14,9 +16,6 @@ from curvlab.potential import (
     _DyadicTables,
     _TailCache,
     default_t_grid,
-    grad_value,
-    level,
-    level_integrals,
     level_value,
     levels,
     solve,
@@ -38,6 +37,7 @@ from curvlab.profile import (
 
 from differences import differentiate
 from frozen_outputs import write_inputs
+from one_level import grad, level, sample
 from tail_reads import bracket_reads
 
 FOUR_PI = 4.0 * math.pi
@@ -51,7 +51,7 @@ class TestEuclidean:
 
     def test_grad_is_inverse_square(self, euclid_sol):
         for s in (0.5, 2.0, 10.0):
-            assert grad_value(euclid_sol, s) == pytest.approx(s**-2, rel=1e-15)
+            assert grad(euclid_sol, s) == pytest.approx(s**-2, rel=1e-15)
 
     def test_level_t2(self, euclid_sol):
         lp = level(euclid_sol, 2.0)
@@ -59,7 +59,7 @@ class TestEuclidean:
         assert lp.u == pytest.approx(0.5, abs=1e-15)
 
     def test_level_integrals_t3(self, euclid_sol, golden):
-        ls = level_integrals(euclid_sol, 3.0)
+        ls = sample(euclid_sol, 3.0)
         assert ls.area * ls.grad == pytest.approx(golden["potential.euclid_t3_int_grad"], rel=1e-12)
         assert ls.int_grad_sq == pytest.approx(golden["potential.euclid_t3_int_grad_sq"], rel=1e-10)
         assert ls.area == pytest.approx(golden["potential.euclid_t3_area"], rel=1e-10)
@@ -87,21 +87,21 @@ class TestSchwarzschild:
         assert lp.u == pytest.approx(golden["potential.schw1_u_at_1"], abs=1e-14)
 
     def test_boundary_gradient_integral_is_pi(self, schw1_sol, golden):
-        ls = level_integrals(schw1_sol, 0.5)
+        ls = sample(schw1_sol, 0.5)
         assert ls.int_grad_sq == pytest.approx(golden["potential.schw1_boundary_int_grad_sq"], rel=1e-12)
         assert ls.int_grad_sq == pytest.approx(math.pi, rel=1e-12)
 
     def test_flux_constancy_100_points(self, schw1_sol):
         target = FOUR_PI * schw1_sol.capacity
         for t in np.geomspace(0.5, 1000.0, 100):
-            ls = level_integrals(schw1_sol, float(t))
+            ls = sample(schw1_sol, float(t))
             flux = ls.area * ls.grad
             assert abs(flux - target) <= 1e-9 * target
 
     def test_harmonicity_residual(self, schw1_sol):
         # (f^2 u')' = 0: f^2 |grad u| must be the constant c everywhere.
         p = schw1_sol.profile
-        phi = lambda x: p.f(x) ** 2 * grad_value(schw1_sol, x)
+        phi = lambda x: p.f(x) ** 2 * grad(schw1_sol, x)
         for x in (0.6, 1.7, 12.0, 300.0):
             residual = differentiate(phi, x) / p.ds_dx(x)
             assert abs(residual) <= 1e-9
@@ -111,7 +111,7 @@ class TestSchwarzschild:
         p = schw1_sol.profile
         for x in (0.7, 2.0, 9.0):
             du_dx = differentiate(lambda y: u_value(schw1_sol, y), x)
-            assert du_dx / p.ds_dx(x) == pytest.approx(grad_value(schw1_sol, x), rel=1e-6)
+            assert du_dx / p.ds_dx(x) == pytest.approx(grad(schw1_sol, x), rel=1e-6)
 
 
 class TestLevels:
@@ -145,6 +145,16 @@ class TestLevels:
             with pytest.raises(OutOfRange, match="t=nan"):
                 levels(sol, [1.0, math.nan])
 
+    @pytest.mark.parametrize("t", [1e-310, 5e-324])
+    def test_tiny_boundaryless_t_is_out_of_range(self, t):
+        # 1/t is infinite: the range guard refuses t before any level is
+        # solved, where the bracket walk overflowed and level_value gave -inf.
+        sol = solve(euclidean())
+        with pytest.raises(OutOfRange, match=re.escape(f"t={t!r}")):
+            level_value(sol, t)
+        with pytest.raises(OutOfRange, match=re.escape(f"t={t!r}")):
+            levels(sol, [2.0, t])
+
     def test_wrong_kind(self, euclid_sol):
         assert euclid_sol.capacity is None
 
@@ -158,7 +168,7 @@ class TestMollified:
         assert moll11_sol.capacity is None
         assert moll11_sol.c_norm == 1.0
         for t in (0.5, 3.0, 100.0):
-            ls = level_integrals(moll11_sol, t)
+            ls = sample(moll11_sol, t)
             assert ls.area * ls.grad == pytest.approx(FOUR_PI, rel=1e-12)
 
     def test_grad_vanishes_flag(self, moll11_sol, schw1_sol):
@@ -534,6 +544,20 @@ def test_table_reads_use_the_interval_holding_x(monkeypatch):
                     assert value.hex() == read.hex(), (p.label, k, x)
 
 
+@pytest.mark.parametrize("x", [4e307, 1e300, 1e200, 1e103])
+def test_volume_beyond_the_largest_float_is_out_of_range(x):
+    # V ~ 4 pi x^3/3 passes the largest float near x = 5e102.  On a fresh
+    # solution the anchors walk up to x's interval in a loop, where they
+    # recursed once per interval (RecursionError from about 1e300), and stop
+    # at the first that overflows (fsum overflowed at 1e200; 1e103 gave inf).
+    with pytest.raises(OutOfRange, match=re.escape(f"x={x!r}")):
+        volumes(solve(euclidean()), [x])
+
+
+def test_volume_just_below_the_largest_float_keeps_its_value():
+    assert volumes(solve(euclidean()), [3e102]) == [1.1309733552923253e308]
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e308])
 def test_coordinates_off_the_dyadic_intervals_are_out_of_range(schw1_sol, euclid_sol, x):
     # A NaN or infinite coordinate, or one whose dyadic interval has no
@@ -628,13 +652,13 @@ def _counting_profile(p, counts, events=None):
 
 def test_level_integrals_reads_the_profile_once_per_value():
     # On warm tables the level solve reads (f, ds_dx) through metric once per
-    # Newton step, three times here; level_integrals then reads the jet
+    # Newton step, three times here; the geometry pass then reads the jet
     # (f, df/ds, d2f/ds2) once and computes R from those values.
     counts = dict.fromkeys(_READS, 0)
     sol = solve(_counting_profile(perturbed_schwarzschild(), counts))
-    level_integrals(sol, 5.0)  # builds the tables the level solve reads
+    functional_columns(sol, [5.0])  # builds the tables the level solve reads
     counts.update(dict.fromkeys(counts, 0))
-    level_integrals(sol, 5.0)
+    functional_columns(sol, [5.0])
     assert counts == {"f": 0, "ds_dx": 0, "metric": 3, "jet": 1, "df_ds": 0, "d2f_ds2": 0}
 
 

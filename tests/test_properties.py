@@ -3,6 +3,7 @@ the algebraic identities of the functionals."""
 
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvlab.errors import OutOfRange
-from curvlab.functionals import functional_row
+from curvlab.functionals import _functional_columns
 from curvlab.numerics import Tolerance, find_root, integrate
 from curvlab.potential import (
     LevelSetSample,
     default_t_grid,
-    level,
     level_value,
     levels,
     solve,
@@ -27,6 +27,7 @@ from curvlab.profile import _warped_scalar_curvature, mollified_schwarzschild, p
 
 from differences import differentiate
 from frozen_outputs import rneg_profile
+from one_level import level
 from tail_reads import bracket_reads
 
 _EPS = 2.220446049250313e-16
@@ -167,10 +168,11 @@ def test_levels_match_single_level_solves(rneg, model, n, t_min_factor, t_max_fa
         assert (s.hex(), u.hex()) == (alone.s.hex(), alone.u.hex()), (p.label, t)
     # The u column is level_value's, bit for bit.
     assert [u.hex() for u in us] == [level_value(sol, t).hex() for t in ts]
-    # A NaN t, or one below C/2 (at or below 0 without a boundary), in the
-    # middle of a sweep fails its range guard, not the solve.
-    below = 0.25 * sol.capacity if sol.capacity is not None else 0.0
-    bad = data.draw(st.sampled_from([math.nan, below]))
+    # A NaN t, or one below C/2 (at or below 0, or with an infinite 1/t,
+    # without a boundary), in the middle of a sweep fails its range guard,
+    # not the solve.
+    bad_ts = [math.nan, 0.25 * sol.capacity] if sol.capacity is not None else [math.nan, 0.0, 1e-310, 5e-324]
+    bad = data.draw(st.sampled_from(bad_ts))
     at = data.draw(st.integers(0, len(ts)))
     with pytest.raises(OutOfRange):
         levels(sol, [*ts[:at], bad, *ts[at:]])
@@ -237,10 +239,11 @@ def test_tail_reader_matches_value(rneg, model, k, fractions):
 )
 @settings(max_examples=300, deadline=None)
 def test_functional_row_identities(f, fs, fss, cap, t_over_cap):
-    # Any round level set of a boundary solution, built as level_integrals
+    # Any round level set of a boundary solution, built as the geometry pass
     # builds it: |grad u| = C/f^2 and u = (2t - C)/(2t + C).  Each identity
-    # is algebra on functional_row, so its residual is rounding alone,
-    # measured against the magnitudes of the terms that cancel.
+    # is algebra on the functionals of that one level, a column of one, so
+    # its residual is rounding alone, measured against the magnitudes of the
+    # terms that cancel.
     t = cap * t_over_cap
     area = 4.0 * math.pi * f * f
     g = cap / (f * f)
@@ -258,7 +261,8 @@ def test_functional_row_identities(f, fs, fss, cap, t_over_cap):
         int_grad_H=area * g * mean_h,
         int_inv_grad=area / g,
     )
-    row = functional_row(ls, cap)
+    columns = _functional_columns(cap, LevelSetSample(*([value] for value in ls)))
+    row = SimpleNamespace(**{name: column[0] for name, column in columns._asdict().items()})
     four_pi = 4.0 * math.pi
     p = 1.0 + cap / (2.0 * t)
     # The I2 terms of t A1' and F/t carry 1 - C/2t and 1 - 3C/2t, which are

@@ -132,7 +132,7 @@ def test_diff_schema_mismatch(schw1_sol, euclid_sol):
 
 
 # Check lines of a 0.1.0 Schwarzschild report that 0.2.0 no longer writes:
-# algebraic identities of functional_row, asserted in test_properties.
+# algebraic identities of the functionals, asserted in test_properties.
 _DROPPED_IN_0_2_0 = """\
 check deficit_nonnegative EqualityDetected 0.0 0.5 1e-09
 check identity_f_from_gprime Pass -9.006933485619723e-16 7.533289028156558 1e-09

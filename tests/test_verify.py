@@ -4,8 +4,8 @@ import math
 import pytest
 
 from curvlab.errors import GridTooCoarse
-from curvlab.functionals import build_series, coarea_volumes, functional_row
-from curvlab.potential import default_t_grid, level, level_integrals, solve, volumes
+from curvlab.functionals import build_series, coarea_volumes
+from curvlab.potential import default_t_grid, solve, volumes
 from curvlab.profile import (
     MetricProfile,
     ProfileKind,
@@ -22,6 +22,7 @@ from curvlab.verify import (
     write_report_text,
 )
 from frozen_outputs import rneg_profile
+from one_level import functionals_of, level, sample
 
 THEOREM_CHECKS = (
     "boundary_gradient_estimate",
@@ -116,18 +117,18 @@ class TestDeficit:
 
     def test_schwarzschild_zero(self, schw1_sol):
         cap = schw1_sol.capacity
-        deficit = 2.0 * cap * (math.pi - level_integrals(schw1_sol, 0.5 * cap).int_grad_sq)
+        deficit = 2.0 * cap * (math.pi - sample(schw1_sol, 0.5 * cap).int_grad_sq)
         assert deficit == pytest.approx(0.0, abs=1e-9)
 
     def test_schwarzschild_mass_3(self):
         sol = solve(schwarzschild(3.0))
         cap = sol.capacity
-        deficit = 2.0 * cap * (math.pi - level_integrals(sol, 0.5 * cap).int_grad_sq)
+        deficit = 2.0 * cap * (math.pi - sample(sol, 0.5 * cap).int_grad_sq)
         assert deficit == pytest.approx(0.0, abs=1e-9)
 
     def test_perturbed_nonnegative(self, perturbed_sol):
         cap = perturbed_sol.capacity
-        deficit = 2.0 * cap * (math.pi - level_integrals(perturbed_sol, 0.5 * cap).int_grad_sq)
+        deficit = 2.0 * cap * (math.pi - sample(perturbed_sol, 0.5 * cap).int_grad_sq)
         assert deficit >= -1e-9
 
 
@@ -210,8 +211,8 @@ class TestReportMechanics:
 def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     # The coarea cross-check reads the series' levels and solves none of
     # them a second time.  Every sample, of a grid, of a coarea panel or of
-    # one level_integrals call, is a level of the one-pass column code
-    # potential._geometry, and every solve, of a grid or of one level call,
+    # a boundary level off the grid, is a level of the one-pass column code
+    # potential._geometry, and every solve, of a grid or of one level,
     # runs through potential.levels.  Off the grid, the finite-difference
     # stencils are solved in one sweep and the coarea quadrature in one
     # sweep per Gauss-Kronrod panel.
@@ -352,7 +353,7 @@ def test_growth_bound_margin_closed_form(tmp_path, make, grid, tilde):
     ts = default_t_grid(sol, grid)
     series = build_series(sol, ts)
     assert (series.deficit_A < 0.0) is tilde
-    f_b = functional_row(series.boundary_sample, sol.capacity).F
+    f_b = functionals_of(series.boundary_sample, sol.capacity).F
     shift = series.deficit_A if tilde else 0.0
     margins = [
         t * (a * a1_val / t) - shift / (2.0 * t) - (a1_val - 4.0 * math.pi + (f - f_b) / t + shift / (2.0 * t))
