@@ -53,9 +53,7 @@ class TestSchwarzschildEqualityCase:
 
     def test_a1_is_4pi(self, schw1_sol):
         for t in (0.5, 1.0, 5.0, 50.0):
-            assert row_at(schw1_sol, t).A1 == pytest.approx(
-                FOUR_PI, rel=1e-10
-            )
+            assert row_at(schw1_sol, t).A1 == pytest.approx(FOUR_PI, rel=1e-10)
 
     def test_b1_vanishes(self, schw1_sol):
         for t in (0.5, 1.0, 5.0, 50.0):

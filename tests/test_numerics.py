@@ -90,7 +90,6 @@ def test_differentiate_schwarzschild_g_vanishes(schw1_sol):
     # G is identically zero on Schwarzschild, so its derivative must be too.
     from one_level import row_at
 
-    cap = schw1_sol.capacity
     assert differentiate(lambda t: row_at(schw1_sol, t).G, 1.0) == pytest.approx(0.0, abs=1e-6)
 
 
