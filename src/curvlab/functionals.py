@@ -40,6 +40,8 @@ from .potential import (
     PotentialSolution,
     _FOUR_PI,
     _geometry,
+    _grads,
+    _inv_grad_integrals,
     levels,
     t_of_level,
     u_value,
@@ -89,19 +91,27 @@ def _functional_columns(cap: float | None, geo: LevelSetSample) -> FunctionalRow
         fhat = [-_FOUR_PI / t + t * i2 for t, i2 in zip(geo.t, geo.int_grad_sq)]
         return FunctionalRow(fhat, *[undefined] * 8)
     g_col, gprime_col, f_col, fprime_col, a1_col, a1prime_col, a_col, b1_col = cols = [[] for _ in range(8)]
+    # Each hoisted constant is the subexpression its formula forms first,
+    # left to right, so every bit is kept; G's -math.pi * cap * cap forms
+    # (-pi) C C, which is -(pi C C) exactly.
+    cap2 = cap * cap
+    pi_cap2 = math.pi * cap * cap
+    cap3 = 3.0 * cap
     for t, u, area, grad, mean_h, scalar_r, i2, ih in zip(geo.t, *geo[2:9]):
-        p = 1.0 + cap / (2.0 * t)
-        m1 = 1.0 - cap / (2.0 * t)
-        m3 = 1.0 - 3.0 * cap / (2.0 * t)
+        two_t = 2.0 * t
+        half_ratio = cap / two_t
+        p = 1.0 + half_ratio
+        m1 = 1.0 - half_ratio
+        m3 = 1.0 - cap3 / two_t
         # q = 4u/(1-u^2) |grad u| - H; at the boundary u = 0 kills the first factor.
         q = 4.0 * u / (1.0 - u * u) * grad - mean_h
         p3 = p ** 3
         p4 = p ** 4
-        a1_val = t * t / (cap * cap) * p4 * i2
-        a1_prime_val = 2.0 * t / (cap * cap) * p3 * m1 * i2 - p * p / cap * ih
-        g_col.append(-math.pi * cap * cap / t + 0.25 * t * p4 * i2)
-        gprime_col.append(math.pi * cap * cap / (t * t) + 0.25 * p3 * m3 * i2 - cap / (4.0 * t) * p * p * ih)
-        f_col.append(_FOUR_PI * t + t ** 3 / (cap * cap) * p3 * m3 * i2 - t * t / cap * p * p * ih)
+        a1_val = t * t / cap2 * p4 * i2
+        a1_prime_val = two_t / cap2 * p3 * m1 * i2 - p * p / cap * ih
+        g_col.append(-pi_cap2 / t + 0.25 * t * p4 * i2)
+        gprime_col.append(pi_cap2 / (t * t) + 0.25 * p3 * m3 * i2 - cap / (4.0 * t) * p * p * ih)
+        f_col.append(_FOUR_PI * t + t ** 3 / cap2 * p3 * m3 * i2 - t * t / cap * p * p * ih)
         fprime_col.append(area * (0.5 * scalar_r + 0.75 * q * q))
         a1_col.append(a1_val)
         a1prime_col.append(a1_prime_val)
@@ -121,7 +131,9 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     one quadrature in the level parameter per segment [lower, t1], [t1, t2],
     ..., accumulated.  Each Gauss-Kronrod panel hands its 15 nodes over in
     one list, solved sorted in one levels sweep; a level's bits do not depend
-    on the sweep it is solved in.
+    on the sweep it is solved in.  The integrand reads only f at each node,
+    with one ``metric`` call, and forms 4 pi f^2/|grad u| through
+    ``potential._inv_grad_integrals``, the helper ``_geometry`` reads too.
 
     This is the cross-check route for the radial volume column of
     build_series (Int 4 pi f^2 ds up to the level).  The lower end is the
@@ -135,10 +147,12 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     cap = sol.capacity
     boundary = cap is not None
     lower = 0.5 * cap if boundary else 1e-4 * ts[0]
+    metric = p.metric
 
     def integrand(ss: list[float]) -> list[float]:
-        geo = _geometry(sol, levels(sol, sorted(ss)))
-        inv = dict(zip(geo.t, geo.int_inv_grad))
+        solved, xs, _ = levels(sol, sorted(ss))
+        fs = [metric(x)[0] for x in xs]
+        inv = dict(zip(solved, _inv_grad_integrals(fs, _grads(sol.c_norm, fs))))
         if boundary:
             return [cap / (s * s) * (1.0 + cap / (2.0 * s)) ** -2 * inv[s] for s in ss]
         return [inv[s] / (s * s) for s in ss]

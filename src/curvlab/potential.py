@@ -17,10 +17,11 @@ quadrature inside the level solve or the integrands built on u.
 it directly: ``levels`` and ``volumes`` pass the one panel of a table that
 holds one (on the built-ins, every interval no profile breakpoint splits),
 bound once per table, and otherwise panels[bisect_right(starts, x) - 1];
-both give the same bits.  A panel stores its coefficients as 12 pairs; the
-kernel unpacks all of them in one statement and runs the Clenshaw
-recurrence as straight-line code, the operations of a loop over the pairs
-in the loop's order (the tests keep that loop as the kernel's reference).
+both give the same bits.  A panel is one flat tuple of its edge, half-width,
+the integral before it and its coefficients in Clenshaw order; the kernel
+unpacks it in one statement and runs the Clenshaw recurrence as
+straight-line code, the operations of a loop over the coefficient pairs in
+the loop's order (the tests keep that loop as the kernel's reference).
 The tables read f and ds_dx at each node through one
 ``MetricProfile.metric`` call.  One semi-infinite adaptive integral fixes
 the far anchor T(x_ref 2^_FAR_K); every anchor below it telescopes down
@@ -52,9 +53,13 @@ its table and the constants of the Newton start once per anchor interval
 the sequence stays in, so an ordered grid of 4096 levels walks 11 to 13
 brackets; the bracket is a function of the target alone, so every level is
 bitwise the one a solve of t alone returns.  ``_geometry`` reads the
-level-set geometry of those columns in one pass, one ``jet`` read per level;
-it is the only route from a solved level to its geometry, so a single level
-is a sweep of one.  ``_grads`` is the one source of |grad u| = c/f^2.
+level-set geometry of those columns in one pass, one ``jet`` read per level,
+so a single level is a sweep of one.  A reader that needs f alone, as the
+coarea integrand does, reads it with one ``metric`` call per level, where
+it is bitwise ``jet``'s f on every built-in and tabulated profile.
+``_grads`` is the one source of |grad u| = c/f^2 and ``_inv_grad_integrals``
+of Int_Sigma 1/|grad u| = 4 pi f^2/|grad u|, which ``_geometry`` reads
+too.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ _VOLUME_TOL = Tolerance(rel=1e-11, abs=1e-13, max_refinements=60)
 # accepted once the two trailing coefficients of its integrated series,
 # times its half-width, are below _TABLE_REL times the scale its table
 # measures it against (_DyadicTables._scale).
-_CHEB_N = 25  # odd, so c_{N-1}, ..., c_1 pair up in a panel
+_CHEB_N = 25  # odd, so c_{N-1}, ..., c_1 pair up in the kernel's b2, b1 lines
 _CHEB_NODES = tuple(math.cos(math.pi * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N))
 _CHEB_COS = tuple(
     tuple(math.cos(math.pi * m * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N)) for m in range(_CHEB_N)
@@ -133,10 +138,10 @@ class _DyadicTables:
     coefficients of its integrated series, times the panel half-width, fall
     below _TABLE_REL times ``_scale(k, through)``, where ``through`` is the
     integral from the left end of the interval to the right end of the
-    panel; the scale must be known before table k is built.  Each panel stores
-    its left edge, half-width, the integral of the panels before it, and
-    its integrated coefficients in Clenshaw order, paired for ``_clenshaw``:
-    c0, c_N, ((c_{N-1}, c_{N-2}), ..., (c_2, c_1)).
+    panel; the scale must be known before table k is built.  Each panel is
+    one flat tuple, read by ``_clenshaw``: its left edge, half-width, the
+    integral of the panels before it, and its integrated coefficients in
+    Clenshaw order, (start, half, before, c0, c_N, c_{N-1}, ..., c_1).
     Anchors and tables are built on first use and depend on k alone.
     Subclasses supply ``_integrand``, ``anchor_value`` and ``_scale``.
     """
@@ -188,12 +193,7 @@ class _DyadicTables:
             piece = half * reduce(operator.add, ints, 0.0)
             if (abs(ints[-1]) + abs(ints[-2])) * half <= _TABLE_REL * self._scale(k, acc + piece):
                 starts.append(a)
-                rest = ints[_CHEB_N - 1 : 0 : -1]  # c_{N-1}, ..., c_1
-                # Through a list, so the tuple is allocated at its size: a
-                # tuple(zip(...)) is resized from 10 slots, and once freed it
-                # sits on a free list no allocation here takes from.
-                pairs = tuple(list(zip(rest[::2], rest[1::2])))
-                panels.append((a, half, acc, ints[0], ints[_CHEB_N], pairs))
+                panels.append((a, half, acc, ints[0], *ints[_CHEB_N : 0 : -1]))
                 acc += piece
                 continue
             mid = 0.5 * (a + b)
@@ -223,12 +223,11 @@ class _DyadicTables:
 
 def _clenshaw(panel: tuple, x: float) -> float:
     """Integral of a table from its left end to x inside one of its panels: the one table-read kernel."""
-    start, half, before, c0, b1, pairs = panel
-    # The (_CHEB_N - 1) / 2 = 12 pairs of a panel, c_24 down to c_1.
     (
-        (c24, c23), (c22, c21), (c20, c19), (c18, c17), (c16, c15), (c14, c13),
-        (c12, c11), (c10, c9), (c8, c7), (c6, c5), (c4, c3), (c2, c1),
-    ) = pairs
+        start, half, before, c0, b1,
+        c24, c23, c22, c21, c20, c19, c18, c17, c16, c15, c14, c13,
+        c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1,
+    ) = panel
     z = (x - start) / half - 1.0
     # Clenshaw sum of the integrated Chebyshev series at z, written out: each
     # line forms the next b1 in b2 or the one after it in b1, the operations
@@ -312,11 +311,12 @@ class _TailCache(_DyadicTables):
                 ).value
         return self._total
 
-    def bracket(self, target: float) -> tuple[float, float, float, float]:
-        """(lo, T(lo), hi, T(hi)) with T(lo) > target >= T(hi), for target below T(x_min).
+    def bracket(self, target: float) -> tuple[int, float, float, float, float]:
+        """(k, lo, T(lo), hi, T(hi)) with T(lo) > target >= T(hi), for target below T(x_min).
 
-        lo and hi are the consecutive anchors around k = max{k : T(x_ref 2^k) >
-        target}.  T ~ 1/x puts k near log2(T(x_ref)/target); the walk starts
+        lo and hi are the consecutive anchors x_ref 2^k and x_ref 2^(k+1)
+        around k = max{k : T(x_ref 2^k) > target}, so table k spans the
+        bracket.  T ~ 1/x puts k near log2(T(x_ref)/target); the walk starts
         there, formed in log space so that a tiny target cannot overflow, and
         moves down while the anchor value is still at or below the target, then
         up until the next anchor value drops to it.  Where T falls faster than
@@ -349,7 +349,7 @@ class _TailCache(_DyadicTables):
                 if k > 80:
                     raise NonConvergent("level lies beyond the resolvable range")
                 t_k, t_up = t_up, self.anchor_value(k + 1)
-        return self.anchor_x(k), t_k, self.anchor_x(k + 1), t_up
+        return k, self.anchor_x(k), t_k, self.anchor_x(k + 1), t_up
 
     def value(self, x: float) -> float:
         if self._x_floor is not None and x <= self._x_floor:
@@ -537,8 +537,8 @@ def levels(sol: PotentialSolution, ts: Iterable[float]) -> tuple[list[float], li
         # At T(hi) = target the start is hi itself.  The bracket depends on
         # the target alone, so a kept one is the one tail.bracket would return.
         if not t_lo > target >= t_hi:
-            a, t_lo, b, t_hi = tail.bracket(target)  # the anchors; Newton narrows lo and hi
-            starts, panels, _ = tail._table(tail._interval(a))
+            k, a, t_lo, b, t_hi = tail.bracket(target)  # the anchors; Newton narrows lo and hi
+            starts, panels, _ = tail._table(k)
             panel = panels[0] if len(panels) == 1 else None  # None: bisect
             inv_lo = 1.0 / t_lo
             inv_span = 1.0 / t_hi - inv_lo
@@ -592,6 +592,15 @@ def _grads(c: float, fs: Iterable[float]) -> list[float]:
     return [c / (f * f) for f in fs]
 
 
+def _inv_grad_integrals(fs: Iterable[float], grads: Iterable[float]) -> list[float]:
+    """Int_Sigma 1/|grad u| = 4 pi f^2/|grad u| on each level sphere, from f and the ``_grads`` column of f.
+
+    The one source of that column: ``_geometry`` reads it, and so does the
+    coarea integrand, which reads f alone.
+    """
+    return [_FOUR_PI * f * f / g for f, g in zip(fs, grads)]
+
+
 def _geometry(sol: PotentialSolution, columns: tuple[list[float], list[float], list[float]]) -> LevelSetSample:
     """The level-set geometry of the ``levels`` columns (ts, ss, us), in one pass.
 
@@ -599,17 +608,14 @@ def _geometry(sol: PotentialSolution, columns: tuple[list[float], list[float], l
     """
     ts, ss, us = columns
     jets = list(map(sol.profile.jet, ss))
-    grads = _grads(sol.c_norm, [f for f, _, _ in jets])
-    area, mean_h, scalar_r, int_grad_sq, int_grad_h, int_inv_grad = [], [], [], [], [], []
-    for (f, fs, fss), g in zip(jets, grads):
-        a = _FOUR_PI * f * f
-        h = 2.0 * fs / f
-        area.append(a)
-        mean_h.append(h)
-        scalar_r.append(_warped_scalar_curvature(f, fs, fss))
-        int_grad_sq.append(a * g * g)
-        int_grad_h.append(a * g * h)
-        int_inv_grad.append(a / g)
+    f_col = [f for f, _, _ in jets]
+    grads = _grads(sol.c_norm, f_col)
+    area = [_FOUR_PI * f * f for f in f_col]
+    mean_h = [2.0 * fs / f for f, fs, _ in jets]
+    scalar_r = [_warped_scalar_curvature(f, fs, fss) for f, fs, fss in jets]
+    int_grad_sq = [a * g * g for a, g in zip(area, grads)]
+    int_grad_h = [a * g * h for a, g, h in zip(area, grads, mean_h)]
+    int_inv_grad = _inv_grad_integrals(f_col, grads)
     return LevelSetSample(ts, ss, us, area, grads, mean_h, scalar_r, int_grad_sq, int_grad_h, int_inv_grad)
 
 

@@ -3,8 +3,9 @@
 ``functionals.coarea_volumes`` hands each Gauss-Kronrod panel's 15 nodes to
 one sorted ``levels`` sweep.  This module integrates the same coarea
 integrand through the scalar ``integrate``, solving every node as its own
-level with ``one_level.sample``, so the tests can check the batched route
-bit for bit against the per-node one.
+level with ``one_level.sample``, which reads f from ``jet`` where the
+batched route reads it from ``metric``, so the tests can check the batched
+route bit for bit against the per-node one.
 """
 
 from __future__ import annotations

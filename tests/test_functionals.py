@@ -1,15 +1,17 @@
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 
+import curvlab.functionals as functionals_mod
 from curvlab.functionals import SERIES_CSV_HEADER, build_series, coarea_volumes, write_series_csv
-from curvlab.potential import _VolumeCache, default_t_grid, solve, u_value, volumes
+from curvlab.potential import _VolumeCache, _geometry, default_t_grid, solve, u_value, volumes
 from curvlab.profile import (
     euclidean, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv, schwarzschild, to_warped,
 )
-from curvlab.verify import schwarzschild_comparison_volume
+from curvlab.verify import _comparison_volumes, schwarzschild_comparison_volume
 from coarea_quadrature import coarea_volumes_per_node
 from differences import differentiate
 from frozen_outputs import rneg_profile, write_inputs
@@ -17,6 +19,21 @@ from growth_quadrature import growth_integrand_cumulative
 from one_level import functionals_of, grad, level, row_at, sample
 
 FOUR_PI = 4.0 * math.pi
+
+
+def _comparison_volume_closed_form(cap, t):
+    """The comparison volume one term at a time: the reference the column keeps bit for bit."""
+    a = 0.5 * cap
+    upper = (
+        t ** 3 / 3.0
+        + 3.0 * a * t * t
+        + 15.0 * a * a * t
+        + 20.0 * a ** 3 * math.log(t)
+        - 15.0 * a ** 4 / t
+        - 3.0 * a ** 5 / (t * t)
+        - a ** 6 / (3.0 * t ** 3)
+    )
+    return FOUR_PI * (upper - 20.0 * a ** 3 * math.log(a))
 
 
 class TestFhat:
@@ -216,6 +233,20 @@ class TestVolumes:
             golden["functionals.schw2_volume_closed_t7"], rel=1e-13
         )
 
+    def test_comparison_volume_column_keeps_the_closed_form(self):
+        # The column forms the antiderivative's coefficients once per cap;
+        # each is the subexpression the closed form forms first, so every
+        # bit is the closed form's, down to the levels just above C/2 where
+        # the terms cancel.
+        rng = random.Random(28)
+        for _ in range(200):
+            cap = 10.0 ** rng.uniform(-3.0, 3.0)
+            lo, hi = 0.5 * cap * (1.0 + 1e-12), 1e4 * cap
+            ts = [lo, *(lo * (hi / lo) ** rng.random() for _ in range(40)), hi]
+            expected = [_comparison_volume_closed_form(cap, t).hex() for t in ts]
+            assert [v.hex() for v in _comparison_volumes(cap, ts)] == expected, cap
+            assert [schwarzschild_comparison_volume(cap, t).hex() for t in ts] == expected, cap
+
     def test_mollified_expansion_leading_terms(self, moll11_sol, golden):
         vol = volumes(moll11_sol, [level(moll11_sol, 100.0).s])[0]
         assert vol == pytest.approx(golden["functionals.moll11_volume_exact_t100"], rel=1e-8)
@@ -254,6 +285,53 @@ def test_coarea_panels_match_per_node_levels_bitwise(make, tmp_path):
     grid = default_t_grid(sol, 32)
     ts = [grid[i] for i in (4, 8, 16, 24, 31)]
     assert coarea_volumes(sol, ts) == coarea_volumes_per_node(sol, ts)
+
+
+def _rw_profile(directory):
+    """The moll.csv profile: the r,w layout, read with R >= 0 assumed."""
+    write_inputs(directory)
+    return profile_from_csv(str(directory / "moll.csv"), True)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda _: schwarzschild(1.0),
+        lambda _: perturbed_schwarzschild(),
+        lambda _: euclidean(),
+        lambda _: to_warped(mollified_schwarzschild(1.0, 1.0)),
+        rneg_profile,
+        _rw_profile,
+    ],
+    ids=["schwarzschild", "perturbed", "euclidean", "mollified", "rneg-csv", "rw-csv"],
+)
+def test_coarea_integrand_reads_the_geometry_column(make, tmp_path, monkeypatch):
+    # The coarea integrand reads f with one metric call per node, where
+    # _geometry reads it from jet; on every built-in and tabulated reader
+    # the two agree bit for bit, so each node's 4 pi f^2/|grad u| is the
+    # int_inv_grad of the geometry of the same levels.
+    sol = solve(make(tmp_path))
+    swept, read = [], []
+    real_levels, real_inv = functionals_mod.levels, functionals_mod._inv_grad_integrals
+
+    def recording_levels(sol, ts):
+        columns = real_levels(sol, ts)
+        swept.append(columns)
+        return columns
+
+    def recording_inv(fs, grads):
+        values = real_inv(fs, grads)
+        read.append(values)
+        return values
+
+    monkeypatch.setattr(functionals_mod, "levels", recording_levels)
+    monkeypatch.setattr(functionals_mod, "_inv_grad_integrals", recording_inv)
+    grid = default_t_grid(sol, 32)
+    coarea_volumes(sol, [grid[i] for i in (4, 16, 31)])
+    assert len(swept) == len(read) > 0
+    for columns, values in zip(swept, read):
+        expected = _geometry(sol, columns).int_inv_grad
+        assert [v.hex() for v in values] == [v.hex() for v in expected], sol.profile.label
 
 
 class TestSeries:

@@ -372,7 +372,7 @@ def test_bracket_is_the_last_anchor_above_the_target(tmp_path):
         assert anchors[ks[0]] > max(targets) and anchors[ks[-1]] < min(targets), p.label
         for target in targets:
             k = max(k for k in ks if anchors[k] > target)
-            expected = (tail.anchor_x(k), anchors[k], tail.anchor_x(k + 1), anchors[k + 1])
+            expected = (k, tail.anchor_x(k), anchors[k], tail.anchor_x(k + 1), anchors[k + 1])
             assert tail.bracket(target) == expected, (p.label, target)
 
 
@@ -574,11 +574,11 @@ def test_coordinates_off_the_dyadic_intervals_are_out_of_range(schw1_sol, euclid
 
 def _clenshaw_loop(panel, x):
     """The kernel as a loop over its coefficient pairs: the reference the written-out kernel keeps bit for bit."""
-    start, half, before, c0, b1, pairs = panel
+    start, half, before, c0, b1 = panel[:5]
     z = (x - start) / half - 1.0
     z2 = 2.0 * z
     b2 = 0.0
-    for c, d in pairs:
+    for c, d in zip(panel[5::2], panel[6::2]):
         b2 = z2 * b1 - b2 + c
         b1 = z2 * b2 - b1 + d
     return before + half * (z * b1 - b2 + c0)
@@ -588,7 +588,8 @@ def test_kernel_matches_the_paired_loop(tmp_path):
     # Every panel the built-ins, the R < 0 s,f CSV and the r,w CSV build for
     # a grid's levels and volumes, read at z = -1, at its right edge (z = +1)
     # and at random interior points.  Their tables split at breakpoints but
-    # bisect no panel; the narrow bump's table of interval 1 bisects.
+    # bisect no panel; the narrow bump's table of interval 1 bisects.  Each
+    # panel is one flat tuple (start, half, before, c0, c_N, ..., c_1).
     write_inputs(tmp_path)
     profiles = [
         euclidean(),
@@ -611,6 +612,8 @@ def test_kernel_matches_the_paired_loop(tmp_path):
                 split += pieces > 1
                 bisected += len(panels) > pieces
                 for panel in panels:
+                    assert type(panel) is tuple and len(panel) == 5 + _CHEB_N - 1, (p.label, k)
+                    assert all(type(v) is float for v in panel), (p.label, k)
                     start, half = panel[:2]
                     for x in [start, start + 2.0 * half, *(start + 2.0 * half * rng.random() for _ in range(6))]:
                         assert _clenshaw(panel, x).hex() == _clenshaw_loop(panel, x).hex(), (p.label, k, x)

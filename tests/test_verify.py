@@ -210,12 +210,13 @@ class TestReportMechanics:
 
 def test_battery_solves_each_grid_level_once(schw1_sol, monkeypatch):
     # The coarea cross-check reads the series' levels and solves none of
-    # them a second time.  Every sample, of a grid, of a coarea panel or of
-    # a boundary level off the grid, is a level of the one-pass column code
-    # potential._geometry, and every solve, of a grid or of one level,
-    # runs through potential.levels.  Off the grid, the finite-difference
-    # stencils are solved in one sweep and the coarea quadrature in one
-    # sweep per Gauss-Kronrod panel.
+    # them a second time.  Every sample, of a grid or of a boundary level
+    # off the grid, is a level of the one-pass column code
+    # potential._geometry; a coarea panel reads f alone at its nodes.  Every
+    # solve, of a grid, of a panel or of one level, runs through
+    # potential.levels.  Off the grid, the finite-difference stencils are
+    # solved in one sweep and the coarea quadrature in one sweep per
+    # Gauss-Kronrod panel.
     import sys
 
     import curvlab.functionals as functionals_mod
