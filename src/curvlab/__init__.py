@@ -18,7 +18,6 @@ from .errors import (
     OutOfRange,
     ProfileDataError,
     ReportStoreError,
-    SchemaMismatch,
     WrongKind,
 )
 from .functionals import FunctionalSeries, build_series, write_series_csv
@@ -45,7 +44,7 @@ from .profile import (
     sphere_geometry,
     to_warped,
 )
-from .report_store import RunRecord, diff, load, make_record, save
+from .report_store import RunRecord, load, make_record, save
 from .verify import CheckResult, CheckStatus, VerificationReport, run_battery
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "GridTooCoarse",
     "ProfileDataError",
     "ReportStoreError",
-    "SchemaMismatch",
     "Tolerance",
     "QuadratureResult",
     "integrate",
@@ -96,5 +94,4 @@ __all__ = [
     "make_record",
     "save",
     "load",
-    "diff",
 ]

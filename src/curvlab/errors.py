@@ -35,7 +35,3 @@ class ProfileDataError(CurvlabError):
 
 class ReportStoreError(CurvlabError):
     """Report persistence failure: IO error, corruption, or bad format."""
-
-
-class SchemaMismatch(ReportStoreError):
-    """Two run records cannot be diffed because their check lists differ."""

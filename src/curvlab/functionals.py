@@ -38,7 +38,6 @@ from .numerics import NodeIntegrand, Tolerance, integrate
 from .potential import (
     LevelSetSample,
     PotentialSolution,
-    _FOUR_PI,
     _geometry,
     _grads,
     _inv_grad_integrals,
@@ -47,6 +46,7 @@ from .potential import (
     u_value,
     volumes,
 )
+from .profile import _FOUR_PI
 
 __all__ = [
     "FunctionalSeries",
@@ -58,7 +58,7 @@ __all__ = [
     "SERIES_CSV_HEADER",
 ]
 
-_COAREA_TOL = Tolerance(rel=1e-10, abs=1e-12, max_refinements=48)
+_COAREA_TOL = Tolerance(rel=1e-10, abs=1e-12)
 
 # (CSV column, FunctionalSeries field) in the order write_series_csv emits them.
 _SERIES_COLUMNS = (

@@ -30,7 +30,7 @@ from typing import IO, NamedTuple, Sequence
 from .errors import OutOfRange, ProfileDataError, WrongKind
 from .numerics import extrapolate_to_zero, geometric_grid
 from .potential import PotentialSolution, levels, solve, volumes
-from .profile import ConformalProfile, to_warped
+from .profile import _FOUR_PI, ConformalProfile, to_warped
 
 __all__ = [
     "MassReport",
@@ -38,12 +38,9 @@ __all__ = [
     "adm_flux_at",
     "mass_from_volume",
     "mass_report",
-    "default_surface_radii",
     "default_volume_samples",
     "write_mass_csv",
 ]
-
-_FOUR_PI = 4.0 * math.pi
 
 
 class MassReport(NamedTuple):
@@ -66,18 +63,10 @@ def adm_flux_at(c: ConformalProfile, r: float) -> float:
     return -2.0 * r * r * w ** 3 * dw
 
 
-def default_surface_radii(c: ConformalProfile) -> list[float]:
+def adm_surface(c: ConformalProfile) -> float:
+    """ADM mass via the flux integral at 8 radii, Richardson-extrapolated in 1/r."""
     lo = max(4.0 * max(_min_radius(c), 1.0), 10.0)
-    return geometric_grid(lo, 1e3 * lo, 8)
-
-
-def adm_surface(c: ConformalProfile, radii: Sequence[float] | None = None) -> float:
-    """ADM mass via the flux integral, Richardson-extrapolated in 1/r."""
-    rs = list(radii) if radii is not None else default_surface_radii(c)
-    if len(rs) < 2:
-        raise ProfileDataError("need at least two radii for the extrapolation")
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise ProfileDataError("radii must be strictly increasing")
+    rs = geometric_grid(lo, 1e3 * lo, 8)
     fluxes = [adm_flux_at(c, r) for r in rs]
     # + 0.0 turns the -0.0 of a flat end into 0.0 and leaves every other value as it is.
     return extrapolate_to_zero([1.0 / r for r in rs], fluxes) + 0.0

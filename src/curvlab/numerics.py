@@ -9,9 +9,9 @@ Richardson-extrapolated central difference is split the same way: its
 abscissae (``difference_stencil``) and their combination
 (``difference_quotient``), so a caller evaluates a batch of stencils at once.
 
-Every routine takes an explicit :class:`Tolerance`, so callers own their
-accuracy budget.  Nothing here keeps state between calls; all functions are
-pure and safe to invoke concurrently.
+Every routine takes an explicit :class:`Tolerance`, the (rel, abs) accuracy
+target, so callers own their accuracy.  Nothing here keeps state between
+calls; all functions are pure and safe to invoke concurrently.
 """
 
 from __future__ import annotations
@@ -67,16 +67,18 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
-_MAX_PANELS = 4096  # refinement budget beyond the initial partition
+# Refinement budget of the adaptive quadrature and of the potential's tables:
+# bisection depth per panel, and panels beyond the initial partition.
+_MAX_DEPTH = 60
+_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy contract: relative plus absolute target and a refinement budget."""
+    """Accuracy contract: a relative plus an absolute target."""
 
     rel: float = 1e-10
     abs: float = 1e-12
-    max_refinements: int = 60
 
     def __post_init__(self) -> None:
         for name in ("rel", "abs"):
@@ -85,8 +87,6 @@ class Tolerance:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.rel + self.abs <= 0.0:
             raise ValueError("rel + abs must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
 
     def target(self, value: float) -> float:
         return max(self.rel * abs(value), self.abs)
@@ -156,7 +156,7 @@ def _adaptive(values, lo: float, hi: float, tol: Tolerance, points: Sequence[flo
             return QuadratureResult(value, err, evaluations)
         _, _, a, b, v, e, depth = heapq.heappop(panels)
         mid = 0.5 * (a + b)
-        if depth >= tol.max_refinements or len(panels) >= len(edges) + _MAX_PANELS or not a < mid < b:
+        if depth >= _MAX_DEPTH or len(panels) >= len(edges) + _MAX_PANELS or not a < mid < b:
             raise NonConvergent(
                 f"quadrature did not converge on [{a!r}, {b!r}] "
                 f"(depth {depth}, {evaluations} evaluations, error {err!r})"
@@ -204,7 +204,7 @@ def integrate(
         the map uniform in relative terms however far out a lies: an exact
         s^-2 tail maps to the constant 1/L, integrated to the ulp at any a.
     tol : Tolerance, optional
-        Accuracy contract (default rel=1e-10, abs=1e-12, 60 refinements).
+        Accuracy contract (default rel=1e-10, abs=1e-12).
     points : sequence of float, optional
         Known kinks; the initial partition is split there.
 

@@ -71,8 +71,8 @@ from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonConvergent, OutOfRange
-from .numerics import Tolerance, geometric_grid, integrate
-from .profile import MetricProfile, ProfileKind, _warped_scalar_curvature
+from .numerics import _MAX_DEPTH, _MAX_PANELS, Tolerance, geometric_grid, integrate
+from .profile import _FOUR_PI, MetricProfile, ProfileKind, _warped_scalar_curvature
 
 __all__ = [
     "PotentialSolution",
@@ -86,9 +86,8 @@ __all__ = [
     "default_t_grid",
 ]
 
-_FOUR_PI = 4.0 * math.pi
-_TAIL_TOL = Tolerance(rel=5e-13, abs=0.0, max_refinements=60)
-_VOLUME_TOL = Tolerance(rel=1e-11, abs=1e-13, max_refinements=60)
+_TAIL_TOL = Tolerance(rel=5e-13, abs=0.0)
+_VOLUME_TOL = Tolerance(rel=1e-11, abs=1e-13)
 
 # Dyadic tables: _CHEB_N first-kind Chebyshev nodes per panel; a panel is
 # accepted once the two trailing coefficients of its integrated series,
@@ -100,8 +99,6 @@ _CHEB_COS = tuple(
     tuple(math.cos(math.pi * m * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N)) for m in range(_CHEB_N)
 )
 _TABLE_REL = 1e-16
-_TABLE_MAX_DEPTH = 60
-_TABLE_MAX_PANELS = 4096  # bisection budget beyond the breakpoint split
 # The tail anchors below _FAR_K telescope from the adaptive integral at
 # _FAR_K.  The default t-grids of the built-ins read tables up to k = 10 or
 # so, which leaves that integral the only one they make.
@@ -197,8 +194,8 @@ class _DyadicTables:
                 acc += piece
                 continue
             mid = 0.5 * (a + b)
-            too_many = len(starts) + len(todo) >= len(edges) + _TABLE_MAX_PANELS
-            if depth >= _TABLE_MAX_DEPTH or too_many or not a < mid < b:
+            too_many = len(starts) + len(todo) >= len(edges) + _MAX_PANELS
+            if depth >= _MAX_DEPTH or too_many or not a < mid < b:
                 raise NonConvergent(f"table did not resolve the integrand on [{a!r}, {b!r}] (depth {depth})")
             todo.append((mid, b, depth + 1))
             todo.append((a, mid, depth + 1))

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 _FOUR_PI = 4.0 * math.pi
-_CONSTRUCTION_TOL = Tolerance(rel=1e-8, abs=1e-10, max_refinements=60)
+_CONSTRUCTION_TOL = Tolerance(rel=1e-8, abs=1e-10)
 _R_ROUNDING = 8.0 * sys.float_info.epsilon
 
 ScalarFn = Callable[[float], float]

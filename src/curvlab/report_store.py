@@ -1,4 +1,4 @@
-"""Persistence and regression diffing of verification/mass reports.
+"""Persistence of verification reports as run records.
 
 Plain-text, line-oriented, schema-versioned files so diffs stay reviewable
 in version control.  A record's run_id is the content hash of its config
@@ -12,9 +12,9 @@ import os
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ReportStoreError, SchemaMismatch
+from .errors import ReportStoreError
 
-__all__ = ["RunRecord", "make_record", "save", "load", "diff"]
+__all__ = ["RunRecord", "make_record", "save", "load"]
 
 _SCHEMA = "1"
 
@@ -130,39 +130,3 @@ def load(path: str | Path) -> RunRecord:
         config_echo=config_echo,
         reports=reports,
     )
-
-
-def _checks(record: RunRecord) -> dict[str, tuple[str, float]]:
-    out: dict[str, tuple[str, float]] = {}
-    for line in record.reports.splitlines():
-        if not line.startswith("check "):
-            continue
-        parts = line.split("#", 1)[0].split()
-        if len(parts) < 5:
-            raise ReportStoreError(f"malformed check line: {line!r}")
-        name, status, margin = parts[1], parts[2], float(parts[3])
-        out[name] = (status, margin)
-    return out
-
-
-def diff(a: RunRecord, b: RunRecord) -> str:
-    """Per-check margin deltas and status transitions; empty when identical."""
-    ca = _checks(a)
-    cb = _checks(b)
-    if set(ca) != set(cb):
-        raise SchemaMismatch(
-            f"check lists differ: only-a={sorted(set(ca) - set(cb))}, "
-            f"only-b={sorted(set(cb) - set(ca))}"
-        )
-    lines: list[str] = []
-    for name in ca:
-        status_a, margin_a = ca[name]
-        status_b, margin_b = cb[name]
-        parts: list[str] = []
-        if status_a != status_b:
-            parts.append(f"status {status_a} -> {status_b}")
-        if margin_a != margin_b:
-            parts.append(f"margin {margin_a!r} -> {margin_b!r} (delta {margin_b - margin_a!r})")
-        if parts:
-            lines.append(f"{name}: " + "; ".join(parts))
-    return "\n".join(lines)

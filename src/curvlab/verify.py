@@ -24,7 +24,7 @@ from .errors import GridTooCoarse
 from .functionals import FunctionalSeries, build_series, coarea_volumes, functional_columns
 from .numerics import Tolerance, difference_quotient, difference_stencil
 from .potential import PotentialSolution, default_t_grid
-from .profile import sample_scalar_curvature_sign, sphere_geometry
+from .profile import _FOUR_PI, sample_scalar_curvature_sign, sphere_geometry
 
 __all__ = [
     "CheckStatus",
@@ -35,8 +35,6 @@ __all__ = [
     "write_report_text",
     "write_report_csv",
 ]
-
-_FOUR_PI = 4.0 * math.pi
 
 # Base check tolerance, pinned to the acceptance contract: rel drives the
 # normalised theorem margins, abs the sign/monotonicity margins.

@@ -53,7 +53,7 @@ def growth_integrand_cumulative(sol: PotentialSolution, coords: Sequence[float])
             # growth-bound margin divides the cumulative value by 2t, so the
             # accumulated error stays orders of magnitude under the check
             # tolerance.
-            panel_tol = Tolerance(rel=1e-11, abs=1e-11 * (1.0 + (hi - lo)), max_refinements=60)
+            panel_tol = Tolerance(rel=1e-11, abs=1e-11 * (1.0 + (hi - lo)))
             acc += integrate(integrand, lo, hi, panel_tol, points=p.breakpoints).value
         out.append(acc)
     return out

@@ -6,7 +6,9 @@ levels are read as columns only, a single level as a column of one; so do the he
 only tests called, which live in the tests now; the only dataclasses are
 the three records that validate themselves; a MetricProfile's fields are its two readers, not its
 views, and no link to a conformal profile; a solution says it has no
-boundary by its capacity alone; and mass_report takes one model."""
+boundary by its capacity alone; mass_report and adm_surface take one model;
+a Tolerance is its (rel, abs) pair; and the record diff, which no command
+reached, is gone with the error only it raised."""
 
 import dataclasses
 import importlib
@@ -16,7 +18,8 @@ import pkgutil
 import pytest
 
 import curvlab
-from curvlab.mass import mass_report
+from curvlab.mass import adm_surface, mass_report
+from curvlab.numerics import Tolerance
 from curvlab.potential import PotentialSolution
 from curvlab.profile import MetricProfile
 
@@ -47,6 +50,9 @@ DELETED = (
     "level_integrals",
     "functional_row",
     "LevelParam",
+    "diff",
+    "SchemaMismatch",
+    "default_surface_radii",
 )
 
 # They validate in __post_init__, and the profiles are copied with
@@ -108,3 +114,11 @@ def test_a_solution_has_no_kind_field():
 def test_mass_report_takes_the_conformal_profile_alone():
     assert list(inspect.signature(mass_report).parameters) == ["c"]
 
+
+
+def test_adm_surface_takes_the_conformal_profile_alone():
+    assert list(inspect.signature(adm_surface).parameters) == ["c"]
+
+
+def test_a_tolerance_is_its_relative_and_absolute_targets():
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["rel", "abs"]

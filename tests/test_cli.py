@@ -141,6 +141,12 @@ def test_tol_whose_absolute_part_overflows_exits_2(capsys):
         ((), "model is required (see `curvlab models`)"),
         (("--model", "custom", "--assume-nonnegative-r", "true"), "model=custom needs profile=<csv>"),
         (("--model", "custom", "--profile", "p.csv"), "model=custom needs assume_nonnegative_r=true|false"),
+        (("--model", "kerr"), "unknown model 'kerr'; see `curvlab models`"),
+        (("--model", "euclidean", "--t-min-factor", "0.5"), "t_min_factor must be >= 1"),
+        (
+            ("--model", "euclidean", "--t-min-factor", "4", "--t-max-factor", "4"),
+            "t_max_factor must exceed t_min_factor",
+        ),
     ],
 )
 def test_config_errors_name_config_keys(capsys, flags, message):

@@ -56,8 +56,6 @@ class TestAdmSurface:
         c = mollified_schwarzschild(1.0, 1.0)
         with pytest.raises(OutOfRange):
             adm_flux_at(c, 0.5)
-        with pytest.raises(OutOfRange):
-            adm_surface(c, [0.5, 2.0, 4.0])
 
 
 class TestMassFromVolume:

@@ -23,8 +23,6 @@ def test_tolerance_validation():
         Tolerance(rel=-1.0)
     with pytest.raises(ValueError):
         Tolerance(rel=0.0, abs=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(max_refinements=0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

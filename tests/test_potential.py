@@ -6,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from curvlab import potential
 from curvlab.errors import NonConvergent, OutOfRange
 from curvlab.functionals import functional_columns
 from curvlab.numerics import Tolerance, integrate
 from curvlab.potential import (
     _CHEB_N,
+    _FAR_K,
     _TAIL_TOL,
     _clenshaw,
     _DyadicTables,
@@ -328,7 +330,7 @@ def test_tail_table_matches_adaptive_quadrature(tmp_path):
 def test_volume_table_matches_adaptive_quadrature(tmp_path):
     # The tabulated V(x) against an independent adaptive integral from x_min,
     # tighter than the anchor tolerance, on 300 log-spaced coordinates.
-    ref_tol = Tolerance(rel=2e-13, abs=0.0, max_refinements=60)
+    ref_tol = Tolerance(rel=2e-13, abs=0.0)
     for p, kinks in _tail_profiles(tmp_path):
         sol = solve(p)
         lo = p.x_min * (1.0 + 1e-3) if p.x_min > 0.0 else 1e-3
@@ -374,6 +376,30 @@ def test_bracket_is_the_last_anchor_above_the_target(tmp_path):
             k = max(k for k in ks if anchors[k] > target)
             expected = (k, tail.anchor_x(k), anchors[k], tail.anchor_x(k + 1), anchors[k + 1])
             assert tail.bracket(target) == expected, (p.label, target)
+
+
+@pytest.mark.parametrize("p", [schwarzschild(1.0), perturbed_schwarzschild()], ids=["schwarzschild", "perturbed"])
+def test_bracket_walks_from_zero_when_the_guessed_anchor_fails(monkeypatch, p):
+    # The first anchor integral above _FAR_K refuses to converge: the walk
+    # restarts from k = 0 and returns the bracket an undisturbed walk does.
+    reference = solve(p)._tail
+    target = reference.value(1.5 * reference.anchor_x(_FAR_K + 2))
+    expected = reference.bracket(target)
+    assert expected[0] > _FAR_K
+    sol = solve(p)
+    far_x = sol._tail.anchor_x(_FAR_K)
+    refused = []
+
+    def refusing(f, a, b, *args, **kwargs):
+        if a > far_x and not refused:
+            refused.append(a)
+            raise NonConvergent("refused")
+        return integrate(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(potential, "integrate", refusing)
+    assert sol._tail.bracket(target) == expected
+    # A refusal on the walk itself would have propagated: it was the guess's.
+    assert len(refused) == 1
 
 
 def test_level_solve_reads_few_anchors(monkeypatch):

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -646,3 +647,79 @@ def test_sampler_works_out_the_budget_only_where_needed(tmp_path):
     # Both verdicts occur: R >= 0 on the built-ins and the dip, R < 0 on
     # the seeded CSVs, and the nan jet fails.
     assert results == [True] * 4 + [False] * 6 + [True, True, False]
+
+
+def _conformal(w, **fields):
+    return ConformalProfile(label="refused", w=w, jet=lambda r: (w(r), 0.0, 0.0), **fields)
+
+
+def _warped(kind, f, f_s, x_min=0.0):
+    return MetricProfile(
+        label="refused", kind=kind, x_min=x_min, metric=lambda s: (f(s), 1.0), jet=lambda s: (f(s), f_s, 0.0)
+    )
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: _conformal(lambda r: 1.0, r_min=-1.0), "r_min must be non-negative"),
+        # The first sample of w is at max(r_min, 1e-6).
+        (lambda: _conformal(lambda r: -1.0), "conformal factor must stay positive (w(1e-06) <= 0)"),
+        (lambda: _conformal(lambda r: 1.0, harmonic_radius=1.0), "harmonic_radius requires a mass_tag"),
+        (
+            lambda: _conformal(lambda r: 1.0 + 1.0 / r, mass_tag=1.0, harmonic_radius=1.0),
+            "profile declared harmonically flat but w != 1 + m/(2r) at r=1.0",
+        ),
+        (lambda: _warped(ProfileKind.WITH_BOUNDARY, lambda s: s + 1.0, 1.0, x_min=-1.0), "x_min must be non-negative"),
+        (lambda: _warped(ProfileKind.WITH_BOUNDARY, lambda s: s, 1.0), "a boundary profile needs f(x_min) > 0"),
+        (
+            lambda: _warped(ProfileKind.BOUNDARYLESS, lambda s: 2.0 * s, 2.0),
+            "a boundaryless profile needs df/ds -> 1 at the pole",
+        ),
+        (lambda: mollified_schwarzschild(0.0, 1.0), "mass and matching radius must be positive"),
+        (lambda: mollified_schwarzschild(1.0, -1.0), "mass and matching radius must be positive"),
+        (lambda: perturbed_schwarzschild(m=-1.0), "mass, amplitude and offset must be positive"),
+        (lambda: perturbed_schwarzschild(amplitude=0.0), "mass, amplitude and offset must be positive"),
+        (lambda: perturbed_schwarzschild(offset=0.0), "mass, amplitude and offset must be positive"),
+    ],
+    ids=[
+        "negative-r_min",
+        "w-not-positive",
+        "harmonic-without-mass",
+        "not-harmonic",
+        "negative-x_min",
+        "boundary-f-zero",
+        "pole-slope",
+        "mollified-mass",
+        "mollified-r0",
+        "perturbed-mass",
+        "perturbed-amplitude",
+        "perturbed-offset",
+    ],
+)
+def test_constructor_refusals_name_their_rule(build, message):
+    with pytest.raises(ProfileDataError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+_LINEAR_ROWS = [f"{s!r},{s + 1.0!r}" for s in map(float, range(10))]
+
+
+@pytest.mark.parametrize(
+    ("lines", "message"),
+    [
+        ([*_LINEAR_ROWS[:2], "2.0,3.0,4.0", *_LINEAR_ROWS[3:]], "{path}:4: expected two comma-separated values"),
+        ([*_LINEAR_ROWS[:2], "2.0,three", *_LINEAR_ROWS[3:]], "{path}:4: could not convert string to float: 'three'"),
+        (
+            [f"{s!r},{20.0 - s!r}" for s in map(float, range(1, 11))],
+            "warp factor must be increasing at the tabulated tail",
+        ),
+        ([f"{s!r},{s - 2.0!r}" for s in map(float, range(1, 11))], "warp factor must be positive at the boundary"),
+    ],
+    ids=["three-columns", "not-a-number", "falling-tail", "boundary-f-negative"],
+)
+def test_csv_refusals_name_their_rule(tmp_path, lines, message):
+    path = tmp_path / "refused.csv"
+    path.write_text("\n".join(["s,f", *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(ProfileDataError, match=f"^{re.escape(message.format(path=path))}$"):
+        profile_from_csv(str(path), assume_nonnegative_R=True)

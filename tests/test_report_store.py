@@ -6,10 +6,9 @@ import sys
 
 import pytest
 
-from curvlab import __version__
-from curvlab.errors import ReportStoreError, SchemaMismatch
+from curvlab.errors import ReportStoreError
 from curvlab.potential import default_t_grid
-from curvlab.report_store import diff, load, make_record, save
+from curvlab.report_store import load, make_record, save
 from curvlab.verify import run_battery, write_report_text
 from frozen_outputs import ROOT
 
@@ -112,39 +111,38 @@ def test_undecodable_file_surfaces_error(tmp_path, schw_record):
         save(schw_record, tmp_path)
 
 
-def test_diff_of_identical_records_is_empty(schw_record):
-    assert diff(schw_record, schw_record) == ""
+def test_save_refuses_a_different_record_under_its_run_id(tmp_path, schw_record):
+    # run_id hashes the config echo and the version, not the reports.
+    path = save(schw_record, tmp_path)
+    other = make_record(schw_record.config_echo, "check other", schw_record.version, "t")
+    assert other.run_id == schw_record.run_id
+    message = f"{path} already holds a different record for run_id {other.run_id}"
+    with pytest.raises(ReportStoreError, match=f"^{re.escape(message)}$"):
+        save(other, tmp_path)
+    assert load(path) == schw_record
 
 
-def test_diff_flags_margin_and_status_changes(schw1_sol, perturbed_sol):
-    a = make_record("cfg-a", _report_text(schw1_sol), "0.1.0", "t")
-    b = make_record("cfg-b", _report_text(perturbed_sol), "0.1.0", "t")
-    out = diff(a, b)
-    assert "a1_upper_bound" in out
-    assert "EqualityDetected -> Pass" in out
+def test_save_that_cannot_write_leaves_no_record(tmp_path, schw_record):
+    # A directory where the temp file goes fails the write for every user, root included.
+    (tmp_path / f"run-{schw_record.run_id}.tmp").mkdir()
+    path = tmp_path / f"run-{schw_record.run_id}.txt"
+    with pytest.raises(ReportStoreError, match=f"^{re.escape(f'cannot write {path}: ')}"):
+        save(schw_record, tmp_path)
+    assert not path.exists()
 
 
-def test_diff_schema_mismatch(schw1_sol, euclid_sol):
-    a = make_record("cfg-a", _report_text(schw1_sol), "0.1.0", "t")
-    b = make_record("cfg-b", _report_text(euclid_sol), "0.1.0", "t")
-    with pytest.raises(SchemaMismatch):
-        diff(a, b)
-
-
-# Check lines of a 0.1.0 Schwarzschild report that 0.2.0 no longer writes:
-# algebraic identities of the functionals, asserted in test_properties.
-_DROPPED_IN_0_2_0 = """\
-check deficit_nonnegative EqualityDetected 0.0 0.5 1e-09
-check identity_f_from_gprime Pass -9.006933485619723e-16 7.533289028156558 1e-09
-check identity_a1_g Pass -2.8271597168564594e-16 0.530713867287078 1e-10
-check flux_constancy Pass -2.8271597168564594e-16 1.0534171779489063 1e-09
-check cauchy_schwarz_growth EqualityDetected -2.700193954655488e-27 678.7536785637899 1e-09
-check a1_growth_lower_bound EqualityDetected -1.2126102489933225e-14 30.57804860811336 1e-08"""
-
-
-def test_diff_against_a_0_1_0_record_names_the_dropped_checks(schw1_sol):
-    new = make_record("cfg", _report_text(schw1_sol), __version__, "t")
-    old = make_record("cfg", new.reports + "\n" + _DROPPED_IN_0_2_0, "0.1.0", "t")
-    dropped = sorted(line.split()[1] for line in _DROPPED_IN_0_2_0.splitlines())
-    with pytest.raises(SchemaMismatch, match=re.escape(f"only-a={dropped}, only-b=[]")):
-        diff(old, new)
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda lines: lines[:7], "not a schema=1 run record"),
+        (lambda lines: ["schema=2", *lines[1:]], "not a schema=1 run record"),
+        (lambda lines: [lines[0], "id" + lines[1][len("run_id"):], *lines[2:]], "expected run_id= on line 2"),
+        (lambda lines: [line for line in lines if line != "reports-end"], "missing section markers"),
+    ],
+    ids=["short", "schema", "run_id", "markers"],
+)
+def test_load_refuses_a_malformed_record(tmp_path, schw_record, edit, message):
+    path = save(schw_record, tmp_path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ReportStoreError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load(path)
