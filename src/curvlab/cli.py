@@ -240,6 +240,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("model is required (see `curvlab models`)")
     cfg = RunConfig(**{key: value for key, value in values.items() if value is not None})
     cfg.validate()
+    if cfg.save_report and args.command != "verify":
+        raise UsageError("save_report applies to verify only")
     return cfg
 
 

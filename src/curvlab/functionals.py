@@ -40,7 +40,6 @@ from .potential import (
     PotentialSolution,
     _geometry,
     _grads,
-    _inv_grad_integrals,
     levels,
     t_of_level,
     u_value,
@@ -132,8 +131,8 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     ..., accumulated.  Each Gauss-Kronrod panel hands its 15 nodes over in
     one list, solved sorted in one levels sweep; a level's bits do not depend
     on the sweep it is solved in.  The integrand reads only f at each node,
-    with one ``metric`` call, and forms 4 pi f^2/|grad u| through
-    ``potential._inv_grad_integrals``, the helper ``_geometry`` reads too.
+    with one ``metric`` call, and forms Int_Sigma 1/|grad u| = 4 pi f^2/|grad u|
+    from f and its ``_grads`` column.
 
     This is the cross-check route for the radial volume column of
     build_series (Int 4 pi f^2 ds up to the level).  The lower end is the
@@ -152,7 +151,7 @@ def coarea_volumes(sol: PotentialSolution, ts: Sequence[float]) -> list[float]:
     def integrand(ss: list[float]) -> list[float]:
         solved, xs, _ = levels(sol, sorted(ss))
         fs = [metric(x)[0] for x in xs]
-        inv = dict(zip(solved, _inv_grad_integrals(fs, _grads(sol.c_norm, fs))))
+        inv = dict(zip(solved, [_FOUR_PI * f * f / g for f, g in zip(fs, _grads(sol.c_norm, fs))]))
         if boundary:
             return [cap / (s * s) * (1.0 + cap / (2.0 * s)) ** -2 * inv[s] for s in ss]
         return [inv[s] / (s * s) for s in ss]

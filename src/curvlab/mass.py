@@ -13,7 +13,8 @@ Vol({u <= 1 - 1/t}) = (4/3) pi t^3 + 4 pi m t^2 + o(t^2) inverted as
 
     m_est(t) = [Vol({u <= 1 - 1/t}) - (4/3) pi t^3] / (4 pi t^2),
 
-then a least-squares fit of m + c/t over the largest decade of t (the
+at the 25 fixed levels geometric_grid(10, 1000, 25), then a least-squares
+fit of m + c/t over the largest decade of t, its 13 levels t >= 100 (the
 built-in family's next correction is O(1/t)), solved from its 2x2 normal
 equations in x = 1/t with math.fsum sums.  Positivity of every m_est(t) is
 the desk-scale positive mass inequality.
@@ -25,9 +26,9 @@ the volumes of ``solve(to_warped(c))``, so the two cannot disagree on the model.
 from __future__ import annotations
 
 import math
-from typing import IO, NamedTuple, Sequence
+from typing import IO, NamedTuple
 
-from .errors import OutOfRange, ProfileDataError, WrongKind
+from .errors import ProfileDataError, WrongKind
 from .numerics import extrapolate_to_zero, geometric_grid
 from .potential import PotentialSolution, levels, solve, volumes
 from .profile import _FOUR_PI, ConformalProfile, to_warped
@@ -35,10 +36,8 @@ from .profile import _FOUR_PI, ConformalProfile, to_warped
 __all__ = [
     "MassReport",
     "adm_surface",
-    "adm_flux_at",
     "mass_from_volume",
     "mass_report",
-    "default_volume_samples",
     "write_mass_csv",
 ]
 
@@ -51,54 +50,29 @@ class MassReport(NamedTuple):
     samples: tuple[tuple[float, float], ...]
 
 
-def _min_radius(c: ConformalProfile) -> float:
-    return max(c.r_min, c.harmonic_radius or 0.0)
-
-
-def adm_flux_at(c: ConformalProfile, r: float) -> float:
-    """Flux integrand of the ADM surface integral at radius r: -2 r^2 w^3 w'."""
-    if r <= _min_radius(c):
-        raise OutOfRange(f"flux radius {r!r} not beyond the matching radius {_min_radius(c)!r}")
-    w, dw, _ = c.jet(r)
-    return -2.0 * r * r * w ** 3 * dw
-
-
 def adm_surface(c: ConformalProfile) -> float:
-    """ADM mass via the flux integral at 8 radii, Richardson-extrapolated in 1/r."""
-    lo = max(4.0 * max(_min_radius(c), 1.0), 10.0)
+    """ADM mass via the flux -2 r^2 w^3 w' at 8 radii, Richardson-extrapolated in 1/r."""
+    lo = max(4.0 * max(c.r_min, c.harmonic_radius or 0.0, 1.0), 10.0)
     rs = geometric_grid(lo, 1e3 * lo, 8)
-    fluxes = [adm_flux_at(c, r) for r in rs]
+    fluxes = [-2.0 * r * r * w ** 3 * dw for r, (w, dw, _) in zip(rs, map(c.jet, rs))]
     # + 0.0 turns the -0.0 of a flat end into 0.0 and leaves every other value as it is.
     return extrapolate_to_zero([1.0 / r for r in rs], fluxes) + 0.0
 
 
-def default_volume_samples() -> list[float]:
-    return geometric_grid(10.0, 1000.0, 25)
-
-
-def mass_from_volume(
-    sol: PotentialSolution,
-    t_samples: Sequence[float] | None = None,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Volume-expansion mass estimator and its per-sample values."""
+def mass_from_volume(sol: PotentialSolution) -> tuple[float, list[tuple[float, float]]]:
+    """Volume-expansion mass estimator and its per-sample values, at the module docstring's 25 levels."""
     if sol.capacity is not None:
         raise WrongKind("the volume estimator needs a boundaryless solution")
     if not sol.profile.asymptotically_flat:
         raise ProfileDataError("the volume estimator needs an asymptotically flat profile")
-    ts = [float(t) for t in (t_samples if t_samples is not None else default_volume_samples())]
+    ts = geometric_grid(10.0, 1000.0, 25)
     ss = levels(sol, ts)[1]
     samples = [(t, (vol - _FOUR_PI * t ** 3 / 3.0) / (_FOUR_PI * t * t)) for t, vol in zip(ts, volumes(sol, ss))]
 
-    t_max = max(t for t, _ in samples)
-    fit = [(t, m) for t, m in samples if t >= 0.1 * t_max]
-    if len(fit) < 3:
-        fit = samples
+    fit = [(t, m) for t, m in samples if t >= 0.1 * ts[-1]]
     xs = [1.0 / t for t, _ in fit]
     ms = [m for _, m in fit]
     m_mean = math.fsum(ms) / len(ms)
-    if len(set(xs)) < 2:
-        # One distinct level: m and c cannot be told apart.
-        return m_mean, samples
     # Normal equations of m + c x, centred at the means so the slope does
     # not cancel digits.
     x_mean = math.fsum(xs) / len(xs)

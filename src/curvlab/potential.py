@@ -48,18 +48,16 @@ from the bracket's table: 1.5 to 3.5 table reads per level, and one
 ``metric`` call per step for f and ds_dx.  ``levels`` solves a sequence of
 t in one pass and returns the columns (ts, ss, us), with no record per
 level.  It forms u and the target of every t in one column pass
-(``_labels``, which ``level_value`` reads too), and locates the bracket,
-its table and the constants of the Newton start once per anchor interval
-the sequence stays in, so an ordered grid of 4096 levels walks 11 to 13
-brackets; the bracket is a function of the target alone, so every level is
-bitwise the one a solve of t alone returns.  ``_geometry`` reads the
+(``_labels``), and locates the bracket, its table and the constants of the
+Newton start once per anchor interval the sequence stays in, so an ordered
+grid of 4096 levels walks 11 to 13 brackets; the bracket is a function of
+the target alone, so every level is bitwise the one a solve of t alone
+returns.  ``_geometry`` reads the
 level-set geometry of those columns in one pass, one ``jet`` read per level,
 so a single level is a sweep of one.  A reader that needs f alone, as the
 coarea integrand does, reads it with one ``metric`` call per level, where
 it is bitwise ``jet``'s f on every built-in and tabulated profile.
-``_grads`` is the one source of |grad u| = c/f^2 and ``_inv_grad_integrals``
-of Int_Sigma 1/|grad u| = 4 pi f^2/|grad u|, which ``_geometry`` reads
-too.
+``_grads`` is the one source of |grad u| = c/f^2.
 """
 
 from __future__ import annotations
@@ -79,7 +77,6 @@ __all__ = [
     "LevelSetSample",
     "solve",
     "levels",
-    "level_value",
     "t_of_level",
     "u_value",
     "volumes",
@@ -122,7 +119,6 @@ class LevelSetSample(NamedTuple):
     scalar_R: float
     int_grad_sq: float
     int_grad_H: float
-    int_inv_grad: float
 
 
 class _DyadicTables:
@@ -491,13 +487,8 @@ def _labels(sol: PotentialSolution, ts: Sequence[float]) -> tuple[list[float], l
     return [1.0 - 1.0 / t for t in ts], [1.0 / t for t in ts]
 
 
-def level_value(sol: PotentialSolution, t: float) -> float:
-    """The u-level labelled by t."""
-    return _labels(sol, (t,))[0][0]
-
-
 def t_of_level(sol: PotentialSolution, u: float) -> float:
-    """Inverse of level_value."""
+    """The t labelling the u-level u: the inverse of ``_labels``'s u column."""
     if sol.capacity is not None:
         return 0.5 * sol.capacity * (1.0 + u) / (1.0 - u)
     return 1.0 / (1.0 - u)
@@ -589,15 +580,6 @@ def _grads(c: float, fs: Iterable[float]) -> list[float]:
     return [c / (f * f) for f in fs]
 
 
-def _inv_grad_integrals(fs: Iterable[float], grads: Iterable[float]) -> list[float]:
-    """Int_Sigma 1/|grad u| = 4 pi f^2/|grad u| on each level sphere, from f and the ``_grads`` column of f.
-
-    The one source of that column: ``_geometry`` reads it, and so does the
-    coarea integrand, which reads f alone.
-    """
-    return [_FOUR_PI * f * f / g for f, g in zip(fs, grads)]
-
-
 def _geometry(sol: PotentialSolution, columns: tuple[list[float], list[float], list[float]]) -> LevelSetSample:
     """The level-set geometry of the ``levels`` columns (ts, ss, us), in one pass.
 
@@ -612,8 +594,7 @@ def _geometry(sol: PotentialSolution, columns: tuple[list[float], list[float], l
     scalar_r = [_warped_scalar_curvature(f, fs, fss) for f, fs, fss in jets]
     int_grad_sq = [a * g * g for a, g in zip(area, grads)]
     int_grad_h = [a * g * h for a, g, h in zip(area, grads, mean_h)]
-    int_inv_grad = _inv_grad_integrals(f_col, grads)
-    return LevelSetSample(ts, ss, us, area, grads, mean_h, scalar_r, int_grad_sq, int_grad_h, int_inv_grad)
+    return LevelSetSample(ts, ss, us, area, grads, mean_h, scalar_r, int_grad_sq, int_grad_h)
 
 
 def volumes(sol: PotentialSolution, xs: Iterable[float]) -> list[float]:

@@ -65,7 +65,17 @@ def sample(sol: PotentialSolution, t: float) -> LevelSetSample:
     area = _FOUR_PI * f * f
     h = 2.0 * fs / f
     r = 2.0 * (1.0 - fs * fs) / (f * f) - 4.0 * fss / f
-    return LevelSetSample(t, s, u, area, g, h, r, area * g * g, area * g * h, area / g)
+    return LevelSetSample(t, s, u, area, g, h, r, area * g * g, area * g * h)
+
+
+def inv_grad_integral(sol: PotentialSolution, t: float) -> float:
+    """Int_Sigma 1/|grad u| = 4 pi f^2/|grad u| on the level labelled by t: one jet read.
+
+    The coarea integrand's factor, which no geometry column carries.
+    """
+    f = sol.profile.jet(level(sol, t).s)[0]
+    g = sol.c_norm / (f * f)
+    return _FOUR_PI * f * f / g
 
 
 def functionals_of(ls: LevelSetSample, cap: float | None) -> Row:
@@ -74,7 +84,7 @@ def functionals_of(ls: LevelSetSample, cap: float | None) -> Row:
     ``cap`` is the capacity of a boundary solution, or None for a
     boundaryless one, where only Fhat is defined.
     """
-    t, _, u, area, g, h, r, i2, ih, _ = ls
+    t, _, u, area, g, h, r, i2, ih = ls
     if cap is None:
         return Row(-_FOUR_PI / t + t * i2, *[math.nan] * 8)
     p = 1.0 + cap / (2.0 * t)

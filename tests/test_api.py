@@ -7,8 +7,10 @@ only tests called, which live in the tests now; the only dataclasses are
 the three records that validate themselves; a MetricProfile's fields are its two readers, not its
 views, and no link to a conformal profile; a solution says it has no
 boundary by its capacity alone; mass_report and adm_surface take one model;
-a Tolerance is its (rel, abs) pair; and the record diff, which no command
-reached, is gone with the error only it raised."""
+a Tolerance is its (rel, abs) pair; the record diff, which no command
+reached, is gone with the error only it raised; and so are what only tests
+read: the one-level u view, the flux helper, the mass sample knob and the
+1/|grad u| column of the level-set geometry."""
 
 import dataclasses
 import importlib
@@ -18,9 +20,9 @@ import pkgutil
 import pytest
 
 import curvlab
-from curvlab.mass import adm_surface, mass_report
+from curvlab.mass import adm_surface, mass_from_volume, mass_report
 from curvlab.numerics import Tolerance
-from curvlab.potential import PotentialSolution
+from curvlab.potential import LevelSetSample, PotentialSolution
 from curvlab.profile import MetricProfile
 
 MODULES = ["curvlab", *(f"curvlab.{m.name}" for m in pkgutil.iter_modules(curvlab.__path__) if m.name != "__main__")]
@@ -53,6 +55,9 @@ DELETED = (
     "diff",
     "SchemaMismatch",
     "default_surface_radii",
+    "level_value",
+    "adm_flux_at",
+    "default_volume_samples",
 )
 
 # They validate in __post_init__, and the profiles are copied with
@@ -114,6 +119,25 @@ def test_a_solution_has_no_kind_field():
 def test_mass_report_takes_the_conformal_profile_alone():
     assert list(inspect.signature(mass_report).parameters) == ["c"]
 
+
+def test_mass_from_volume_takes_the_solution_alone():
+    # Its samples are fixed; no t_samples knob.
+    assert list(inspect.signature(mass_from_volume).parameters) == ["sol"]
+
+
+def test_a_level_set_sample_carries_no_inverse_gradient_column():
+    # The coarea integrand forms 4 pi f^2/|grad u| itself; no command read the column.
+    assert LevelSetSample._fields == (
+        "t",
+        "s",
+        "u",
+        "area",
+        "grad",
+        "mean_curvature",
+        "scalar_R",
+        "int_grad_sq",
+        "int_grad_H",
+    )
 
 
 def test_adm_surface_takes_the_conformal_profile_alone():

@@ -400,6 +400,24 @@ def test_save_report_over_an_undecodable_record_exits_2(tmp_path, capsys):
     assert not any(line.startswith("check ") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("command", ["potential", "functionals", "mass"])
+def test_save_report_outside_verify_exits_2(capsys, tmp_path, command):
+    # Only verify saves a record; the other commands refuse the flag, not ignore it.
+    out = tmp_path / "out"
+    err = _usage_error(capsys, command, "--model", "euclidean", "--grid", "8", "--out", str(out), "--save-report")
+    assert err == "error: save_report applies to verify only\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["potential", "functionals", "mass"])
+def test_save_report_from_a_config_file_outside_verify_exits_2(capsys, tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=euclidean\ngrid=8\nsave_report=true\n")
+    assert _usage_error(capsys, command, "--config", str(cfg)) == "error: save_report applies to verify only\n"
+    cfg.write_text("model=euclidean\ngrid=8\nsave_report=false\n")
+    assert main([command, "--config", str(cfg)]) == 0
+
+
 @pytest.mark.parametrize(
     ("argv", "name"),
     [

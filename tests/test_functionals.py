@@ -7,12 +7,12 @@ import pytest
 
 import curvlab.functionals as functionals_mod
 from curvlab.functionals import SERIES_CSV_HEADER, build_series, coarea_volumes, write_series_csv
-from curvlab.potential import _VolumeCache, _geometry, default_t_grid, solve, u_value, volumes
+from curvlab.potential import _VolumeCache, default_t_grid, solve, u_value, volumes
 from curvlab.profile import (
     euclidean, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv, schwarzschild, to_warped,
 )
 from curvlab.verify import _comparison_volumes, schwarzschild_comparison_volume
-from coarea_quadrature import coarea_volumes_per_node
+from coarea_quadrature import coarea_integrand, coarea_volumes_per_node
 from differences import differentiate
 from frozen_outputs import rneg_profile, write_inputs
 from growth_quadrature import growth_integrand_cumulative
@@ -306,31 +306,28 @@ def _rw_profile(directory):
     ids=["schwarzschild", "perturbed", "euclidean", "mollified", "rneg-csv", "rw-csv"],
 )
 def test_coarea_integrand_reads_the_geometry_column(make, tmp_path, monkeypatch):
-    # The coarea integrand reads f with one metric call per node, where
-    # _geometry reads it from jet; on every built-in and tabulated reader
-    # the two agree bit for bit, so each node's 4 pi f^2/|grad u| is the
-    # int_inv_grad of the geometry of the same levels.
+    # The coarea integrand reads f with one metric call per node, where the
+    # one-level route reads it from jet; on every built-in and tabulated
+    # reader the two agree bit for bit, so each node's value is the one
+    # coarea_quadrature restates from 4 pi f^2/|grad u| of that level alone.
     sol = solve(make(tmp_path))
-    swept, read = [], []
-    real_levels, real_inv = functionals_mod.levels, functionals_mod._inv_grad_integrals
+    read = []
+    real_node_integrand = functionals_mod.NodeIntegrand
 
-    def recording_levels(sol, ts):
-        columns = real_levels(sol, ts)
-        swept.append(columns)
-        return columns
+    def recording_node_integrand(values):
+        def recorded(ss):
+            out = values(ss)
+            read.append((list(ss), out))
+            return out
 
-    def recording_inv(fs, grads):
-        values = real_inv(fs, grads)
-        read.append(values)
-        return values
+        return real_node_integrand(recorded)
 
-    monkeypatch.setattr(functionals_mod, "levels", recording_levels)
-    monkeypatch.setattr(functionals_mod, "_inv_grad_integrals", recording_inv)
+    monkeypatch.setattr(functionals_mod, "NodeIntegrand", recording_node_integrand)
     grid = default_t_grid(sol, 32)
     coarea_volumes(sol, [grid[i] for i in (4, 16, 31)])
-    assert len(swept) == len(read) > 0
-    for columns, values in zip(swept, read):
-        expected = _geometry(sol, columns).int_inv_grad
+    assert read
+    for ss, values in read:
+        expected = [coarea_integrand(sol, s) for s in ss]
         assert [v.hex() for v in values] == [v.hex() for v in expected], sol.profile.label
 
 

@@ -18,7 +18,6 @@ from curvlab.potential import (
     _DyadicTables,
     _TailCache,
     default_t_grid,
-    level_value,
     levels,
     solve,
     t_of_level,
@@ -68,10 +67,12 @@ class TestEuclidean:
 
 
 class TestSchwarzschild:
-    def test_u_closed_form(self, schw1_sol):
+    def test_u_closed_form(self, schw1_sol, golden):
         for r in (0.5, 0.8, 1.0, 2.5, 30.0):
             exact = (1.0 - 0.5 / r) / (1.0 + 0.5 / r)
             assert u_value(schw1_sol, r) == pytest.approx(exact, abs=1e-12)
+        # The oracle's u at the isotropic radius 1, substituted symbolically.
+        assert u_value(schw1_sol, 1.0) == pytest.approx(golden["numerics.schw_u_at_1"], abs=1e-14)
 
     def test_capacity_equals_mass(self, schw1_sol, schw2_sol, golden):
         assert schw1_sol.capacity == pytest.approx(golden["potential.schw1_capacity"], rel=1e-10)
@@ -131,7 +132,7 @@ class TestLevels:
         cap = schw1_sol.capacity
         for t in (0.5, 1.0, 10.0):
             expected = (1.0 - cap / (2 * t)) / (1.0 + cap / (2 * t))
-            assert level_value(schw1_sol, t) == pytest.approx(expected, abs=1e-15)
+            assert level(schw1_sol, t).u == pytest.approx(expected, abs=1e-15)
 
     def test_out_of_range(self, schw1_sol, euclid_sol):
         with pytest.raises(OutOfRange):
@@ -141,8 +142,6 @@ class TestLevels:
         # A NaN t fails the range guard on both kinds, not the level solve.
         for sol in (schw1_sol, euclid_sol):
             with pytest.raises(OutOfRange, match="t=nan"):
-                level_value(sol, math.nan)
-            with pytest.raises(OutOfRange, match="t=nan"):
                 level(sol, math.nan)
             with pytest.raises(OutOfRange, match="t=nan"):
                 levels(sol, [1.0, math.nan])
@@ -150,10 +149,8 @@ class TestLevels:
     @pytest.mark.parametrize("t", [1e-310, 5e-324])
     def test_tiny_boundaryless_t_is_out_of_range(self, t):
         # 1/t is infinite: the range guard refuses t before any level is
-        # solved, where the bracket walk overflowed and level_value gave -inf.
+        # solved, where the bracket walk overflowed and the u-level was -inf.
         sol = solve(euclidean())
-        with pytest.raises(OutOfRange, match=re.escape(f"t={t!r}")):
-            level_value(sol, t)
         with pytest.raises(OutOfRange, match=re.escape(f"t={t!r}")):
             levels(sol, [2.0, t])
 
