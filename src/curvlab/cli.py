@@ -1,24 +1,21 @@
-"""Command-line entry point.
+"""Command-line entry point: profiles -> potential -> functionals -> verify/mass.
 
-Subcommands wire profiles -> potential -> functionals -> verify/mass:
-
-    curvlab models
-    curvlab potential   --model schwarzschild --mass 1
-    curvlab functionals --model schwarzschild --mass 1 --out results/
-    curvlab verify      --model schwarzschild --mass 1
-    curvlab mass        --model mollified-schwarzschild --mass 1 --r0 1
+One table says what a run reads: ``_FLAGS`` holds every flag, each ``_COMMANDS``
+entry names the flags its command reads, and each ``_MODELS`` builder takes the
+parameters its model reads.  A subcommand accepts only its own flags, and a model
+parameter or config key the run does not read is a usage error.
 
 Exit codes: 0 when every check passes or detects equality, 1 when any
 check fails or a hypothesis violation is annotated, 2 for usage/input
-errors, undecodable files, output files that cannot be written and
-parameters that overflow float arithmetic.  Flags override values from a
-flat key=value config file (--config).
+errors, undecodable files, output that cannot be written (a closed stdout
+included) and parameters that overflow float arithmetic.  Flags override
+values from a flat key=value config file (--config).
 
 A command computes its whole output before anything is written.  ``main``
 then makes the --out directory, if a file goes there, writes every file,
 and only then prints the ``# generated_at=`` stamp, the body (ending in
 ``mass``'s warning, if any) and one ``wrote``/``saved`` line per file; a
-run that exits 2 prints nothing.  ``main(argv)`` may be called repeatedly
+usage or input error prints nothing.  ``main(argv)`` may be called repeatedly
 in one process: the argparse tree is built once, on the first call, and
 each call parses its argv afresh and keeps nothing that depends on it.
 """
@@ -28,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,36 +49,40 @@ __all__ = ["main", "RunConfig", "build_parser"]
 
 class _Model(NamedTuple):
     description: str
-    build: Callable  # RunConfig -> MetricProfile; both builders call this module's names, which perfbench rebinds
-    conformal: Callable | None = None  # RunConfig -> ConformalProfile of a boundaryless model: `mass` runs on it
+    # Each builder takes the RunConfig fields the model reads, by name, and
+    # calls this module's constructor names at call time: perfbench rebinds them.
+    build: Callable  # -> MetricProfile
+    conformal: Callable | None = None  # -> ConformalProfile of a boundaryless model: `mass` runs on it
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The RunConfig fields the model reads: the parameter names of its builders."""
+        code = self.build.__code__
+        return code.co_varnames[: code.co_argcount]
 
 
 _MODELS = {
-    "schwarzschild": _Model(
-        "with boundary; exact equality case of every comparison (needs --mass)",
-        lambda cfg: schwarzschild(cfg.mass),
-    ),
+    "schwarzschild": _Model("with boundary; exact equality case of every comparison", lambda mass: schwarzschild(mass)),
     "euclidean": _Model(
         "boundaryless flat space; equality case of the boundaryless comparisons",
-        lambda cfg: euclidean(),
-        lambda cfg: euclidean_conformal(),
+        lambda: euclidean(),
+        lambda: euclidean_conformal(),
     ),
     "mollified-schwarzschild": _Model(
-        "boundaryless, R >= 0, harmonically flat end (needs --mass, --r0)",
-        lambda cfg: to_warped(mollified_schwarzschild(cfg.mass, cfg.r0)),
-        lambda cfg: mollified_schwarzschild(cfg.mass, cfg.r0),
+        "boundaryless, R >= 0, harmonically flat end",
+        lambda mass, r0: to_warped(mollified_schwarzschild(mass, r0)),
+        lambda mass, r0: mollified_schwarzschild(mass, r0),
     ),
     "perturbed-schwarzschild": _Model(
-        "with boundary, R > 0, strict inequalities (optional --mass/--amplitude/--offset)",
-        lambda cfg: perturbed_schwarzschild(cfg.mass, cfg.amplitude, cfg.offset),
+        "with boundary, R > 0, strict inequalities",
+        lambda mass, amplitude, offset: perturbed_schwarzschild(mass, amplitude, offset),
     ),
     "custom": _Model(
-        "tabulated CSV profile (needs --profile and --assume-nonnegative-r)",
-        lambda cfg: profile_from_csv(cfg.profile, cfg.assume_nonnegative_r),
+        "tabulated CSV profile",
+        lambda profile, assume_nonnegative_r: profile_from_csv(profile, assume_nonnegative_r),
     ),
 }
-
-_FLOAT_FIELDS = ("mass", "r0", "amplitude", "offset", "t_min_factor", "t_max_factor")
+_PARAMS = {key for model in _MODELS.values() for key in model.params}
 
 
 class UsageError(CurvlabError):
@@ -93,7 +95,7 @@ class RunConfig(NamedTuple):
     r0: float = 1.0
     amplitude: float = 0.3
     offset: float = 1.0
-    profile: str | None = None
+    profile: str | None = None  # a model parameter that defaults to None is required by the models that read it
     assume_nonnegative_r: bool | None = None
     grid: int = 256
     t_min_factor: float = 1.0
@@ -103,38 +105,24 @@ class RunConfig(NamedTuple):
     save_report: bool = False
 
     def validate(self) -> None:
-        if self.model not in _MODELS:
-            raise UsageError(f"unknown model {self.model!r}; see `curvlab models`")
-        for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise UsageError(f"{name} must be finite")
+        """The range rules.  A flag the run does not read keeps its default, which passes them."""
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
             raise UsageError(f"tol must be positive and finite, got {self.tol!r}")
+        for name, value in zip(self._fields, self):
+            if type(value) is float and not math.isfinite(value):
+                raise UsageError(f"{name} must be finite")
         if self.grid < 8:
             raise UsageError("grid must be at least 8")
         if self.t_min_factor < 1.0:
             raise UsageError("t_min_factor must be >= 1")
         if self.t_max_factor <= self.t_min_factor:
             raise UsageError("t_max_factor must exceed t_min_factor")
-        if self.model == "custom" and not self.profile:
-            raise UsageError("model=custom needs profile=<csv>")
-        if self.model == "custom" and self.assume_nonnegative_r is None:
-            raise UsageError("model=custom needs assume_nonnegative_r=true|false")
 
     def echo(self) -> str:
-        return "\n".join([
-            f"model={self.model}",
-            f"mass={self.mass!r}",
-            f"r0={self.r0!r}",
-            f"amplitude={self.amplitude!r}",
-            f"offset={self.offset!r}",
-            f"profile={self.profile or ''}",
-            f"assume_nonnegative_r={self.assume_nonnegative_r}",
-            f"grid={self.grid}",
-            f"t_min_factor={self.t_min_factor!r}",
-            f"t_max_factor={self.t_max_factor!r}",
-            f"tol_rel={self.tol!r}" if self.tol is not None else "tol_rel=default",
-        ])
+        """A run record's config: ``key=value`` for each field before tol, then ``tol_rel``."""
+        shown = zip(self._fields[: self._fields.index("tol")], self._replace(profile=self.profile or ""))
+        tol = "default" if self.tol is None else repr(self.tol)
+        return "\n".join([*(f"{key}={value}" for key, value in shown), f"tol_rel={tol}"])
 
 
 def _parse_bool(text: str) -> bool:
@@ -142,6 +130,27 @@ def _parse_bool(text: str) -> bool:
     if lowered not in ("true", "1", "yes", "false", "0", "no"):
         raise ValueError(f"expected true/false, got {text!r}")
     return lowered in ("true", "1", "yes")
+
+
+# Every flag: config key (its RunConfig field; the flag is --key, - for _) -> (cast of its text, argparse keywords).
+# argparse keeps the text; resolve_config casts it, from argv and the config file alike.
+_FLAGS = {
+    "model": (str, {"help": "built-in model name or 'custom'"}),
+    "mass": (float, {"help": "mass parameter of the model"}),
+    "r0": (float, {"help": "matching radius of the mollified model"}),
+    "amplitude": (float, {"help": "perturbation amplitude"}),
+    "offset": (float, {"help": "perturbation pole offset"}),
+    "profile": (str, {"help": "CSV file for --model custom (header r,w or s,f)"}),
+    "assume_nonnegative_r": (
+        _parse_bool, {"choices": ("true", "false"), "help": "declared sign of the scalar curvature for custom profiles"}
+    ),
+    "grid": (int, {"help": "number of t-grid points (>= 8)"}),
+    "t_min_factor": (float, {"help": "grid start as a multiple of C/2"}),
+    "t_max_factor": (float, {"help": "grid end as a multiple of C"}),
+    "tol": (float, {"help": "base relative check tolerance of the verify battery"}),
+    "out": (str, {"help": "output directory for CSV artifacts"}),
+    "save_report": (_parse_bool, {"action": "store_const", "const": "true", "help": "persist a run record"}),
+}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -152,13 +161,12 @@ def load_config_file(path: str) -> dict[str, str]:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, sep, value = line.partition("=")
-                key = key.strip()
+                key, sep, value = (part.strip() for part in line.partition("="))
                 if not sep or not key:
                     raise UsageError(f"{path}:{ln}: expected key=value")
                 if key in out:
                     raise UsageError(f"{path}:{ln}: {key} is given twice")
-                out[key] = value.strip()
+                out[key] = value
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return out
@@ -170,30 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Level-set curvature comparison laboratory for rotationally symmetric 3-manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="built-in model name or 'custom'")
-    common.add_argument("--mass", type=float, help="mass parameter of the model")
-    common.add_argument("--r0", type=float, help="matching radius of the mollified model")
-    common.add_argument("--amplitude", type=float, help="perturbation amplitude")
-    common.add_argument("--offset", type=float, help="perturbation pole offset")
-    common.add_argument("--profile", help="CSV file for --model custom (header r,w or s,f)")
-    common.add_argument(
-        "--assume-nonnegative-r",
-        choices=("true", "false"),
-        help="declared sign of the scalar curvature for custom profiles",
-    )
-    common.add_argument("--grid", type=int, help="number of t-grid points (>= 8)")
-    common.add_argument("--t-min-factor", type=float, help="grid start as a multiple of C/2")
-    common.add_argument("--t-max-factor", type=float, help="grid end as a multiple of C")
-    common.add_argument("--tol", type=float, help="base relative check tolerance of the verify battery")
-    common.add_argument("--out", help="output directory for CSV artifacts")
-    common.add_argument("--save-report", action="store_const", const="true", help="persist a run record")
-    common.add_argument("--config", help="flat key=value config file (flags override)")
-
-    for name, (run, help_text) in _COMMANDS.items():
-        parents = [] if name == "models" else [common]
-        sub.add_parser(name, parents=parents, help=help_text).set_defaults(run=run)
+    for name, (run, help_text, reads) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(run=run, reads=reads)
+        for key, (_, keywords) in _FLAGS.items():
+            if key in reads:
+                command.add_argument("--" + key.replace("_", "-"), **keywords)
+        if reads:
+            command.add_argument("--config", help="flat key=value config file (flags override)")
     return parser
 
 
@@ -203,45 +195,36 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# Each config key is a flag's name, its argparse dest and its RunConfig
-# field: key -> parser of the config-file text.  A flag overrides the file;
-# a key given by neither keeps the RunConfig default.
-_CONFIG_FIELDS = {
-    "model": str,
-    "profile": str,
-    "out": str,
-    "assume_nonnegative_r": _parse_bool,
-    "grid": int,
-    "tol": float,
-    "save_report": _parse_bool,
-    **dict.fromkeys(_FLOAT_FIELDS, float),
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Each flag the command reads: from argv, else from the config file, else its RunConfig default."""
     file_values = load_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - set(_CONFIG_FIELDS))
-    if unknown:
-        accepted = ", ".join(sorted(_CONFIG_FIELDS))
-        raise UsageError(f"unknown config key(s) {', '.join(unknown)}; accepted: {accepted}")
-
-    def pick(key: str, cast):
-        value = getattr(args, key)
-        value = file_values.get(key) if value is None else value
-        if value is None:
-            return None
-        try:
-            return cast(value)
-        except ValueError as exc:
-            raise UsageError(f"bad value for {key}: {value!r}") from exc
-
-    values = {key: pick(key, cast) for key, cast in _CONFIG_FIELDS.items()}
-    if not values["model"]:
+    unread = sorted(set(file_values) - args.reads)
+    if unread:
+        accepted = ", ".join(sorted(args.reads))
+        raise UsageError(f"{args.command} does not read config key(s) {', '.join(unread)}; it reads: {accepted}")
+    values = {}
+    for key, (cast, _) in _FLAGS.items():
+        text = getattr(args, key, None)  # a flag the command does not read has no attribute
+        text = file_values.get(key) if text is None else text
+        if text is not None:
+            try:
+                values[key] = cast(text)
+            except ValueError as exc:
+                raise UsageError(f"bad value for {key}: {text!r}") from exc
+    model = values.get("model")
+    if not model:
         raise UsageError("model is required (see `curvlab models`)")
-    cfg = RunConfig(**{key: value for key, value in values.items() if value is not None})
+    if model not in _MODELS:
+        raise UsageError(f"unknown model {model!r}; see `curvlab models`")
+    params = _MODELS[model].params
+    unread = [key for key in values if key in _PARAMS and key not in params]
+    if unread:
+        raise UsageError(f"model={model} does not read {', '.join(unread)}")
+    for key in params:
+        if key in args.reads and key not in values and RunConfig._field_defaults[key] is None:
+            raise UsageError(f"model={model} needs {key}")
+    cfg = RunConfig(**values)
     cfg.validate()
-    if cfg.save_report and args.command != "verify":
-        raise UsageError("save_report applies to verify only")
     return cfg
 
 
@@ -279,13 +262,25 @@ def _table(cfg: RunConfig, name: str, write: Callable[[IO[str]], None]) -> _Resu
     return 0, lines, []
 
 
+def _builder_args(cfg: RunConfig) -> list:
+    return [getattr(cfg, key) for key in _MODELS[cfg.model].params]
+
+
 def _solve_grid(cfg: RunConfig):
-    sol = solve(_MODELS[cfg.model].build(cfg))
+    sol = solve(_MODELS[cfg.model].build(*_builder_args(cfg)))
     return sol, default_t_grid(sol, cfg.grid, cfg.t_min_factor, cfg.t_max_factor)
 
 
+def _param_text(key: str) -> str:
+    default = RunConfig._field_defaults[key]
+    return f"--{key.replace('_', '-')} ({'required' if default is None else f'default {default!r}'})"
+
+
 def _models(cfg: None) -> _Result:
-    return 0, [f"{name}: {model.description}\n" for name, model in _MODELS.items()], []
+    return 0, [
+        f"{name}: {model.description}; reads {', '.join(map(_param_text, model.params)) or 'no parameter'}\n"
+        for name, model in _MODELS.items()
+    ], []
 
 
 def _potential(cfg: RunConfig) -> _Result:
@@ -318,9 +313,7 @@ def _verify(cfg: RunConfig) -> _Result:
     report = run_battery(sol, grid, tol=tol)
     lines = _Lines()
     write_report_text(report, lines)
-    outputs = []
-    if cfg.out:
-        outputs.append(_file("verify.csv", lambda fh: write_report_csv(report, fh)))
+    outputs = [_file("verify.csv", lambda fh: write_report_csv(report, fh))] if cfg.out else []
     if cfg.save_report:
         record = make_record(cfg.echo(), "".join(lines), __version__, datetime.now(timezone.utc).isoformat())
         outputs.append(lambda outdir: f"saved {save(record, outdir)}\n")
@@ -332,7 +325,7 @@ def _mass(cfg: RunConfig) -> _Result:
     if conformal is None:
         names = " or ".join(name for name, model in _MODELS.items() if model.conformal)
         raise UsageError(f"the mass subcommand needs a boundaryless conformal model: {names}")
-    report = mass_report(conformal(cfg))
+    report = mass_report(conformal(*_builder_args(cfg)))
     worst = min(m for _, m in report.samples)
     body = [
         f"profile={report.profile_label}\n",
@@ -350,20 +343,22 @@ def _mass(cfg: RunConfig) -> _Result:
     return (1 if warnings else 0), body + warnings, outputs
 
 
-# Each subcommand: name -> (command, help).  `models` alone takes no flags, config or stamp.
+# Each subcommand: name -> (command, help, the config keys of the flags it reads).  `models` reads none.
+_LEVEL_MAP = frozenset({"model", *_PARAMS, "grid", "t_min_factor", "t_max_factor", "out"})
+_MASS = frozenset({"model", "out", *(key for model in _MODELS.values() if model.conformal for key in model.params)})
 _COMMANDS = {
-    "models": (_models, "list built-in models"),
-    "potential": (_potential, "emit the u / |grad u| / capacity table"),
-    "functionals": (_functionals, "emit the functional series CSV"),
-    "verify": (_verify, "run the inequality battery"),
-    "mass": (_mass, "run both ADM mass estimators"),
+    "models": (_models, "list built-in models", frozenset()),
+    "potential": (_potential, "emit the u / |grad u| / capacity table", _LEVEL_MAP),
+    "functionals": (_functionals, "emit the functional series CSV", _LEVEL_MAP),
+    "verify": (_verify, "run the inequality battery", _LEVEL_MAP | {"tol", "save_report"}),
+    "mass": (_mass, "run both ADM mass estimators", _MASS),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = resolve_config(args) if "config" in args else None  # `models` has no flags
+        cfg = resolve_config(args) if args.reads else None
         code, body, outputs = args.run(cfg)
         announced = []
         if outputs:
@@ -381,10 +376,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     stamp = [f"# generated_at={datetime.now(timezone.utc).isoformat()}\n"] if cfg is not None else []
-    for chunk in (stamp, body, announced):
-        sys.stdout.writelines(chunk)
+    try:
+        sys.stdout.writelines([*stamp, *body, *announced])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): the rest goes to the null device, so exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

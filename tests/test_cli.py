@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from curvlab import __version__
-from curvlab.cli import build_parser, main
+from curvlab.cli import RunConfig, build_parser, main, resolve_config
 from curvlab.report_store import load, make_record, save
 from frozen_outputs import (
     DATA,
@@ -139,8 +140,8 @@ def test_tol_whose_absolute_part_overflows_exits_2(capsys):
     ("flags", "message"),
     [
         ((), "model is required (see `curvlab models`)"),
-        (("--model", "custom", "--assume-nonnegative-r", "true"), "model=custom needs profile=<csv>"),
-        (("--model", "custom", "--profile", "p.csv"), "model=custom needs assume_nonnegative_r=true|false"),
+        (("--model", "custom", "--assume-nonnegative-r", "true"), "model=custom needs profile"),
+        (("--model", "custom", "--profile", "p.csv"), "model=custom needs assume_nonnegative_r"),
         (("--model", "kerr"), "unknown model 'kerr'; see `curvlab models`"),
         (("--model", "euclidean", "--t-min-factor", "0.5"), "t_min_factor must be >= 1"),
         (
@@ -186,8 +187,15 @@ def test_unparsable_config_value_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("key", ["save_report", "assume_nonnegative_r"])
 def test_bad_boolean_config_value_names_its_key(capsys, tmp_path, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"model=euclidean\n{key}=maybe\n")
-    assert _usage_error(capsys, "potential", "--config", str(cfg)) == f"error: bad value for {key}: 'maybe'\n"
+    cfg.write_text(f"model=custom\n{key}=maybe\n")
+    assert _usage_error(capsys, "verify", "--config", str(cfg)) == f"error: bad value for {key}: 'maybe'\n"
+
+
+@pytest.mark.parametrize(("flag", "text"), [("--mass", "heavy"), ("--grid", "8.0"), ("--tol", "")])
+def test_unparsable_flag_value_names_its_key(capsys, flag, text):
+    # A flag's text is cast where a config value's is, with the same message.
+    err = _usage_error(capsys, "verify", "--model", "schwarzschild", flag, text)
+    assert err == f"error: bad value for {flag[2:]}: {text!r}\n"
 
 
 def test_config_line_without_a_key_names_its_line(capsys, tmp_path):
@@ -400,22 +408,33 @@ def test_save_report_over_an_undecodable_record_exits_2(tmp_path, capsys):
     assert not any(line.startswith("check ") for line in out.splitlines())
 
 
+def _refused_by_the_parser(capsys, *argv: str) -> str:
+    """Run the CLI in process; assert argparse exits 2 before any output and return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
 @pytest.mark.parametrize("command", ["potential", "functionals", "mass"])
 def test_save_report_outside_verify_exits_2(capsys, tmp_path, command):
-    # Only verify saves a record; the other commands refuse the flag, not ignore it.
+    # Only verify saves a record; the other commands have no such flag.
     out = tmp_path / "out"
-    err = _usage_error(capsys, command, "--model", "euclidean", "--grid", "8", "--out", str(out), "--save-report")
-    assert err == "error: save_report applies to verify only\n"
+    err = _refused_by_the_parser(capsys, command, "--model", "euclidean", "--out", str(out), "--save-report")
+    assert err.endswith("error: unrecognized arguments: --save-report\n")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["potential", "functionals", "mass"])
 def test_save_report_from_a_config_file_outside_verify_exits_2(capsys, tmp_path, command):
+    # A key the command does not read is refused whatever its value.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("model=euclidean\ngrid=8\nsave_report=true\n")
-    assert _usage_error(capsys, command, "--config", str(cfg)) == "error: save_report applies to verify only\n"
-    cfg.write_text("model=euclidean\ngrid=8\nsave_report=false\n")
-    assert main([command, "--config", str(cfg)]) == 0
+    for value in ("true", "false"):
+        cfg.write_text(f"model=euclidean\nsave_report={value}\n")
+        err = _usage_error(capsys, command, "--config", str(cfg))
+        assert err.startswith(f"error: {command} does not read config key(s) save_report; it reads: ")
 
 
 @pytest.mark.parametrize(
@@ -739,3 +758,143 @@ def test_cached_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch, a
     captured = capsys.readouterr()
     assert exc.value.code == cp.returncode == code
     assert (captured.out, captured.err) == (cp.stdout, cp.stderr)
+
+
+# What each model and each command reads, written out here so that a change
+# to the CLI's table shows as a failing test.
+_MODEL_PARAMS = {
+    "schwarzschild": ("mass",),
+    "euclidean": (),
+    "mollified-schwarzschild": ("mass", "r0"),
+    "perturbed-schwarzschild": ("mass", "amplitude", "offset"),
+    "custom": ("profile", "assume_nonnegative_r"),
+}
+_ALL_PARAMS = ("mass", "r0", "amplitude", "offset", "profile", "assume_nonnegative_r")
+_LEVEL_MAP_KEYS = ("model", *_ALL_PARAMS, "grid", "t_min_factor", "t_max_factor", "out")
+_COMMAND_KEYS = {
+    "models": (),
+    "potential": _LEVEL_MAP_KEYS,
+    "functionals": _LEVEL_MAP_KEYS,
+    "verify": (*_LEVEL_MAP_KEYS, "tol", "save_report"),
+    "mass": ("model", "mass", "r0", "out"),
+}
+# key -> (its text, the RunConfig value it casts to); save_report is a bare flag.
+_VALUES = {
+    "mass": ("1.5", 1.5),
+    "r0": ("0.7", 0.7),
+    "amplitude": ("0.2", 0.2),
+    "offset": ("1.5", 1.5),
+    "profile": ("p.csv", "p.csv"),
+    "assume_nonnegative_r": ("false", False),
+    "grid": ("16", 16),
+    "t_min_factor": ("2", 2.0),
+    "t_max_factor": ("500", 500.0),
+    "tol": ("1e-6", 1e-6),
+    "out": ("outdir", "outdir"),
+    "save_report": ("true", True),
+}
+_TRIPLES = [
+    (command, model, key)
+    for command in _COMMAND_KEYS
+    if command != "models"
+    for model in _MODEL_PARAMS
+    for key in _VALUES
+]
+
+
+def _flag(key: str) -> list[str]:
+    text, _ = _VALUES[key]
+    return [f"--{key.replace('_', '-')}"] + ([] if key == "save_report" else [text])
+
+
+def _required(command: str, model: str, key: str) -> list[str]:
+    """The custom model's two required parameters, where the command reads them and the key is not one."""
+    if model != "custom" or "profile" not in _COMMAND_KEYS[command]:
+        return []
+    return [arg for other in _MODEL_PARAMS["custom"] if other != key for arg in _flag(other)]
+
+
+@pytest.mark.parametrize(("command", "model", "key"), _TRIPLES, ids=["-".join(t) for t in _TRIPLES])
+def test_every_flag_is_read_or_refused(capsys, tmp_path, command, model, key):
+    # A flag the command reads, of a parameter the model reads, lands in the
+    # RunConfig (no numerical work is done); any other flag or config key
+    # exits 2 with nothing on stdout and a message naming it.
+    base = [command, "--model", model, *_required(command, model, key)]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}={_VALUES[key][0]}\n")
+    read_by_command = key in _COMMAND_KEYS[command]
+    read_by_model = key not in _ALL_PARAMS or key in _MODEL_PARAMS[model]
+    if not read_by_command:
+        err = _refused_by_the_parser(capsys, *base, *_flag(key))
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(_flag(key))}\n")
+        err = _usage_error(capsys, *base, "--config", str(cfg_file))
+        assert err.startswith(f"error: {command} does not read config key(s) {key}; it reads: ")
+    elif not read_by_model:
+        for extra in (_flag(key), ["--config", str(cfg_file)]):
+            assert _usage_error(capsys, *base, *extra) == f"error: model={model} does not read {key}\n"
+    else:
+        for extra in (_flag(key), ["--config", str(cfg_file)]):
+            cfg = resolve_config(build_parser().parse_args([*base, *extra]))
+            assert getattr(cfg, key) == _VALUES[key][1]
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_KEYS))
+def test_help_lists_exactly_the_flags_the_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    keys = _COMMAND_KEYS[command]
+    expected = {"--help", *(f"--{key.replace('_', '-')}" for key in keys), *(["--config"] if keys else [])}
+    assert listed == expected
+
+
+def test_models_lists_what_each_model_reads(capsys):
+    # Each description names every parameter its model reads, and no other.
+    assert main(["models"]) == 0
+    listed = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, _, description = line.partition(": ")
+        listed[name] = re.findall(r"--([a-z][a-z0-9-]*)", description)
+    assert listed == {name: [key.replace("_", "-") for key in keys] for name, keys in _MODEL_PARAMS.items()}
+
+
+def test_run_record_config_is_unchanged():
+    # The config echo is hashed into a saved record's run_id; these are the
+    # bytes of 0.2.0 before the flag table.
+    assert RunConfig("custom", profile="p.csv", assume_nonnegative_r=False, tol=1e-6).echo() == (
+        "model=custom\nmass=1.0\nr0=1.0\namplitude=0.3\noffset=1.0\nprofile=p.csv\nassume_nonnegative_r=False\n"
+        "grid=256\nt_min_factor=1.0\nt_max_factor=1000.0\ntol_rel=1e-06"
+    )
+    assert RunConfig("euclidean", grid=16, out="o", save_report=True).echo() == (
+        "model=euclidean\nmass=1.0\nr0=1.0\namplitude=0.3\noffset=1.0\nprofile=\nassume_nonnegative_r=None\n"
+        "grid=16\nt_min_factor=1.0\nt_max_factor=1000.0\ntol_rel=default"
+    )
+
+
+@pytest.mark.parametrize(
+    ("args", "run_id"),
+    [
+        (("--model", "schwarzschild", "--mass", "1", "--grid", "16"), "658d94d9286fd60e"),
+        (("--model", "euclidean", "--grid", "16"), "c6e40478d292cee9"),
+    ],
+)
+def test_saved_run_id_is_unchanged(capsys, tmp_path, args, run_id):
+    assert main(["verify", *args, "--out", str(tmp_path), "--save-report"]) == 0
+    assert [path.name for path in tmp_path.glob("run-*.txt")] == [f"run-{run_id}.txt"]
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # The table is far larger than a pipe's buffer, so the write after the
+    # reader closes the pipe fails; the run ends with exit 2 and no traceback,
+    # also none from the flush at interpreter exit.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    cmd = [sys.executable, "-m", "curvlab", "functionals", "--model", "perturbed-schwarzschild", "--grid", "4096"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    assert proc.stdout.readline().startswith("# generated_at=")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
