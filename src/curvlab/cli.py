@@ -2,8 +2,9 @@
 
 One table says what a run reads: ``_FLAGS`` holds every flag, each ``_COMMANDS``
 entry names the flags its command reads, and each ``_MODELS`` builder takes the
-parameters its model reads.  A subcommand accepts only its own flags, and a model
-parameter or config key the run does not read is a usage error.
+parameters its model reads.  A subcommand accepts only its own flags, refusing any
+other under its own usage line, and a model parameter or config key the run does
+not read is a usage error.
 
 Exit codes: 0 when every check passes or detects equality, 1 when any
 check fails or a hypothesis violation is annotated, 2 for usage/input
@@ -180,9 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (run, help_text, reads) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        command.set_defaults(run=run, reads=reads)
+        command.set_defaults(run=run, reads=reads, refuse=command.error)
         for key, (_, keywords) in _FLAGS.items():
             if key in reads:
+                if (name, key) == ("mass", "model"):
+                    keywords = {**keywords, "help": f"boundaryless conformal model: {_MASS_MODELS}"}
                 command.add_argument("--" + key.replace("_", "-"), **keywords)
         if reads:
             command.add_argument("--config", help="flat key=value config file (flags override)")
@@ -323,8 +326,7 @@ def _verify(cfg: RunConfig) -> _Result:
 def _mass(cfg: RunConfig) -> _Result:
     conformal = _MODELS[cfg.model].conformal
     if conformal is None:
-        names = " or ".join(name for name, model in _MODELS.items() if model.conformal)
-        raise UsageError(f"the mass subcommand needs a boundaryless conformal model: {names}")
+        raise UsageError(f"the mass subcommand needs a boundaryless conformal model: {_MASS_MODELS}")
     report = mass_report(conformal(*_builder_args(cfg)))
     worst = min(m for _, m in report.samples)
     body = [
@@ -344,6 +346,8 @@ def _mass(cfg: RunConfig) -> _Result:
 
 
 # Each subcommand: name -> (command, help, the config keys of the flags it reads).  `models` reads none.
+# `mass` runs only the models with a conformal builder; its --model help and its refusal name them.
+_MASS_MODELS = " or ".join(name for name, model in _MODELS.items() if model.conformal)
 _LEVEL_MAP = frozenset({"model", *_PARAMS, "grid", "t_min_factor", "t_max_factor", "out"})
 _MASS = frozenset({"model", "out", *(key for model in _MODELS.values() if model.conformal for key in model.params)})
 _COMMANDS = {
@@ -356,7 +360,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args, unread = _parser().parse_known_args(argv)
+    if unread:  # refused under the subcommand's own usage line, not the top-level one
+        args.refuse(f"unrecognized arguments: {' '.join(unread)}")
     try:
         cfg = resolve_config(args) if args.reads else None
         code, body, outputs = args.run(cfg)

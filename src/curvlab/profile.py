@@ -488,35 +488,67 @@ def _spline_coefficients(xs: list[float], ys: list[float]) -> tuple[list[tuple[f
     return f_c, fp_c, fpp_c
 
 
-def _spline(xs: list[float], ys: list[float]) -> tuple[ScalarFn, JetFn]:
-    """Value and jet readers of the not-a-knot cubic spline through (xs, ys).
+def _spline(xs: list[float], ys: list[float], header: str) -> tuple[MetricFn | ScalarFn, JetFn]:
+    """The two readers of a tabulated profile: the not-a-knot cubic spline
+    through (xs, ys), continued beyond the last knot by a C^1 analytic tail.
 
-    One bisect finds the interval, clamped to the first and the last as
+    For the ``s,f`` layout they are ``metric``, giving (f, 1.0), and ``jet``,
+    giving (f, f_s, f_ss), and the tail is the line through the last sample
+    with the spline's slope there.  For ``r,w`` they are ``w`` and ``jet``,
+    giving (w, w', w''), and the tail is the harmonic A + B/r with the
+    spline's value and slope at the last sample.  Each read is one call: up
+    to the last knot, one bisect finds the interval, clamped to the first as
     PPoly extrapolates, and each polynomial is summed in PPoly's order,
-    ((0 + c0) + c1 d) + c2 d^2 + c3 (d^2 d), so every value is bitwise
+    ((0 + c0) + c1 d) + c2 d^2 + c3 (d^2 d), so every value there is bitwise
     scipy's.
     """
     f_c, fp_c, fpp_c = _spline_coefficients(xs, ys)
     knots = tuple(xs)
     hi = len(knots) - 1
-
-    def value(x: float) -> float:
-        i = bisect_right(knots, x, 1, hi) - 1
-        d = x - knots[i]
-        dd = d * d
-        c0, c1, c2, c3 = f_c[i]
-        return 0.0 + c0 + c1 * d + c2 * dd + c3 * (dd * d)
+    x_last, y_last = xs[-1], ys[-1]
+    linear = header == "s,f"
 
     def jet(x: float) -> tuple[float, float, float]:
-        i = bisect_right(knots, x, 1, hi) - 1
-        d = x - knots[i]
-        dd = d * d
-        c0, c1, c2, c3 = f_c[i]
-        p0, p1, p2 = fp_c[i]
-        q0, q1 = fpp_c[i]
-        return 0.0 + c0 + c1 * d + c2 * dd + c3 * (dd * d), 0.0 + p0 + p1 * d + p2 * dd, 0.0 + q0 + q1 * d
+        if x <= x_last:
+            i = bisect_right(knots, x, 1, hi) - 1
+            d = x - knots[i]
+            dd = d * d
+            c0, c1, c2, c3 = f_c[i]
+            p0, p1, p2 = fp_c[i]
+            q0, q1 = fpp_c[i]
+            return 0.0 + c0 + c1 * d + c2 * dd + c3 * (dd * d), 0.0 + p0 + p1 * d + p2 * dd, 0.0 + q0 + q1 * d
+        if linear:
+            return y_last + yp_last * (x - x_last), yp_last, 0.0
+        return a_tail + b_tail / x, -b_tail / (x * x), 2.0 * b_tail / (x * x * x)
 
-    return value, jet
+    # The tail's slope: the jet at the last knot reads the spline alone.
+    yp_last = jet(x_last)[1]
+
+    if linear:
+        def metric(s: float) -> tuple[float, float]:
+            if s <= x_last:
+                i = bisect_right(knots, s, 1, hi) - 1
+                d = s - knots[i]
+                dd = d * d
+                c0, c1, c2, c3 = f_c[i]
+                return 0.0 + c0 + c1 * d + c2 * dd + c3 * (dd * d), 1.0
+            return y_last + yp_last * (s - x_last), 1.0
+
+        return metric, jet
+
+    b_tail = -yp_last * x_last * x_last
+    a_tail = y_last - b_tail / x_last
+
+    def w(r: float) -> float:
+        if r <= x_last:
+            i = bisect_right(knots, r, 1, hi) - 1
+            d = r - knots[i]
+            dd = d * d
+            c0, c1, c2, c3 = f_c[i]
+            return 0.0 + c0 + c1 * d + c2 * dd + c3 * (dd * d)
+        return a_tail + b_tail / r
+
+    return w, jet
 
 
 def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
@@ -562,46 +594,23 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
     if not all(b > a for a, b in zip(col0, col0[1:])):
         raise ProfileDataError("first CSV column must be strictly increasing")
 
-    spline, spline_jet = _spline(col0, col1)
+    value, jet = _spline(col0, col1, header)
     # The spline is only C^2 across its knots: quadratures split there.
     knots = tuple(col0)
-    x_last = col0[-1]
-    y_last = col1[-1]
-    yp_last = spline_jet(x_last)[1]
 
     if header == "r,w":
-        # Harmonic C^1 tail w = A + B/r matched at the last sample.
-        b_tail = -yp_last * x_last * x_last
-        a_tail = y_last - b_tail / x_last
-
-        def w(r: float) -> float:
-            return spline(r) if r <= x_last else a_tail + b_tail / r
-
-        def w_jet(r: float) -> tuple[float, float, float]:
-            if r <= x_last:
-                return spline_jet(r)
-            return a_tail + b_tail / r, -b_tail / (r * r), 2.0 * b_tail / (r * r * r)
-
         conf = ConformalProfile(
             label=f"custom:{path}",
-            w=w,
-            jet=w_jet,
+            w=value,
+            jet=jet,
             r_min=col0[0],
             breakpoints=knots,
             assume_nonnegative_R=assume_nonnegative_R,
         )
         return to_warped(conf)
 
-    if yp_last <= 0.0:
+    if jet(col0[-1])[1] <= 0.0:
         raise ProfileDataError("warp factor must be increasing at the tabulated tail")
-
-    def f(s: float) -> float:
-        return spline(s) if s <= x_last else y_last + yp_last * (s - x_last)
-
-    def jet(s: float) -> tuple[float, float, float]:
-        if s <= x_last:
-            return spline_jet(s)
-        return y_last + yp_last * (s - x_last), yp_last, 0.0
 
     x_min = col0[0]
     pole = x_min == 0.0 and abs(col1[0]) <= 1e-10 * max(1.0, max(abs(y) for y in col1))
@@ -612,7 +621,7 @@ def profile_from_csv(path: str, assume_nonnegative_R: bool) -> MetricProfile:
         label=f"custom:{path}",
         kind=kind,
         x_min=x_min,
-        metric=lambda s: (f(s), 1.0),
+        metric=value,
         jet=jet,
         breakpoints=knots,
         assume_nonnegative_R=assume_nonnegative_R,

@@ -849,6 +849,38 @@ def test_help_lists_exactly_the_flags_the_command_reads(capsys, command):
     assert listed == expected
 
 
+def test_mass_help_names_the_models_mass_runs(capsys, monkeypatch):
+    # mass runs only the boundaryless conformal models, and its --model help
+    # names exactly those; every other command's --model help is the flag
+    # table's one text.
+    monkeypatch.setenv("COLUMNS", "200")  # argparse would wrap at a hyphen in a model name
+    helps = {}
+    for command in _COMMAND_KEYS:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps[command] = capsys.readouterr().out
+
+    def named(text):
+        return {name for name in _MODEL_PARAMS if re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text)}
+
+    assert named(helps["mass"]) == {"euclidean", "mollified-schwarzschild"}
+    for command in ("potential", "functionals", "verify"):
+        assert re.search(r"--model MODEL +built-in model name or 'custom'\n", helps[command]), command
+        assert named(helps[command]) == {"custom"}, command
+    assert "--model" not in helps["models"]
+
+
+@pytest.mark.parametrize(
+    ("command", "unread"),
+    [("models", "--grid 3"), ("potential", "--save-report"), ("functionals", "--tol 1"), ("verify", "--bogus"), ("mass", "--grid 3")],
+)
+def test_an_unread_flag_is_refused_under_its_commands_usage(capsys, command, unread):
+    model = [] if command == "models" else ["--model", "euclidean"]
+    err = _refused_by_the_parser(capsys, command, *model, *unread.split())
+    assert err.startswith(f"usage: curvlab {command} [-h]"), err
+    assert err.endswith(f"curvlab {command}: error: unrecognized arguments: {unread}\n"), err
+
+
 def test_models_lists_what_each_model_reads(capsys):
     # Each description names every parameter its model reads, and no other.
     assert main(["models"]) == 0

@@ -4,6 +4,8 @@ import inspect
 import math
 import random
 import re
+import sys
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -395,7 +397,7 @@ class TestCsvIngestion:
         points.append(xs[0] * (1.0 - 1e-12))
         # s,f splines the warp factor itself; r,w splines w and warps it, so
         # its spline is read here through the jet the CSV's w is built from.
-        jet = p.jet if header == "s,f" else _spline(xs, ys)[1]
+        jet = p.jet if header == "s,f" else _spline(xs, ys, header)[1]
         jets = [jet(x) for x in points]
         for k, pp in enumerate(pps):
             assert np.array_equal(_bits([j[k] for j in jets]), _bits(pp(points)))
@@ -405,6 +407,114 @@ class TestCsvIngestion:
 def _bits(values):
     """The IEEE bit patterns of an array of floats, so that -0.0 != 0.0."""
     return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _restated_readers(xs, ys, header):
+    """(metric, jet) of a tabulated profile, restated as a composition of readers.
+
+    The spline's jet is read on the interval ``bisect_right`` finds, clamped
+    to the first and the last; beyond the last knot the C^1 tail takes over
+    (linear in s for ``s,f``, harmonic A + B/r for ``r,w``), and an ``r,w``
+    profile is warped as ``to_warped`` warps it.  Every sum is in the
+    library's order of operations, so the profile's readers and these agree
+    bit for bit, and neither needs scipy: the coefficients come from
+    ``_spline_coefficients``, which the scipy test checks on its own.
+    """
+    from curvlab.profile import _spline_coefficients
+
+    f_c, fp_c, fpp_c = _spline_coefficients(xs, ys)
+
+    def spline_jet(x):
+        i = min(max(bisect_right(xs, x) - 1, 0), len(xs) - 2)
+        d = x - xs[i]
+        dd = d * d
+        c0, c1, c2, c3 = f_c[i]
+        p0, p1, p2 = fp_c[i]
+        q0, q1 = fpp_c[i]
+        return 0.0 + c0 + c1 * d + c2 * dd + c3 * (dd * d), 0.0 + p0 + p1 * d + p2 * dd, 0.0 + q0 + q1 * d
+
+    x_last, y_last = xs[-1], ys[-1]
+    yp_last = spline_jet(x_last)[1]
+    if header == "s,f":
+
+        def f_jet(s):
+            return spline_jet(s) if s <= x_last else (y_last + yp_last * (s - x_last), yp_last, 0.0)
+
+        return (lambda s: (f_jet(s)[0], 1.0)), f_jet
+
+    b_tail = -yp_last * x_last * x_last
+    a_tail = y_last - b_tail / x_last
+
+    def w_jet(r):
+        return spline_jet(r) if r <= x_last else (a_tail + b_tail / r, -b_tail / (r * r), 2.0 * b_tail / (r * r * r))
+
+    def metric(r):
+        w2 = w_jet(r)[0] ** 2
+        return r * w2, w2
+
+    def jet(r):
+        wr, dwr, d2wr = w_jet(r)
+        return r * wr ** 2, 1.0 + 2.0 * r * dwr / wr, 2.0 / wr ** 3 * (dwr + r * d2wr - r * dwr * dwr / wr)
+
+    return metric, jet
+
+
+def _seeded_table(path, header, rows, seed):
+    """Write a seeded ``header`` CSV of ``rows`` rows, spacings over up to three decades; returns (xs, ys)."""
+    rng = random.Random(seed)
+    xs = [rng.uniform(0.5, 2.0)]
+    for _ in range(rows - 1):
+        xs.append(xs[-1] + 30.0 / rows * 10.0 ** -rng.uniform(0.0, 3.0))
+    amp, phase = rng.uniform(0.0, 0.05), rng.uniform(0.0, 2.0 * math.pi)
+    if header == "s,f":
+        ys = [1.0 + x + amp * math.sin(x + phase) for x in xs]
+    else:
+        ys = [1.0 + 0.5 / x + amp / (x + 1.0 + math.sin(phase)) for x in xs]
+    TestCsvIngestion._write(path, header, zip(xs, ys))
+    return xs, ys
+
+
+_TABLES = [(header, rows, seed) for header in ("s,f", "r,w") for rows, seed in ((8, 1), (9, 2), (37, 3), (400, 4), (2000, 5))]
+
+
+@pytest.mark.parametrize(("header", "rows", "seed"), _TABLES, ids=[f"{h}-{n}" for h, n, _ in _TABLES])
+def test_tabulated_readers_bitwise_equal_their_restated_composition(tmp_path, header, rows, seed):
+    # Every knot and midpoint, the last knot exactly and just beyond it, far
+    # out on the tail, and just below the first knot.
+    path = tmp_path / "table.csv"
+    xs, ys = _seeded_table(path, header, rows, seed)
+    p = profile_from_csv(str(path), assume_nonnegative_R=True)
+    metric, jet = _restated_readers(xs, ys, header)
+    points = xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+    points += [math.nextafter(xs[-1], math.inf), 1e6 * xs[-1], math.nextafter(xs[0], 0.0), xs[0] * (1.0 - 1e-12)]
+    for x in points:
+        assert [v.hex() for v in p.metric(x)] == [v.hex() for v in metric(x)], x
+        assert [v.hex() for v in p.jet(x)] == [v.hex() for v in jet(x)], x
+        if header == "s,f":
+            assert p.metric(x)[1] == 1.0
+            assert p.metric(x)[0].hex() == p.jet(x)[0].hex(), x
+
+
+@pytest.mark.parametrize("header", ["s,f", "r,w"])
+def test_a_tabulated_read_calls_one_spline_reader(tmp_path, header):
+    # An s,f read, on the spline or on its tail, is one Python call; an r,w
+    # read is the warp of to_warped around one spline reader.
+    from curvlab.profile import _spline
+
+    path = tmp_path / "table.csv"
+    xs, ys = _seeded_table(path, header, 12, 6)
+    p = profile_from_csv(str(path), assume_nonnegative_R=True)
+    value, jet = _spline(xs, ys, header)
+    for read, spline_read in ((p.metric, value), (p.jet, jet)):
+        expected = [spline_read.__code__] if header == "s,f" else [read.__code__, spline_read.__code__]
+        for x in (xs[0], 0.5 * (xs[3] + xs[4]), xs[-1], 2.0 * xs[-1]):
+            calls = []
+            sys.setprofile(lambda frame, event, _: calls.append(frame.f_code) if event == "call" else None)
+            try:
+                read(x)
+            finally:
+                sys.setprofile(None)
+            assert calls == expected, (read, x)
 
 
 @pytest.mark.parametrize(
