@@ -19,6 +19,13 @@ and only then prints the ``# generated_at=`` stamp, the body (ending in
 usage or input error prints nothing.  ``main(argv)`` may be called repeatedly
 in one process: the argparse tree is built once, on the first call, and
 each call parses its argv afresh and keeps nothing that depends on it.
+
+A run imports only the modules its command executes.  ``profile``,
+``numerics``, ``potential`` and ``functionals`` are imported at the top,
+because every command that maps levels runs them; ``_verify`` imports
+``verify``, its ``--save-report`` branch ``report_store``, and ``_mass``
+imports ``mass``.  The stamp and a record's time come from ``_utc_now``,
+which reads the ``time`` module, so no command imports ``datetime``.
 """
 
 from __future__ import annotations
@@ -28,22 +35,19 @@ import functools
 import math
 import os
 import sys
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 from typing import IO, Callable, NamedTuple
 
 from . import __version__
 from .errors import CurvlabError
 from .functionals import build_series, write_series_csv
-from .mass import mass_report, write_mass_csv
 from .numerics import Tolerance
 from .potential import _grads, default_t_grid, levels, solve
 from .profile import (
     euclidean, euclidean_conformal, mollified_schwarzschild, perturbed_schwarzschild, profile_from_csv,
     schwarzschild, to_warped,
 )
-from .report_store import make_record, save
-from .verify import DEFAULT_CHECK_TOLERANCE, run_battery, write_report_csv, write_report_text
 
 __all__ = ["main", "RunConfig", "build_parser"]
 
@@ -265,6 +269,13 @@ def _table(cfg: RunConfig, name: str, write: Callable[[IO[str]], None]) -> _Resu
     return 0, lines, []
 
 
+def _utc_now() -> str:
+    """Now, as ``datetime.now(timezone.utc).isoformat()`` writes it: to the microsecond, none at a whole second."""
+    seconds, us = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{us:06d}+00:00" if us else f"{stamp}+00:00"
+
+
 def _builder_args(cfg: RunConfig) -> list:
     return [getattr(cfg, key) for key in _MODELS[cfg.model].params]
 
@@ -304,6 +315,8 @@ def _functionals(cfg: RunConfig) -> _Result:
 
 
 def _verify(cfg: RunConfig) -> _Result:
+    from .verify import DEFAULT_CHECK_TOLERANCE, run_battery, write_report_csv, write_report_text
+
     # Scale the pinned default pair, so --tol 1e-8 reproduces the defaults.
     base = DEFAULT_CHECK_TOLERANCE
     tol = None
@@ -318,7 +331,9 @@ def _verify(cfg: RunConfig) -> _Result:
     write_report_text(report, lines)
     outputs = [_file("verify.csv", lambda fh: write_report_csv(report, fh))] if cfg.out else []
     if cfg.save_report:
-        record = make_record(cfg.echo(), "".join(lines), __version__, datetime.now(timezone.utc).isoformat())
+        from .report_store import make_record, save
+
+        record = make_record(cfg.echo(), "".join(lines), __version__, _utc_now())
         outputs.append(lambda outdir: f"saved {save(record, outdir)}\n")
     return (1 if report.blocking() else 0), lines, outputs
 
@@ -327,6 +342,8 @@ def _mass(cfg: RunConfig) -> _Result:
     conformal = _MODELS[cfg.model].conformal
     if conformal is None:
         raise UsageError(f"the mass subcommand needs a boundaryless conformal model: {_MASS_MODELS}")
+    from .mass import mass_report, write_mass_csv
+
     report = mass_report(conformal(*_builder_args(cfg)))
     worst = min(m for _, m in report.samples)
     body = [
@@ -381,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         # Parameters so extreme that float arithmetic overflows or divides by zero.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    stamp = [f"# generated_at={datetime.now(timezone.utc).isoformat()}\n"] if cfg is not None else []
+    stamp = [f"# generated_at={_utc_now()}\n"] if cfg is not None else []
     try:
         sys.stdout.writelines([*stamp, *body, *announced])
         sys.stdout.flush()

@@ -3,11 +3,12 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from curvlab import __version__
+from curvlab import __version__, cli
 from curvlab.cli import RunConfig, build_parser, main, resolve_config
 from curvlab.report_store import load, make_record, save
 from frozen_outputs import (
@@ -914,6 +915,35 @@ def test_run_record_config_is_unchanged():
 def test_saved_run_id_is_unchanged(capsys, tmp_path, args, run_id):
     assert main(["verify", *args, "--out", str(tmp_path), "--save-report"]) == 0
     assert [path.name for path in tmp_path.glob("run-*.txt")] == [f"run-{run_id}.txt"]
+
+
+def _stamp_and_record_time(capsys, outdir):
+    """The ``# generated_at=`` value and the saved record's time of one verify --save-report run."""
+    assert main(["verify", "--model", "euclidean", "--grid", "8", "--out", str(outdir), "--save-report"]) == 0
+    stamp = capsys.readouterr().out.splitlines()[0]
+    assert stamp.startswith("# generated_at=")
+    (record,) = outdir.glob("run-*.txt")
+    return stamp[len("# generated_at="):], load(record).created_at
+
+
+def test_stamp_and_record_time_are_utc_isoformat_now(capsys, tmp_path):
+    # What datetime.now(timezone.utc).isoformat() writes, read back unchanged.
+    for text in _stamp_and_record_time(capsys, tmp_path):
+        parsed = datetime.fromisoformat(text)
+        assert text.endswith("+00:00") and parsed.isoformat() == text
+        assert abs((parsed - datetime.now(timezone.utc)).total_seconds()) <= 60
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [1_790_000_000_000_000_000, 1_790_000_000_000_000_999, 1_790_000_000_000_001_000, 1_790_000_000_999_999_999],
+    ids=["whole-second", "under-a-microsecond", "one-microsecond", "last-microsecond"],
+)
+def test_stamp_truncates_to_the_microsecond_and_drops_a_zero_fraction(capsys, tmp_path, monkeypatch, ns):
+    monkeypatch.setattr(cli.time, "time_ns", lambda: ns)
+    expected = datetime.fromtimestamp(ns // 10**9, timezone.utc).replace(microsecond=ns // 1000 % 10**6).isoformat()
+    assert ("." in expected) == (ns // 1000 % 10**6 != 0)
+    assert _stamp_and_record_time(capsys, tmp_path) == (expected, expected)
 
 
 def test_closed_stdout_exits_2_without_a_traceback():

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import re
 import subprocess
@@ -64,32 +65,68 @@ def test_run_id_is_pinned():
     assert make_record("model=schwarzschild\nmass=1.0\n", "r", "0.2.0", "t1").run_id == "d6a9d77363987dc4"
 
 
-# Prints which of hashlib and _hashlib (OpenSSL's libcrypto) are loaded
-# after the import, after a verify, and after a verify with --save-report.
-_HASHLIB_PROBE = """
-import contextlib, io, sys
-import curvlab.cli
+# In a fresh process: after `import curvlab`, after `import curvlab.cli` and
+# after each run, the curvlab modules loaded, which of hashlib and _hashlib
+# (OpenSSL's libcrypto) are, and whether datetime is; then the names of
+# curvlab.__all__ that `from curvlab import *` leaves unbound.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
 def loaded():
-    return [name for name in ("hashlib", "_hashlib") if name in sys.modules]
+    return [
+        sorted(name for name in sys.modules if name.partition(".")[0] == "curvlab"),
+        [name for name in ("hashlib", "_hashlib") if name in sys.modules],
+        "datetime" in sys.modules,
+    ]
+import curvlab
 seen = [loaded()]
-with contextlib.redirect_stdout(io.StringIO()):
-    assert curvlab.cli.main(["verify", "--model", "schwarzschild", "--grid", "16"]) == 0
-    seen.append(loaded())
-    assert curvlab.cli.main(["verify", "--model", "schwarzschild", "--grid", "16", "--save-report", "--out", sys.argv[1]]) == 0
+import curvlab.cli
 seen.append(loaded())
-print(seen)
+runs = [
+    ["potential", "--model", "perturbed-schwarzschild", "--grid", "8"],
+    ["functionals", "--model", "euclidean", "--grid", "8"],
+    ["mass", "--model", "euclidean"],
+    ["verify", "--model", "schwarzschild", "--grid", "16"],
+    ["verify", "--model", "schwarzschild", "--grid", "16", "--save-report", "--out", sys.argv[1]],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in runs:
+        assert curvlab.cli.main(argv) == 0, argv
+        seen.append(loaded())
+names = {}
+exec("from curvlab import *", names)
+print(json.dumps([seen, [name for name in curvlab.__all__ if name not in names]]))
 """
 
 
-def test_hashlib_is_loaded_only_to_hash_a_record(tmp_path):
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """The probe's steps, its unbound names, and the directory its --save-report wrote to."""
+    out = tmp_path_factory.mktemp("probe")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    cp = subprocess.run(
-        [sys.executable, "-c", _HASHLIB_PROBE, str(tmp_path)], capture_output=True, text=True, env=env
-    )
+    cp = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(out)], capture_output=True, text=True, env=env)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == "[[], [], ['hashlib', '_hashlib']]\n"
-    assert len(list(tmp_path.glob("run-*.txt"))) == 1
+    seen, unbound = json.loads(cp.stdout)
+    return seen, unbound, out
+
+
+def test_hashlib_is_loaded_only_to_hash_a_record(import_probe):
+    seen, _, out = import_probe
+    assert [hashes for _, hashes, _ in seen] == [[]] * 6 + [["hashlib", "_hashlib"]]
+    assert len(list(out.glob("run-*.txt"))) == 1
+
+
+def test_each_command_imports_only_the_modules_it_runs(import_probe):
+    # `import curvlab` resolves its exports on first access; the level-map
+    # modules come with the CLI, and mass, verify and report_store with the
+    # runs that execute them.  No step imports datetime.
+    seen, unbound, _ = import_probe
+    cli = ["cli", "errors", "functionals", "numerics", "potential", "profile"]
+    steps = [[], cli, cli, cli, [*cli, "mass"], [*cli, "mass", "verify"], [*cli, "mass", "verify", "report_store"]]
+    expected = [sorted(["curvlab", *(f"curvlab.{name}" for name in step)]) for step in steps]
+    assert [modules for modules, _, _ in seen] == expected
+    assert [datetime for _, _, datetime in seen] == [False] * 7
+    assert unbound == []
 
 
 def test_corrupted_file_surfaces_error(tmp_path, schw_record):
